@@ -6,6 +6,8 @@
 //! and a word tokenizer are provided; the q-gram tokenizer is the default used
 //! by the matching and view-inference code.
 
+use std::sync::OnceLock;
+
 /// Which tokenizer a classifier or matcher should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenizerKind {
@@ -31,26 +33,61 @@ impl TokenizerKind {
     }
 }
 
+/// [`char::is_alphanumeric`], memoized per 256-scalar block of the Basic
+/// Multilingual Plane. The std predicate walks Unicode property tables,
+/// which costs over 100 ns per call for many non-Latin scripts, and the
+/// tokenizers ask it once per character; a block's 256 answers are computed
+/// on first use and then cost one bit test.
+fn is_alphanumeric(ch: char) -> bool {
+    if ch.is_ascii() {
+        return ch.is_ascii_alphanumeric();
+    }
+    let code = u32::from(ch);
+    if code > 0xFFFF {
+        return ch.is_alphanumeric();
+    }
+    static BLOCKS: [OnceLock<[u64; 4]>; 256] = [const { OnceLock::new() }; 256];
+    let bits = BLOCKS[(code >> 8) as usize].get_or_init(|| {
+        let mut bits = [0u64; 4];
+        for low in 0..256u32 {
+            if char::from_u32((code & !0xFF) | low).is_some_and(char::is_alphanumeric) {
+                bits[(low >> 6) as usize] |= 1 << (low & 63);
+            }
+        }
+        bits
+    });
+    (bits[((code >> 6) & 3) as usize] >> (code & 63)) & 1 == 1
+}
+
 /// Normalize text before tokenization: lower-case and collapse runs of
 /// non-alphanumeric characters into single spaces.
 fn normalize(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    let mut last_space = true;
+    for_each_normalized(text, |c| out.push(c));
+    out
+}
+
+/// Stream the scalars of `normalize(text)` without building it: a separator
+/// is held back until the next alphanumeric character, so leading and
+/// trailing separators vanish. Returns whether anything was emitted.
+fn for_each_normalized(text: &str, mut emit: impl FnMut(char)) -> bool {
+    let mut started = false;
+    let mut pending_space = false;
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for c in ch.to_lowercase() {
-                out.push(c);
+        if is_alphanumeric(ch) {
+            if pending_space {
+                emit(' ');
+                pending_space = false;
             }
-            last_space = false;
-        } else if !last_space {
-            out.push(' ');
-            last_space = true;
+            for c in ch.to_lowercase() {
+                emit(c);
+            }
+            started = true;
+        } else if started {
+            pending_space = true;
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
+    started
 }
 
 /// Character q-grams of the normalized text, padded with `q - 1` boundary
@@ -71,38 +108,25 @@ pub fn qgrams(text: &str, q: usize) -> Vec<String> {
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
-/// Visit the character q-grams of `text` — the same grams, in the same
-/// order, as [`qgrams`] — without allocating a `String` per gram: each gram
-/// is presented in a reused scratch buffer. This is the allocation-free
-/// path the interned profile builder in `cxm-matching` walks; [`qgrams`]
-/// remains the convenient collected form.
-pub fn for_each_qgram(text: &str, q: usize, mut visit: impl FnMut(&str)) {
-    let q = q.max(1);
-    let norm = normalize(text);
-    if norm.is_empty() {
-        return;
-    }
-    // Slide a q-char window over `#`-padding + norm + padding without
-    // materializing the padded string: the window and the rendered gram are
-    // the only buffers, both reused across grams (q is tiny, so the O(q)
-    // shift beats a deque). The padded stream always spans at least q chars
-    // (norm is non-empty and carries q-1 padding per side), so the window
-    // fills and every text emits at least one gram — exactly like `qgrams`.
-    let pad = q - 1;
-    let mut window: Vec<char> = Vec::with_capacity(q);
-    let mut scratch = String::with_capacity(4 * q);
-    let stream =
-        std::iter::repeat_n('#', pad).chain(norm.chars()).chain(std::iter::repeat_n('#', pad));
-    for c in stream {
-        if window.len() == q {
-            window.remove(0);
-        }
-        window.push(c);
-        if window.len() == q {
-            scratch.clear();
-            scratch.extend(window.iter());
-            visit(&scratch);
-        }
+/// Visit the character 3-grams of `text` — the same grams, in the same
+/// order, as `qgrams(text, 3)` — as arrays of three Unicode scalars, without
+/// rendering a `String` per gram or materializing the normalized text.
+/// This is the path the interned profile builder in `cxm-matching` walks:
+/// three scalars pack into one integer key, so a known gram is looked up
+/// without any string work. [`qgrams`] remains the convenient collected
+/// form (and the only one for other widths).
+pub fn for_each_qgram(text: &str, mut visit: impl FnMut([char; 3])) {
+    // Slide a 3-scalar window, primed with the two leading `#` pads, over
+    // the normalized stream; the trailing pads follow only a non-empty
+    // stream (empty text has no grams).
+    let mut window = ['#'; 3];
+    let mut push = |c: char| {
+        window = [window[1], window[2], c];
+        visit(window);
+    };
+    if for_each_normalized(text, &mut push) {
+        push('#');
+        push('#');
     }
 }
 
@@ -123,6 +147,15 @@ mod tests {
     }
 
     #[test]
+    fn memoized_alphanumeric_matches_std_on_every_scalar() {
+        for code in (0..0x3_0000u32).chain([0x10_FFFF, 0xE_0001]) {
+            if let Some(ch) = char::from_u32(code) {
+                assert_eq!(is_alphanumeric(ch), ch.is_alphanumeric(), "U+{code:04X}");
+            }
+        }
+    }
+
+    #[test]
     fn word_tokenizer() {
         assert_eq!(words("Heart of Darkness"), vec!["heart", "of", "darkness"]);
         assert_eq!(words("B0006L16N8"), vec!["b0006l16n8"]);
@@ -138,12 +171,22 @@ mod tests {
 
     #[test]
     fn for_each_qgram_matches_collected_qgrams() {
-        for text in ["cd", "Lance Armstrong's War!", "a", "", "***", "héllo wörld", "x&y"] {
-            for q in [0usize, 1, 2, 3, 5, 40] {
-                let mut visited = Vec::new();
-                for_each_qgram(text, q, |g| visited.push(g.to_string()));
-                assert_eq!(visited, qgrams(text, q), "text {text:?}, q {q}");
-            }
+        for text in [
+            "cd",
+            "Lance Armstrong's War!",
+            "a",
+            "",
+            "***",
+            "héllo wörld",
+            "x&y",
+            "  -- ab --  cd --",
+            "İstanbul",
+            "𝔘𝔫𝔦 #code",
+            "a#b",
+        ] {
+            let mut visited = Vec::new();
+            for_each_qgram(text, |g| visited.push(g.iter().collect::<String>()));
+            assert_eq!(visited, qgrams(text, 3), "text {text:?}");
         }
     }
 

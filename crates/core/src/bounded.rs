@@ -90,6 +90,21 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         self.evictions
     }
 
+    /// An empty cache with this cache's capacity and lifetime hit, miss and
+    /// eviction totals — for a holder whose every entry just became
+    /// unreachable. Dropping them is not capacity pressure, so the eviction
+    /// total does not grow.
+    pub fn emptied(&self) -> Self {
+        BoundedCache {
+            capacity: self.capacity,
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+        }
+    }
+
     /// The value cached for `key`, recording a hit or miss.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         match self.entries.get(key) {

@@ -11,12 +11,12 @@
 //! selection scans, zero classifier work.
 //!
 //! Invalidation is automatic through the key: any catalog update bumps the
-//! snapshot version, so every entry of the previous generation simply stops
-//! being addressable and ages out through the oldest-first capacity bound;
-//! any source edit changes the source fingerprint the same way. Nothing is
-//! ever served stale, and nothing needs explicit invalidation — the same
-//! re-keying discipline the restricted-profile cache uses, lifted to whole
-//! results.
+//! snapshot version, so every entry of the previous generation stops being
+//! addressable — and the new snapshot starts from
+//! [`MatchResultCache::next_generation`], which drops those dead entries
+//! instead of carrying them until the bound ages them out. Any source edit
+//! changes the source fingerprint the same way, and those entries age out
+//! through the oldest-first capacity bound. Nothing is ever served stale.
 //!
 //! Hit results are **byte-identical** to what the run they memoize produced
 //! (a clone of the stored result; every score and confidence keeps its exact
@@ -45,9 +45,9 @@ pub struct MatchResultKey {
 
 /// A bounded, oldest-first cache of whole [`ContextMatchResult`]s. Results
 /// are stored behind `Arc`s, so caching one costs no deep copy beyond the
-/// insert-time clone the caller makes; a long-lived match service carries
-/// one instance across catalog snapshots (entries from superseded versions
-/// age out via the bound).
+/// insert-time clone the caller makes; a long-lived match service keeps one
+/// per catalog snapshot and hands its lifetime totals to the next snapshot's
+/// ([`MatchResultCache::next_generation`]).
 #[derive(Debug, Clone, Default)]
 pub struct MatchResultCache {
     entries: BoundedCache<MatchResultKey, Arc<ContextMatchResult>>,
@@ -58,6 +58,15 @@ impl MatchResultCache {
     /// first); `0` disables caching entirely.
     pub fn with_capacity(capacity: usize) -> Self {
         MatchResultCache { entries: BoundedCache::with_capacity(capacity) }
+    }
+
+    /// The cache a new catalog snapshot starts from: empty — every entry
+    /// here is keyed to a superseded catalog version and can never hit
+    /// again — with the same capacity and the lifetime hit, miss and
+    /// eviction totals. Dropping the dead entries does not count as
+    /// evictions, which report capacity pressure.
+    pub fn next_generation(&self) -> Self {
+        MatchResultCache { entries: self.entries.emptied() }
     }
 
     /// The configured entry bound.
@@ -141,6 +150,12 @@ mod tests {
         assert_ne!(key(1, 1, 1), key(2, 1, 1));
         assert_ne!(key(1, 1, 1), key(1, 2, 1));
         assert_ne!(key(1, 1, 1), key(1, 1, 2));
+
+        // The next generation is empty but keeps capacity and totals.
+        let next = cache.next_generation();
+        assert!(next.is_empty());
+        assert_eq!(next.capacity(), 2);
+        assert_eq!((next.hits(), next.misses(), next.evictions()), (1, 2, 1));
 
         // Zero capacity disables caching.
         let mut off = MatchResultCache::with_capacity(0);

@@ -342,7 +342,7 @@ impl<'a> ColumnData<'a> {
     pub fn qgram3_ids(&self) -> Arc<InternedProfile> {
         Arc::clone(self.caches.qgram3_ids.get_or_init(|| {
             telemetry::record_qgram_profile_build();
-            Arc::new(self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow()), 3))
+            Arc::new(self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow())))
         }))
     }
 
@@ -687,11 +687,15 @@ mod tests {
     fn interned_profile_is_memoized_and_counted() {
         let t = table();
         let col = ColumnData::from_table(&t, "name").unwrap();
-        let before = telemetry::qgram_profile_builds();
+        assert!(col.harvest_artifacts().qgram3_ids.is_none(), "nothing is built before first use");
         let first = col.qgram3_ids();
         let second = col.qgram3_ids();
         assert!(Arc::ptr_eq(&first, &second), "interned profile must be memoized");
-        assert_eq!(telemetry::qgram_profile_builds() - before, 1, "exactly one counted build");
+        // The column holds that one build. The exact count of the
+        // process-global counter is pinned by `tests/tests/profile_counts.rs`
+        // in a binary of its own: sibling tests here profile concurrently.
+        let memo = col.harvest_artifacts().qgram3_ids.expect("memoized after first use");
+        assert!(Arc::ptr_eq(&first, &memo));
         assert!(!first.is_empty());
         // The value id set is memoized too, and matches the legacy set's size.
         assert!(Arc::ptr_eq(&col.value_ids(), &col.value_ids()));
@@ -714,11 +718,9 @@ mod tests {
         // exact same Arcs are served.
         let seeded = ColumnData::from_table(&t, "name").unwrap();
         seeded.seed_artifacts(&artifacts);
-        let before = telemetry::qgram_profile_builds();
-        assert!(Arc::ptr_eq(&seeded.qgram3_ids(), &profile));
+        assert!(Arc::ptr_eq(&seeded.qgram3_ids(), &profile), "seeded column must not rebuild");
         assert!(Arc::ptr_eq(&seeded.value_ids(), &values));
         assert_eq!(seeded.numeric_summary(), numeric);
-        assert_eq!(telemetry::qgram_profile_builds(), before, "seeded column must not rebuild");
     }
 
     #[test]

@@ -57,11 +57,23 @@
 //! the posting lists that mention a changed column — every untouched list is
 //! carried forward as the same allocation, which
 //! [`GramIndex::postings_reused`] / [`GramIndex::postings_rebuilt`] make
-//! observable. A batch whose attribute sequence changed (table added,
-//! dropped or reordered) falls back to a full rebuild: slot ids are
-//! positional, and remapping every posting would cost as much as rebuilding.
+//! observable.
+//!
+//! The rebuild is one merge. The changed columns' new entries are collected
+//! once and sorted by (id, slot); each touched list is then its surviving
+//! entries (those of unchanged slots, a changed-slot bitmap lookup each)
+//! merged by slot with the new run for its id. An update therefore costs
+//! O(c log c) for the c new entries, plus the length of every touched list,
+//! plus one `Arc` clone per carried list — never a search of a changed
+//! column per touched gram. [`GramIndex::build`] is the same merge from an
+//! index with no postings whose every slot counts as changed, so one routine
+//! constructs every generation.
+//!
+//! A batch whose attribute sequence changed (table added, dropped or
+//! reordered) falls back to a full build: slot ids are positional, and
+//! remapping every posting would cost as much as building.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cxm_relational::AttrRef;
@@ -127,7 +139,9 @@ pub struct GramIndex {
     /// bound to; hints only apply to source columns sharing it.
     interner_token: u64,
     slots: Vec<Slot>,
-    slot_by_attr: HashMap<AttrRef, usize>,
+    /// Shared by every generation of one batch shape (updates keep slots
+    /// positional).
+    slot_by_attr: Arc<HashMap<AttrRef, usize>>,
     /// 3-gram id → `(slot, raw count)` entries, ascending by slot.
     gram_postings: HashMap<u32, Arc<Vec<(u32, f64)>>>,
     /// Distinct-value id → slots containing the value, ascending.
@@ -149,44 +163,28 @@ impl GramIndex {
             columns.iter().all(|c| c.interner().token() == token),
             "an index spans exactly one interner id space"
         );
-        // Ordered maps: `into_iter` below feeds the posting tables, and the
-        // reused/rebuilt accounting compares generations — keep the build
-        // order independent of hasher state (D001).
-        let mut gram: BTreeMap<u32, Vec<(u32, f64)>> = BTreeMap::new();
-        let mut value: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut slots = Vec::with_capacity(columns.len());
-        for (i, column) in columns.iter().enumerate() {
-            let slot = i as u32;
-            let (profile, values) = if column.is_empty() {
-                (None, None)
-            } else {
-                let profile = column.qgram3_ids();
-                let values = column.value_ids();
-                for &(g, count) in profile.entries() {
-                    gram.entry(g).or_default().push((slot, count));
-                }
-                for &id in values.ids() {
-                    value.entry(id).or_default().push(slot);
-                }
-                (Some(profile), Some(values))
-            };
-            slots.push(Slot {
-                attr: column.attr.clone(),
-                fingerprint: column.fingerprint(),
-                profile,
-                values,
-            });
-        }
-        let rebuilt = gram.len() + value.len();
-        GramIndex {
+        // No postings, and no fingerprints: the merge treats every slot as
+        // changed and posts the whole batch.
+        let empty = GramIndex {
             interner_token: token,
-            slot_by_attr: slots.iter().enumerate().map(|(i, s)| (s.attr.clone(), i)).collect(),
-            slots,
-            gram_postings: gram.into_iter().map(|(k, v)| (k, Arc::new(v))).collect(),
-            value_postings: value.into_iter().map(|(k, v)| (k, Arc::new(v))).collect(),
+            slots: columns
+                .iter()
+                .map(|c| Slot {
+                    attr: c.attr.clone(),
+                    fingerprint: None,
+                    profile: None,
+                    values: None,
+                })
+                .collect(),
+            slot_by_attr: Arc::new(
+                columns.iter().enumerate().map(|(i, c)| (c.attr.clone(), i)).collect(),
+            ),
+            gram_postings: HashMap::new(),
+            value_postings: HashMap::new(),
             postings_reused: 0,
-            postings_rebuilt: rebuilt,
-        }
+            postings_rebuilt: 0,
+        };
+        GramIndex::merge(&empty, columns)
     }
 
     /// Derive the index of the next batch generation from `prev`, rebuilding
@@ -199,49 +197,32 @@ impl GramIndex {
         if !prev.same_shape(columns) {
             return GramIndex::build(columns);
         }
-        let changed: BTreeSet<usize> = columns
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                let carried = prev.slots[*i].fingerprint.is_some()
-                    && prev.slots[*i].fingerprint == c.fingerprint();
-                !carried
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let total = prev.gram_postings.len() + prev.value_postings.len();
-        if changed.is_empty() {
-            return GramIndex {
-                interner_token: prev.interner_token,
-                slots: prev.slots.clone(),
-                slot_by_attr: prev.slot_by_attr.clone(),
-                gram_postings: prev.gram_postings.clone(),
-                value_postings: prev.value_postings.clone(),
-                postings_reused: total,
-                postings_rebuilt: 0,
-            };
-        }
+        GramIndex::merge(prev, columns)
+    }
 
-        // New slots: changed columns re-post their (possibly new) artifacts.
+    /// The one construction routine (see the module docs): re-post the
+    /// changed slots of a same-shape `prev` and carry every list they do not
+    /// touch.
+    fn merge(prev: &GramIndex, columns: &[ColumnData]) -> GramIndex {
+        let changed: Vec<bool> = prev
+            .slots
+            .iter()
+            .zip(columns)
+            .map(|(s, c)| s.fingerprint.is_none() || s.fingerprint != c.fingerprint())
+            .collect();
         let mut slots = prev.slots.clone();
-        let mut touched_grams: BTreeSet<u32> = BTreeSet::new();
-        let mut touched_values: BTreeSet<u32> = BTreeSet::new();
-        for &i in &changed {
+        let (mut stale_grams, mut stale_values) = (Vec::new(), Vec::new());
+        for (i, column) in columns.iter().enumerate().filter(|&(i, _)| changed[i]) {
             if let Some(profile) = &prev.slots[i].profile {
-                touched_grams.extend(profile.entries().iter().map(|&(g, _)| g));
+                stale_grams.extend(profile.entries().iter().map(|&(g, _)| g));
             }
             if let Some(values) = &prev.slots[i].values {
-                touched_values.extend(values.ids().iter().copied());
+                stale_values.extend_from_slice(values.ids());
             }
-            let column = &columns[i];
             let (profile, values) = if column.is_empty() {
                 (None, None)
             } else {
-                let profile = column.qgram3_ids();
-                let values = column.value_ids();
-                touched_grams.extend(profile.entries().iter().map(|&(g, _)| g));
-                touched_values.extend(values.ids().iter().copied());
-                (Some(profile), Some(values))
+                (Some(column.qgram3_ids()), Some(column.value_ids()))
             };
             slots[i] = Slot {
                 attr: column.attr.clone(),
@@ -251,60 +232,33 @@ impl GramIndex {
             };
         }
 
-        // Copy-on-write: clone the Arc maps, then rebuild only touched lists
-        // (old changed-slot entries dropped, new ones merged in slot order).
+        // The changed slots' new entries, in ascending slot order.
+        let changed_slots = || slots.iter().enumerate().filter(|&(i, _)| changed[i]);
+        let fresh_grams = || {
+            changed_slots().flat_map(|(i, s)| {
+                let entries = s.profile.as_deref().map_or(&[][..], InternedProfile::entries);
+                entries.iter().map(move |&(g, count)| (g, (i as u32, count)))
+            })
+        };
+        let fresh_values = || {
+            changed_slots().flat_map(|(i, s)| {
+                let ids = s.values.as_deref().map_or(&[][..], InternedValueSet::ids);
+                ids.iter().map(move |&id| (id, i as u32))
+            })
+        };
         let mut gram_postings = prev.gram_postings.clone();
-        for &g in &touched_grams {
-            let mut list: Vec<(u32, f64)> = gram_postings
-                .remove(&g)
-                .map(|old| {
-                    old.iter().filter(|(s, _)| !changed.contains(&(*s as usize))).copied().collect()
-                })
-                .unwrap_or_default();
-            for &i in &changed {
-                if let Some(profile) = &slots[i].profile {
-                    if let Ok(pos) = profile.entries().binary_search_by_key(&g, |&(id, _)| id) {
-                        list.push((i as u32, profile.entries()[pos].1));
-                    }
-                }
-            }
-            if !list.is_empty() {
-                list.sort_unstable_by_key(|&(s, _)| s);
-                gram_postings.insert(g, Arc::new(list));
-            }
-        }
         let mut value_postings = prev.value_postings.clone();
-        for &id in &touched_values {
-            let mut list: Vec<u32> = value_postings
-                .remove(&id)
-                .map(|old| {
-                    old.iter().filter(|&&s| !changed.contains(&(s as usize))).copied().collect()
-                })
-                .unwrap_or_default();
-            for &i in &changed {
-                if let Some(values) = &slots[i].values {
-                    if values.ids().binary_search(&id).is_ok() {
-                        list.push(i as u32);
-                    }
-                }
-            }
-            if !list.is_empty() {
-                list.sort_unstable();
-                value_postings.insert(id, Arc::new(list));
-            }
-        }
-
-        let rebuilt = touched_grams.iter().filter(|g| gram_postings.contains_key(g)).count()
-            + touched_values.iter().filter(|v| value_postings.contains_key(v)).count();
-        let reused = (gram_postings.len() + value_postings.len()) - rebuilt;
+        let rebuilt =
+            merge_postings(&mut gram_postings, stale_grams, fresh_grams, &changed, |&(s, _)| s)
+                + merge_postings(&mut value_postings, stale_values, fresh_values, &changed, |&s| s);
         GramIndex {
             interner_token: prev.interner_token,
-            slot_by_attr: prev.slot_by_attr.clone(),
+            slot_by_attr: Arc::clone(&prev.slot_by_attr),
             slots,
+            postings_reused: gram_postings.len() + value_postings.len() - rebuilt,
+            postings_rebuilt: rebuilt,
             gram_postings,
             value_postings,
-            postings_reused: reused,
-            postings_rebuilt: rebuilt,
         }
     }
 
@@ -346,6 +300,11 @@ impl GramIndex {
     /// One gram's posting list (test hook for the `Arc`-sharing contract).
     pub fn gram_posting(&self, gram: u32) -> Option<&Arc<Vec<(u32, f64)>>> {
         self.gram_postings.get(&gram)
+    }
+
+    /// One value's posting list (test hook, like [`GramIndex::gram_posting`]).
+    pub fn value_posting(&self, value: u32) -> Option<&Arc<Vec<u32>>> {
+        self.value_postings.get(&value)
     }
 
     /// True when this index's slot layout matches `columns` positionally —
@@ -435,6 +394,88 @@ impl GramIndex {
             })
             .collect()
     }
+}
+
+/// Rebuild every posting list a changed slot touches. `stale` holds the ids
+/// of the changed slots' previous entries (repeats allowed), `fresh` yields
+/// their new `(id, entry)`s in ascending slot order; `changed` is the
+/// changed-slot bitmap. Each touched list becomes its entries of unchanged
+/// slots merged by slot with the fresh run for its id (dropped when empty);
+/// every other list stays the same allocation. Returns the number of lists
+/// (re)built.
+fn merge_postings<E: Copy, I: Iterator<Item = (u32, E)>>(
+    lists: &mut HashMap<u32, Arc<Vec<E>>>,
+    mut stale: Vec<u32>,
+    fresh: impl Fn() -> I,
+    changed: &[bool],
+    slot: impl Fn(&E) -> u32,
+) -> usize {
+    stale.sort_unstable();
+    stale.dedup();
+    let fresh = sort_by_id(fresh);
+    let mut stale = stale.into_iter().peekable();
+    let mut runs = fresh.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut rebuilt = 0;
+    loop {
+        // The next touched id, in ascending order: the smaller head of the
+        // stale ids and the fresh runs.
+        let id = match (stale.peek(), runs.peek()) {
+            (None, None) => break,
+            (Some(&s), None) => s,
+            (None, Some(run)) => run[0].0,
+            (Some(&s), Some(run)) => s.min(run[0].0),
+        };
+        stale.next_if_eq(&id);
+        let run = runs.next_if(|run| run[0].0 == id).unwrap_or_default();
+        let old = lists.remove(&id);
+        let kept = old.iter().flat_map(|list| list.iter()).filter(|e| !changed[slot(e) as usize]);
+        let mut list = Vec::with_capacity(old.as_ref().map_or(0, |l| l.len()) + run.len());
+        let mut new = run.iter().map(|&(_, e)| e).peekable();
+        for &e in kept {
+            while let Some(n) = new.next_if(|n| slot(n) < slot(&e)) {
+                list.push(n);
+            }
+            list.push(e);
+        }
+        list.extend(new);
+        if !list.is_empty() {
+            lists.insert(id, Arc::new(list));
+            rebuilt += 1;
+        }
+    }
+    rebuilt
+}
+
+/// The entries `fresh` yields, stably sorted by id: a counting sort over two
+/// passes of the iterator — O(entries + largest id), since ids are dense
+/// interner ids, and no unsorted copy. Entries arrive in ascending slot
+/// order, so the result is sorted by (id, slot).
+fn sort_by_id<E: Copy, I: Iterator<Item = (u32, E)>>(fresh: impl Fn() -> I) -> Vec<(u32, E)> {
+    // Counts land in `next[id + 1]`; after the prefix sum `next[id]` is
+    // where the next entry of `id` goes.
+    let mut next: Vec<usize> = Vec::new();
+    let mut first = None;
+    for entry in fresh() {
+        let id = entry.0 as usize;
+        if next.len() < id + 2 {
+            next.resize(id + 2, 0);
+        }
+        next[id + 1] += 1;
+        first.get_or_insert(entry);
+    }
+    let Some(first) = first else {
+        return Vec::new();
+    };
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut sorted = vec![first; next[next.len() - 1]];
+    for entry in fresh() {
+        let at = &mut next[entry.0 as usize];
+        sorted[*at] = entry;
+        *at += 1;
+    }
+    sorted
 }
 
 static EMPTY_VALUES: InternedValueSet = InternedValueSet::empty();
@@ -630,14 +671,24 @@ mod tests {
             cxm_relational::DataType::Text,
             vec![cxm_relational::Value::str("hardcover")],
         );
-        let before = crate::column::telemetry::qgram_profile_builds();
-        let index = GramIndex::build(&[empty, full]);
+        let columns = [empty, full];
+        let index = GramIndex::build(&columns);
         assert_eq!(index.len(), 2);
-        assert_eq!(
-            crate::column::telemetry::qgram_profile_builds() - before,
-            1,
-            "only the non-empty column is profiled"
+        // Per-column state, not the process-global build counter (sibling
+        // tests profile concurrently; `tests/tests/profile_counts.rs` pins
+        // the exact count in a binary of its own).
+        assert!(
+            columns[0].harvest_artifacts().qgram3_ids.is_none(),
+            "the empty column is never profiled"
         );
+        let posted =
+            columns[1].harvest_artifacts().qgram3_ids.expect("the full column is profiled");
+        let again = GramIndex::build(&columns);
+        assert!(
+            Arc::ptr_eq(&posted, &columns[1].qgram3_ids()),
+            "a rebuild reuses the memoized profile"
+        );
+        assert_eq!(again.posting_lists(), index.posting_lists());
         let probe = ColumnData::owned(
             AttrRef::new("s", "x"),
             cxm_relational::DataType::Text,

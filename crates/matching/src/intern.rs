@@ -11,8 +11,9 @@
 //!   ids. One interner is shared (behind an `Arc`) by every column that will
 //!   ever be scored against another: ids are only comparable within one
 //!   interner. Reads go through a **frozen snapshot** (one brief lock to
-//!   clone the `Arc`, then every lookup is lock-free on the immutable map);
-//!   growth appends under a mutex and publishes a new snapshot. After
+//!   clone the `Arc`, then every lookup is lock-free); a 3-gram is looked up
+//!   by its packed integer code with one hash probe, never as a string.
+//!   Growth appends under a mutex and publishes a new snapshot. After
 //!   warm-up the gram vocabulary stops growing and builds never touch the
 //!   growth lock.
 //! * [`InternedProfile`] — a q-gram frequency profile as a sorted
@@ -43,6 +44,7 @@
 //! served each score.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Process-wide instrumentation distinguishing the kernel generations: every
@@ -125,18 +127,183 @@ pub mod telemetry {
     }
 }
 
-/// The immutable lookup state a reader works against: gram → id and id →
-/// gram, `Arc`-shared so publishing a new generation is one pointer swap.
+/// The lookup state one generation of readers works against, `Arc`-shared
+/// so publishing generation *n+1* is one pointer swap.
 ///
-/// Both sides are **persistent** structures, so publishing generation *n+1*
-/// costs O(batch), not O(vocabulary): the id → gram side is a chunked
-/// append-only store ([`ChunkedIds`]) whose full chunks are `Arc`-shared
-/// between generations, and the gram → id side is a path-copying hash trie
-/// ([`PersistentMap`]) whose untouched subtrees are shared wholesale.
-#[derive(Debug, Default, Clone)]
+/// Strings of exactly three Unicode scalars — every 3-gram, and any
+/// three-scalar value — are keyed by their packed code ([`pack`]) in
+/// [`PackedTable`]; every other string in the path-copying hash trie
+/// ([`PersistentMap`]); id → string in the chunked append-only store
+/// ([`ChunkedIds`]). Publishing costs amortised O(batch), not
+/// O(vocabulary): full id chunks and untouched trie subtrees are shared
+/// with the previous generation, and the packed table is shared too —
+/// growth appends into it, and a generation only sees the ids below its
+/// own length — until it must double, which is amortised over the entries
+/// that filled it.
+#[derive(Debug, Clone)]
 struct Frozen {
+    packed: Arc<PackedTable>,
+    /// Entries of `packed` issued up to this generation (the writer's load
+    /// count; the shared table may already hold later generations' ids).
+    packed_len: usize,
     by_text: PersistentMap,
     by_id: ChunkedIds,
+}
+
+impl Default for Frozen {
+    fn default() -> Self {
+        Frozen {
+            packed: Arc::new(PackedTable::with_capacity(0)),
+            packed_len: 0,
+            by_text: PersistentMap::default(),
+            by_id: ChunkedIds::default(),
+        }
+    }
+}
+
+impl Frozen {
+    /// The id of a packed 3-scalar code, if issued in this generation.
+    fn get_packed(&self, code: u64) -> Option<u32> {
+        self.packed.get(code, self.by_id.len())
+    }
+
+    /// The id of any string, if issued in this generation.
+    fn get(&self, text: &str) -> Option<u32> {
+        match pack_str(text) {
+            Some(code) => self.get_packed(code),
+            None => self.by_text.get(text),
+        }
+    }
+
+    /// Issue the next id to a string that is **not present**. Writers only,
+    /// under the growth lock: the packed table is shared with published
+    /// generations, which ignore the new entry until they are superseded.
+    fn insert(&mut self, text: String) -> u32 {
+        let id = u32::try_from(self.by_id.len()).expect("grow checked the id space");
+        let shared: Arc<str> = text.into();
+        match pack_str(&shared) {
+            Some(code) => {
+                if self.packed.is_full_at(self.packed_len + 1) {
+                    self.packed = Arc::new(self.packed.doubled());
+                }
+                self.packed.insert(code, id);
+                self.packed_len += 1;
+            }
+            None => self.by_text.insert(Arc::clone(&shared), id),
+        }
+        self.by_id.push(shared);
+        id
+    }
+}
+
+/// The packed code of three Unicode scalars: three 21-bit fields, first
+/// scalar highest, so codes fit in 63 bits. Codes order like the scalar
+/// sequences — the same order as the rendered strings — which keeps id
+/// assignment within a growth batch independent of how its misses were
+/// keyed.
+fn pack(gram: [char; 3]) -> u64 {
+    (u64::from(gram[0]) << 42) | (u64::from(gram[1]) << 21) | u64::from(gram[2])
+}
+
+/// The packed code of `text` when it is exactly three Unicode scalars.
+fn pack_str(text: &str) -> Option<u64> {
+    let mut chars = text.chars();
+    let code = pack([chars.next()?, chars.next()?, chars.next()?]);
+    chars.next().is_none().then_some(code)
+}
+
+/// Marks an occupied [`PackedTable`] slot (codes use only the low 63 bits).
+const OCCUPIED: u64 = 1 << 63;
+
+/// One [`PackedTable`] slot: `key` is `code | OCCUPIED` once filled, 0 while
+/// empty. The writer stores `id` before it releases `key`, so a reader that
+/// acquires a matching key reads that entry's id.
+#[derive(Debug, Default)]
+struct PackedSlot {
+    key: AtomicU64,
+    id: AtomicU32,
+}
+
+/// A flat, append-only, open-addressing (linear probing) table from packed
+/// 3-scalar code to id. A lookup is one multiplicative hash of the code and
+/// a probe run that ends at the key or at an empty slot — no string
+/// rendering, byte hashing or string compare.
+///
+/// The table is shared by consecutive generations: the single writer (the
+/// growth lock holder) fills empty slots in place, and a reader accepts an
+/// entry only when its id is below its own generation's length, so every
+/// generation sees exactly the ids it was published with. Slots are never
+/// cleared, so a probe run never skips an entry that was present when the
+/// reader's generation was published. At half load the writer moves to a
+/// [`PackedTable::doubled`] copy; older generations keep the old table.
+#[derive(Debug)]
+struct PackedTable {
+    slots: Box<[PackedSlot]>,
+    /// `64 - log2(slots.len())`: the hash's top bits index the table.
+    shift: u32,
+}
+
+impl PackedTable {
+    /// An empty table with room for `entries` codes at half load.
+    fn with_capacity(entries: usize) -> Self {
+        let len = (2 * entries).next_power_of_two().max(64);
+        PackedTable {
+            slots: (0..len).map(|_| PackedSlot::default()).collect(),
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// True when holding `entries` codes would pass half load.
+    fn is_full_at(&self, entries: usize) -> bool {
+        2 * entries > self.slots.len()
+    }
+
+    fn home(&self, code: u64) -> usize {
+        (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The id stored for `code`, if it is below `visible` (the reader's
+    /// generation length).
+    fn get(&self, code: u64, visible: usize) -> Option<u32> {
+        let key = code | OCCUPIED;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(code);
+        loop {
+            let slot = &self.slots[i];
+            match slot.key.load(Ordering::Acquire) {
+                0 => return None,
+                k if k == key => {
+                    let id = slot.id.load(Ordering::Relaxed);
+                    return ((id as usize) < visible).then_some(id);
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Store an absent `code`. Single writer only; the caller keeps the
+    /// load at or below half, so an empty slot always exists.
+    fn insert(&self, code: u64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(code);
+        while self.slots[i].key.load(Ordering::Relaxed) != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i].id.store(id, Ordering::Relaxed);
+        self.slots[i].key.store(code | OCCUPIED, Ordering::Release);
+    }
+
+    /// A copy with twice the slots holding every entry of this table.
+    fn doubled(&self) -> PackedTable {
+        let next = PackedTable::with_capacity(self.slots.len());
+        for slot in self.slots.iter() {
+            let key = slot.key.load(Ordering::Relaxed);
+            if key != 0 {
+                next.insert(key & !OCCUPIED, slot.id.load(Ordering::Relaxed));
+            }
+        }
+        next
+    }
 }
 
 /// Log₂ of the chunk size of the append-only id store.
@@ -324,15 +491,20 @@ fn split_leaves(
 /// the matchers check interner identity (`Arc::ptr_eq`) before using the
 /// interned kernels and fall back to the legacy string kernels otherwise.
 ///
+/// Cost: a known 3-gram (or any three-scalar string) costs one integer-hash
+/// probe of the snapshot's packed table — no string rendering, byte hashing
+/// or string compare; any other string costs one FNV-1a hash and a walk of
+/// at most 13 trie levels.
+///
 /// Concurrency: readers clone the current frozen snapshot (one brief
-/// read-lock) and then perform every lookup lock-free on the immutable
-/// structures; writers take the growth mutex, derive the next generation and
-/// publish it. Growth is rare by construction — the 3-gram vocabulary over
-/// normalized text is small and saturates quickly — and **cheap even when it
-/// is not**: the frozen state is persistent (chunked append-only id store +
-/// path-copying hash trie), so each publication costs O(batch), not
-/// O(vocabulary). A long-lived process fed unbounded novel values pays
-/// linear total growth cost.
+/// read-lock) and then perform every lookup lock-free; writers take the
+/// growth mutex, derive the next generation and publish it. Growth is rare
+/// by construction — the 3-gram vocabulary over normalized text is small
+/// and saturates quickly — and **cheap even when it is not**: each
+/// publication costs amortised O(batch), not O(vocabulary). Id chunks and
+/// trie subtrees are shared between generations, and the packed table is
+/// appended in place and copied only when it doubles, so a long-lived
+/// process fed unbounded novel values pays linear total growth cost.
 #[derive(Debug)]
 pub struct GramInterner {
     /// Process-unique identity of this interner (see [`GramInterner::token`]).
@@ -391,7 +563,7 @@ impl GramInterner {
 
     /// The id of `text`, if it has been interned.
     pub fn lookup(&self, text: &str) -> Option<u32> {
-        self.snapshot().by_text.get(text)
+        self.snapshot().get(text)
     }
 
     /// Intern one string, assigning a fresh id on first sight.
@@ -408,14 +580,14 @@ impl GramInterner {
         self.snapshot().by_id.get(id as usize).cloned()
     }
 
-    /// Turn a batch of per-occurrence known ids plus a miss map (string →
-    /// count) into the final id-sorted sparse count vector: run-length
-    /// encode the sorted hit ids (no hashing anywhere on the hit path) and
-    /// merge in the freshly grown miss ids.
+    /// Turn a batch of per-occurrence known ids plus the string-sorted
+    /// `(string, count)` misses into the final id-sorted sparse count vector:
+    /// run-length encode the sorted hit ids (no hashing anywhere on the hit
+    /// path) and merge in the freshly grown miss ids.
     fn finish_counts(
         &self,
         mut known_ids: Vec<u32>,
-        unknown: BTreeMap<String, f64>,
+        unknown: Vec<(String, f64)>,
     ) -> Vec<(u32, f64)> {
         known_ids.sort_unstable();
         let mut entries: Vec<(u32, f64)> = Vec::new();
@@ -426,11 +598,10 @@ impl GramInterner {
             }
         }
         if !unknown.is_empty() {
-            // The miss map is a BTreeMap, so this batch is already sorted —
-            // id assignment within one batch is deterministic (D001).
-            let pending: Vec<(String, f64)> = unknown.into_iter().collect();
-            let ids = self.grow(pending.iter().map(|(s, _)| s.clone()).collect());
-            for ((_, count), id) in pending.into_iter().zip(ids) {
+            // The misses arrive sorted, so id assignment within one batch is
+            // deterministic (D001).
+            let ids = self.grow(unknown.iter().map(|(s, _)| s.clone()).collect());
+            for ((_, count), id) in unknown.into_iter().zip(ids) {
                 entries.push((id, count));
             }
             entries.sort_unstable_by_key(|&(id, _)| id);
@@ -452,35 +623,32 @@ impl GramInterner {
     /// concurrent writer interned since our snapshot, and publish the new
     /// frozen generation.
     ///
-    /// Publication is **O(batch)**, not O(vocabulary): both sides of the
-    /// frozen state are persistent structures ([`ChunkedIds`] /
-    /// [`PersistentMap`]), so deriving the next generation copies only the
-    /// chunk directory, the partial tail chunk, and the trie paths of the
-    /// freshly interned strings — every untouched chunk and subtree is
-    /// `Arc`-shared with the previous generation. A process fed a long
-    /// stream of novel values therefore pays linear total growth cost
-    /// instead of the quadratic clone-the-world behaviour this replaced.
+    /// Publication is **amortised O(batch)**, not O(vocabulary): the next
+    /// generation shares every full id chunk and untouched trie subtree with
+    /// the previous one and appends its packed codes into the shared
+    /// [`PackedTable`], copying that table only when it doubles (see
+    /// [`Frozen`]). A process fed a long stream of novel values therefore
+    /// pays linear total growth cost.
     fn grow(&self, texts: Vec<String>) -> Vec<u32> {
         let _guard = self.growth.lock().unwrap_or_else(PoisonError::into_inner);
         // Re-read under the growth lock: writers are serialized, so this is
         // the latest generation and re-checks races lost before the lock.
         let current = self.snapshot();
+        // Check the id space before touching the shared packed table, so a
+        // batch never stops half-inserted.
+        assert!(
+            (current.by_id.len() + texts.len()) as u64 <= u64::from(u32::MAX) + 1,
+            "interner exceeded u32 id space"
+        );
         let mut next = (*current).clone();
         let ids = texts
             .into_iter()
-            .map(|text| match next.by_text.get(text.as_str()) {
+            .map(|text| match next.get(&text) {
                 Some(id) => id,
-                None => {
-                    let id =
-                        u32::try_from(next.by_id.len()).expect("interner exceeded u32 id space");
-                    let shared: Arc<str> = text.into();
-                    next.by_text.insert(Arc::clone(&shared), id);
-                    next.by_id.push(shared);
-                    id
-                }
+                None => next.insert(text),
             })
             .collect();
-        debug_assert_eq!(next.by_text.len(), next.by_id.len());
+        debug_assert_eq!(next.packed_len + next.by_text.len(), next.by_id.len());
         *self.frozen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         ids
     }
@@ -508,34 +676,28 @@ impl GramInterner {
         self.grow(texts)
     }
 
-    /// Build the interned q-gram count profile of a bag of texts — the flat
+    /// Build the interned 3-gram count profile of a bag of texts — the flat
     /// counterpart of [`crate::column::build_qgram_profile`] (which
     /// normalizes eagerly; this kernel keeps raw counts and the norm so the
     /// dot product stays exact-integer arithmetic).
     ///
-    /// Grams are visited in a reused scratch buffer
-    /// ([`cxm_classify::for_each_qgram`]) and looked up in the frozen
-    /// snapshot by `&str`: a warm vocabulary builds the whole profile
-    /// without a single per-gram allocation.
-    pub fn qgram_profile<T: AsRef<str>>(
-        &self,
-        texts: impl Iterator<Item = T>,
-        q: usize,
-    ) -> InternedProfile {
+    /// Grams arrive as three scalars ([`cxm_classify::for_each_qgram`]) and
+    /// a known gram costs one probe of the frozen snapshot's packed table by
+    /// its integer code: a warm vocabulary builds the whole profile without
+    /// rendering, hashing or comparing a single string. Only misses are
+    /// rendered, once per distinct gram, for the growth batch.
+    pub fn qgram_profile<T: AsRef<str>>(&self, texts: impl Iterator<Item = T>) -> InternedProfile {
         let snap = self.snapshot();
         let mut known_ids: Vec<u32> = Vec::new();
-        let mut unknown: BTreeMap<String, f64> = BTreeMap::new();
+        let mut unknown: BTreeMap<[char; 3], f64> = BTreeMap::new();
         for text in texts {
-            cxm_classify::for_each_qgram(text.as_ref(), q, |gram| match snap.by_text.get(gram) {
+            cxm_classify::for_each_qgram(text.as_ref(), |gram| match snap.get_packed(pack(gram)) {
                 Some(id) => known_ids.push(id),
-                None => match unknown.get_mut(gram) {
-                    Some(count) => *count += 1.0,
-                    None => {
-                        unknown.insert(gram.to_string(), 1.0);
-                    }
-                },
+                None => *unknown.entry(gram).or_insert(0.0) += 1.0,
             });
         }
+        // Scalar-array order is rendered-string order (see `pack`).
+        let unknown = unknown.into_iter().map(|(gram, n)| (gram.iter().collect(), n)).collect();
         InternedProfile::from_counts(self.finish_counts(known_ids, unknown))
     }
 
@@ -547,7 +709,7 @@ impl GramInterner {
         let mut unknown: BTreeMap<String, f64> = BTreeMap::new();
         for text in texts {
             let text = text.as_ref();
-            match snap.by_text.get(text) {
+            match snap.get(text) {
                 Some(id) => known_ids.push(id),
                 None => match unknown.get_mut(text) {
                     Some(count) => *count += 1.0,
@@ -557,8 +719,11 @@ impl GramInterner {
                 },
             }
         }
-        let mut ids: Vec<u32> =
-            self.finish_counts(known_ids, unknown).into_iter().map(|(id, _)| id).collect();
+        let mut ids: Vec<u32> = self
+            .finish_counts(known_ids, unknown.into_iter().collect())
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
         ids.shrink_to_fit();
         InternedValueSet { ids }
@@ -721,14 +886,25 @@ mod tests {
     #[test]
     fn qgram_profile_counts_and_normalizes() {
         let interner = GramInterner::new();
-        // "ab" with q=1 → grams a, b (padding is empty for q=1).
-        let p = interner.qgram_profile(["ab".to_string(), "a".to_string()].into_iter(), 1);
-        // counts: a → 2, b → 1; norm = sqrt(4 + 1).
-        assert_eq!(p.len(), 2);
-        assert!((p.norm() - 5.0f64.sqrt()).abs() < 1e-12);
-        let a_id = interner.lookup("a").unwrap();
+        // "ab" → ##a, #ab, ab#, b##; "a" → ##a, #a#, a##.
+        let p = interner.qgram_profile(["ab".to_string(), "a".to_string()].into_iter());
+        // counts: ##a → 2, five others → 1; norm = sqrt(4 + 5).
+        assert_eq!(p.len(), 6);
+        assert!((p.norm() - 3.0).abs() < 1e-12);
+        let a_id = interner.lookup("##a").unwrap();
         let entry = p.entries().iter().find(|&&(id, _)| id == a_id).unwrap();
         assert_eq!(entry.1, 2.0);
+        // The batch's misses were issued ids in gram-string order.
+        let grams: Vec<Arc<str>> = (0..6).map(|id| interner.resolve(id).unwrap()).collect();
+        assert_eq!(grams.iter().map(|g| &**g).collect::<Vec<_>>(), {
+            let mut sorted = vec!["##a", "#ab", "ab#", "b##", "#a#", "a##"];
+            sorted.sort_unstable();
+            sorted
+        });
+        // A warm rebuild looks every gram up and issues nothing.
+        let again = interner.qgram_profile(["ab", "a"].into_iter());
+        assert_eq!(again, p);
+        assert_eq!(interner.len(), 6);
     }
 
     #[test]
@@ -847,6 +1023,114 @@ mod tests {
         assert!(Arc::ptr_eq(&warm_string, after.by_id.get(7).unwrap()));
         assert_eq!(after.by_text.get("fresh-value"), Some(CHUNK as u32));
         assert_eq!(before.by_text.get("fresh-value"), None, "old snapshots are immutable");
+    }
+
+    #[test]
+    fn packed_table_probes_runs_and_hides_later_generations() {
+        let table = PackedTable::with_capacity(0);
+        let slots = table.slots.len();
+        // Codes sharing the last home slot force a probe run that wraps
+        // around to the front of the table.
+        let mut codes: Vec<u64> =
+            (0u64..).step_by(7919).filter(|&c| table.home(c) == slots - 1).take(6).collect();
+        let mut filler = (1u64..).map(|k| k * 0x1_0000_0001);
+        while codes.len() < slots / 2 {
+            let code = filler.next().unwrap();
+            if !codes.contains(&code) {
+                codes.push(code);
+            }
+        }
+        for (id, &code) in codes.iter().enumerate() {
+            assert!(!table.is_full_at(id + 1));
+            table.insert(code, id as u32);
+        }
+        assert!(table.is_full_at(codes.len() + 1), "half load is the limit");
+        for (id, &code) in codes.iter().enumerate() {
+            assert_eq!(table.get(code, codes.len()), Some(id as u32));
+            // A generation that predates the entry does not see it.
+            assert_eq!(table.get(code, id), None);
+        }
+        assert_eq!(table.get(u64::MAX >> 1, codes.len()), None);
+        // Doubling keeps every entry and frees half the slots.
+        let doubled = table.doubled();
+        assert_eq!(doubled.slots.len(), 2 * slots);
+        assert!(!doubled.is_full_at(codes.len() + 1));
+        for (id, &code) in codes.iter().enumerate() {
+            assert_eq!(doubled.get(code, codes.len()), Some(id as u32));
+        }
+    }
+
+    #[test]
+    fn packed_table_keys_three_scalar_strings_by_code() {
+        assert_eq!(pack_str("abc"), Some(pack(['a', 'b', 'c'])));
+        assert_eq!(pack_str("ab"), None);
+        assert_eq!(pack_str("abcd"), None);
+        assert_eq!(pack_str("i\u{307}#"), Some(pack(['i', '\u{307}', '#'])));
+        let astral = ['\u{10FFFF}', '\u{1F600}', '\u{10000}'];
+        assert_eq!(pack_str(&astral.iter().collect::<String>()), Some(pack(astral)));
+        assert!(pack(astral) < OCCUPIED, "codes use 63 bits");
+        // Code order is string order.
+        let mut grams = ["zz#", "#ab", "\u{1F600}ab", "a\u{e9}b", "aab", "##a"];
+        let mut by_code = grams;
+        grams.sort_unstable();
+        by_code.sort_unstable_by_key(|g| pack_str(g).unwrap());
+        assert_eq!(grams, by_code);
+
+        // Three-scalar values and grams share one id; other strings live in
+        // the trie; both survive many doublings and old snapshots stay fixed.
+        let interner = GramInterner::new();
+        let value = interner.intern("cd#");
+        let profile = interner.qgram_profile(["cd"].into_iter());
+        assert!(profile.entries().iter().any(|&(id, _)| id == value));
+        let early = interner.snapshot();
+        let texts: Vec<String> = (0..600u32)
+            .map(|i| match i % 3 {
+                0 => char::from_u32(0x4E00 + i).into_iter().chain("x#".chars()).collect(),
+                1 => format!("v{i}"),
+                _ => format!("{i:03}"),
+            })
+            .collect();
+        let ids = interner.preload(texts.clone());
+        for (text, &id) in texts.iter().zip(&ids) {
+            assert_eq!(interner.lookup(text), Some(id));
+            assert_eq!(interner.resolve(id).as_deref(), Some(text.as_str()));
+            assert_eq!(early.get(text), None, "{text} is invisible to the older snapshot");
+        }
+        assert!(early.packed.slots.len() < interner.snapshot().packed.slots.len(), "table doubled");
+        assert_eq!(early.get("cd#"), Some(value));
+    }
+
+    #[test]
+    fn packed_table_concurrent_growth_keeps_first_ids() {
+        // Readers probe the shared packed table while writers grow it
+        // in place and past several doublings.
+        let interner = Arc::new(GramInterner::new());
+        let handles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let interner = Arc::clone(&interner);
+                std::thread::spawn(move || {
+                    (0..120u32)
+                        .map(|i| {
+                            let owner = if i % 2 == 0 { 0 } else { t };
+                            let gram: String = [
+                                char::from(b'a' + owner as u8),
+                                '#',
+                                char::from_u32(0x100 + i).unwrap(),
+                            ]
+                            .iter()
+                            .collect();
+                            let id = interner.intern(&gram);
+                            (gram, id)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let all: Vec<(String, u32)> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        for (gram, id) in &all {
+            assert_eq!(interner.lookup(gram), Some(*id), "{gram} keeps its first id");
+            assert_eq!(interner.resolve(*id).as_deref(), Some(gram.as_str()));
+        }
     }
 
     #[test]

@@ -776,15 +776,18 @@ mod tests {
 
     #[test]
     fn idle_sweep_reclaims_dribblers_but_not_inflight_requests() {
-        let rig = rig(ReactorConfig { idle_timeout_ms: Some(60), ..default_config() });
+        // The timeout sits far above the active client's pacing (one frame
+        // and its echo every ~20 ms) plus scheduler delay on a loaded host,
+        // so only a peer that really stalls can reach it.
+        let rig = rig(ReactorConfig { idle_timeout_ms: Some(400), ..default_config() });
         // A dribbler: writes a frame header and stops. Partial frames are
         // not progress, so the sweep closes it.
         let mut loris = TcpStream::connect(rig.addr).expect("connect");
         loris.write_all(&[0, 0]).expect("dribble");
         // An active client completing frames stays alive through several
-        // sweep periods.
+        // sweep periods (100 ms each at this timeout) and two full timeouts.
         let mut active = TcpStream::connect(rig.addr).expect("connect");
-        for i in 0..6 {
+        for i in 0..40 {
             write_frame(&mut active, format!("tick-{i}").as_bytes()).expect("write");
             let reply = read_frame(&mut active, 1 << 20).expect("read").expect("frame");
             assert_eq!(reply, format!("tick-{i}").as_bytes());

@@ -44,10 +44,10 @@ pub struct CatalogSnapshot {
     /// so target updates never require invalidation and stale source entries
     /// age out via the bound.
     restricted_profiles: Mutex<RestrictedProfileCache>,
-    /// Whole-match result memoization, carried forward across snapshots.
-    /// Keys embed the snapshot version ([`cxm_core::MatchResultKey`]), so a
-    /// catalog update invalidates by re-keying — entries of superseded
-    /// versions stop being addressable and age out via the bound.
+    /// Whole-match result memoization for this snapshot. Keys embed the
+    /// snapshot version ([`cxm_core::MatchResultKey`]), so no entry of a
+    /// predecessor could ever hit here: each snapshot starts empty, keeping
+    /// only the predecessor's capacity and lifetime totals.
     match_results: Mutex<MatchResultCache>,
     /// The interner every column of this snapshot (and every restricted or
     /// source column scored against it) builds its flat id artifacts
@@ -259,12 +259,12 @@ impl CatalogSnapshot {
             .map(|p| p.restricted_profiles.lock_or_recover().clone())
             .unwrap_or_else(|| RestrictedProfileCache::with_capacity(restricted_capacity));
 
-        // Carry the whole-match result cache forward as-is: its keys embed
-        // the snapshot version, so this very update re-keys every entry into
-        // unreachability (no stale serve is possible) and the bound ages
-        // them out.
+        // Start the whole-match result cache empty: its keys embed the
+        // snapshot version, so every predecessor entry is unreachable from
+        // here on. Carrying them would only keep dead results resident until
+        // the bound aged them out; the capacity and lifetime totals carry.
         let match_results = prev
-            .map(|p| p.match_results.lock_or_recover().clone())
+            .map(|p| p.match_results.lock_or_recover().next_generation())
             .unwrap_or_else(|| MatchResultCache::with_capacity(result_capacity));
 
         // The gram index builds lazily (first request), so at update time we
@@ -310,8 +310,8 @@ impl CatalogSnapshot {
         (snapshot, update)
     }
 
-    /// The result-cache handle (see the field docs; shared across requests,
-    /// carried across snapshots).
+    /// The result-cache handle (see the field docs; shared by the requests
+    /// against this snapshot).
     pub fn match_results(&self) -> &Mutex<MatchResultCache> {
         &self.match_results
     }

@@ -782,6 +782,38 @@ mod tests {
     }
 
     #[test]
+    fn catalog_updates_drop_unreachable_results_but_keep_totals() {
+        let (source, target) = retail();
+        let service = MatchService::new(ContextMatchConfig::default().with_tau(0.4));
+        service.register_target(&target);
+        service.submit(&source).unwrap();
+        assert!(service.submit(&source).unwrap().telemetry.result_cache_hit);
+        let before = service.warm_stats();
+        assert_eq!((before.catalog_version, before.result_len), (1, 1));
+
+        // The update's snapshot holds no entry of version 1 — it could never
+        // hit — yet reports the same capacity and lifetime totals, and the
+        // dropped entry is not counted as quota pressure.
+        let replacement = target.tables().next().unwrap().clone();
+        service.replace_table(replacement.head(replacement.len() - 1)).unwrap();
+        let after = service.warm_stats();
+        assert_eq!((after.catalog_version, after.result_len), (2, 0));
+        assert_eq!(after.result_capacity, before.result_capacity);
+        assert_eq!(
+            (after.result_hits, after.result_misses, after.result_evictions),
+            (before.result_hits, before.result_misses, before.result_evictions)
+        );
+        assert_eq!(after.quota_evictions(), before.quota_evictions());
+
+        // Version 2 memoizes its own result, and only that one.
+        assert!(!service.submit(&source).unwrap().telemetry.result_cache_hit);
+        assert!(service.submit(&source).unwrap().telemetry.result_cache_hit);
+        let stats = service.warm_stats();
+        assert_eq!(stats.result_len, 1);
+        assert_eq!((stats.result_hits, stats.result_misses), (2, 2));
+    }
+
+    #[test]
     fn same_shaped_different_content_sources_never_share_selections() {
         // Two sources with the same table names, same row counts and the
         // same condition atoms, but different rows — the case the selection

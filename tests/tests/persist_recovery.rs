@@ -7,12 +7,22 @@
 //! path must re-profile *zero* unchanged target columns.
 
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cxm_core::ContextMatchConfig;
 use cxm_datagen::{generate_retail, RetailConfig};
 use cxm_persist::{encode, encode_with_layout, FaultFs, FaultPlan, SnapshotStore};
 use cxm_relational::{Database, Table, Tuple, Value};
 use cxm_service::{MatchService, ServiceConfig};
+
+/// Two tests here compare `qgram_profile_builds` telemetry, a delta of a
+/// process-global counter that any concurrently running test also bumps;
+/// every test in this binary holds this lock, so they run one at a time and
+/// the deltas are exact.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fixture() -> (Database, Database) {
     let ds = generate_retail(&RetailConfig {
@@ -60,6 +70,7 @@ fn warmed(target: &Database, source: &Database) -> MatchService {
 
 #[test]
 fn kill_before_rename_at_any_progress_is_a_correct_cold_start() {
+    let _serial = serial();
     let (source, target) = fixture();
     let cold = answer(&warmed(&target, &source), &source);
     let service = warmed(&target, &source);
@@ -84,6 +95,7 @@ fn kill_before_rename_at_any_progress_is_a_correct_cold_start() {
 
 #[test]
 fn torn_write_truncated_at_every_section_boundary_degrades_never_lies() {
+    let _serial = serial();
     let (source, target) = fixture();
     let cold = answer(&warmed(&target, &source), &source);
     let service = warmed(&target, &source);
@@ -116,6 +128,7 @@ fn torn_write_truncated_at_every_section_boundary_degrades_never_lies() {
 
 #[test]
 fn a_bit_flip_in_every_section_degrades_that_section_and_stays_byte_identical() {
+    let _serial = serial();
     let (source, target) = fixture();
     let cold = answer(&warmed(&target, &source), &source);
     let service = warmed(&target, &source);
@@ -155,6 +168,7 @@ fn a_bit_flip_in_every_section_degrades_that_section_and_stays_byte_identical() 
 
 #[test]
 fn a_stale_snapshot_behind_an_edited_catalog_rebuilds_only_the_edited_column() {
+    let _serial = serial();
     let (source, target) = fixture();
     let service = warmed(&target, &source);
     let snapshot = encode(&service.export_snapshot());
@@ -219,6 +233,7 @@ fn a_stale_snapshot_behind_an_edited_catalog_rebuilds_only_the_edited_column() {
 
 #[test]
 fn clean_restart_re_profiles_zero_unchanged_columns() {
+    let _serial = serial();
     let (source_a, target) = fixture();
     let source_b = second_source();
 
@@ -278,6 +293,7 @@ mod server_restart {
     /// byte-identical responses with restored (not rebuilt) warm state.
     #[test]
     fn a_restarted_server_answers_byte_identically_from_its_snapshot() {
+        let _serial = super::serial();
         let dir = std::env::temp_dir().join(format!("cxm-persist-test-{}", std::process::id()));
         let snap = dir.join("server.snap");
         let _ = std::fs::remove_file(&snap);

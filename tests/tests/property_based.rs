@@ -284,6 +284,118 @@ mod interned_kernels {
             prop_assert_eq!(distinct.len(), distinct_ids.len(), "ids are injective");
             prop_assert_eq!(interner.len(), distinct.len());
         }
+
+        /// The packed-code interner assigns exactly the ids of a naive
+        /// string-keyed reference over any interleaving of profile and
+        /// value-set builds, builds identical profiles and value sets, and
+        /// its `dump` → `preload` round trip reproduces every id. Inputs mix
+        /// astral-plane scalars, `İ` (whose lowercase is two scalars), `#`
+        /// inside text, texts shorter than three scalars and three-scalar
+        /// values.
+        #[test]
+        fn packed_interner_matches_naive_reference(
+            kinds in prop::collection::vec(0usize..2, 12..13),
+            ops in prop::collection::vec(
+                prop::collection::vec(prop::collection::vec(0usize..RICH.len(), 0..7), 0..6),
+                1..12,
+            ),
+        ) {
+            let interner = GramInterner::new();
+            let mut reference = NaiveInterner::default();
+            let mut builds: Vec<(usize, Vec<String>)> = Vec::new();
+            let mut results: Vec<Vec<(u32, f64)>> = Vec::new();
+            // `kinds[i]` picks a profile (0) or a value-set (1) build.
+            for (kind, raw) in kinds.into_iter().zip(ops) {
+                let texts = rich_texts(raw);
+                let built = intern_build(&interner, kind, &texts);
+                let expected = if kind == 0 {
+                    reference.qgram_profile(&texts)
+                } else {
+                    reference.value_set(&texts)
+                };
+                prop_assert_eq!(&built, &expected, "texts {:?}", texts);
+                builds.push((kind, texts));
+                results.push(built);
+            }
+            prop_assert_eq!(interner.len(), reference.by_id.len());
+            prop_assert_eq!(interner.dump(), reference.by_id.clone());
+            for (id, text) in reference.by_id.iter().enumerate() {
+                prop_assert_eq!(interner.lookup(text), Some(id as u32));
+            }
+
+            let restored = GramInterner::new();
+            let ids = restored.preload(interner.dump());
+            prop_assert_eq!(ids, (0..reference.by_id.len() as u32).collect::<Vec<_>>());
+            for ((kind, texts), built) in builds.iter().zip(results) {
+                let again = intern_build(&restored, *kind, texts);
+                prop_assert_eq!(again, built, "restored ids for {:?}", texts);
+            }
+            prop_assert_eq!(
+                restored.len(),
+                reference.by_id.len(),
+                "a restored interner issues nothing new"
+            );
+        }
+    }
+
+    /// Scalars for the packed-interner property: ASCII letters and a digit,
+    /// an uppercase letter, `İ` (lowercases to `i` + U+0307), the `#`
+    /// padding marker, a space, an astral letter (U+1D518) and an astral
+    /// symbol (U+1F600, a separator).
+    const RICH: &[char] = &['a', 'b', '7', 'B', 'İ', '#', ' ', '\u{1D518}', '\u{1F600}'];
+
+    /// A profile (`kind` 0) or value-set build as `(id, count)` entries
+    /// (a value set's counts are 1).
+    fn intern_build(interner: &GramInterner, kind: usize, texts: &[String]) -> Vec<(u32, f64)> {
+        if kind == 0 {
+            interner.qgram_profile(texts.iter()).entries().to_vec()
+        } else {
+            interner.value_set(texts.iter()).ids().iter().map(|&id| (id, 1.0)).collect()
+        }
+    }
+
+    fn rich_texts(raw: Vec<Vec<usize>>) -> Vec<String> {
+        raw.into_iter().map(|text| text.into_iter().map(|i| RICH[i]).collect()).collect()
+    }
+
+    /// The naive reference interner: a string map plus the dense id list,
+    /// issuing a build's misses in string order after looking up its hits.
+    #[derive(Default)]
+    struct NaiveInterner {
+        by_text: std::collections::BTreeMap<String, u32>,
+        by_id: Vec<String>,
+    }
+
+    impl NaiveInterner {
+        /// Count `strings`, then issue ids to the unseen ones in string
+        /// order; returns id-sorted `(id, count)` entries.
+        fn build(&mut self, strings: Vec<String>) -> Vec<(u32, f64)> {
+            let mut counts: std::collections::BTreeMap<String, f64> = Default::default();
+            for s in strings {
+                *counts.entry(s).or_insert(0.0) += 1.0;
+            }
+            let mut entries: Vec<(u32, f64)> = counts
+                .into_iter()
+                .map(|(s, count)| {
+                    let next = self.by_id.len() as u32;
+                    let id = *self.by_text.entry(s.clone()).or_insert_with(|| {
+                        self.by_id.push(s);
+                        next
+                    });
+                    (id, count)
+                })
+                .collect();
+            entries.sort_by_key(|&(id, _)| id);
+            entries
+        }
+
+        fn qgram_profile(&mut self, texts: &[String]) -> Vec<(u32, f64)> {
+            self.build(texts.iter().flat_map(|t| cxm_classify::qgrams(t, 3)).collect())
+        }
+
+        fn value_set(&mut self, texts: &[String]) -> Vec<(u32, f64)> {
+            self.build(texts.to_vec()).into_iter().map(|(id, _)| (id, 1.0)).collect()
+        }
     }
 }
 
@@ -556,6 +668,74 @@ mod index_pruning {
                         "pruned overlap, slot {}", i
                     );
                 }
+            }
+        }
+
+        /// An incremental update is indistinguishable from a fresh build:
+        /// for any batch and any set of changed slots (new content, new
+        /// fingerprint — possibly emptied), `update_from(prev, next)` holds
+        /// exactly `build(next)`'s posting lists, list for list, and shares
+        /// every list no changed slot touches with `prev`. Chained updates
+        /// exercise updates of updated indexes.
+        #[test]
+        fn update_from_equals_build_list_for_list(
+            initial in batch_values(),
+            edits in prop::collection::vec(batch_values(), 2..3),
+            changed_bits in prop::collection::vec(0usize..32, 2..3),
+        ) {
+            let interner = Arc::new(GramInterner::new());
+            let width = initial.len();
+            let fingerprinted = |slot: usize, generation: usize, vals: Vec<Vec<usize>>| {
+                column("t", &format!("c{slot}"), texts(vals), &interner)
+                    .with_fingerprint(((generation as u64) << 32) | slot as u64)
+            };
+            let mut columns: Vec<ColumnData> = initial
+                .into_iter()
+                .enumerate()
+                .map(|(slot, vals)| fingerprinted(slot, 0, vals))
+                .collect();
+            let mut index = GramIndex::build(&columns);
+            for (round, (edit, bits)) in edits.into_iter().zip(changed_bits).enumerate() {
+                let generation = round + 1;
+                let mut edit = edit.into_iter().cycle();
+                let next: Vec<ColumnData> = columns
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, column)| {
+                        if bits & (1 << slot) != 0 {
+                            fingerprinted(slot, generation, edit.next().unwrap_or_default())
+                        } else {
+                            column.clone()
+                        }
+                    })
+                    .collect();
+                let updated = GramIndex::update_from(&index, &next);
+                let fresh = GramIndex::build(&next);
+                prop_assert_eq!(updated.len(), width);
+                prop_assert_eq!(updated.posting_lists(), fresh.posting_lists());
+                prop_assert_eq!(
+                    updated.postings_reused() + updated.postings_rebuilt(),
+                    updated.posting_lists()
+                );
+                let slot_changed = |slot: u32| bits & (1 << slot) != 0;
+                for id in 0..interner.len() as u32 {
+                    let (grams, expected) = (updated.gram_posting(id), fresh.gram_posting(id));
+                    prop_assert_eq!(grams.map(|l| &**l), expected.map(|l| &**l), "gram {}", id);
+                    let (values, expected) = (updated.value_posting(id), fresh.value_posting(id));
+                    prop_assert_eq!(values.map(|l| &**l), expected.map(|l| &**l), "value {}", id);
+                    // A list no changed slot appears in, before or after,
+                    // is carried as the same allocation.
+                    if let (Some(old), Some(new)) = (index.gram_posting(id), grams) {
+                        let touched = old.iter().chain(new.iter()).any(|&(s, _)| slot_changed(s));
+                        prop_assert_eq!(Arc::ptr_eq(old, new), !touched, "gram {} sharing", id);
+                    }
+                    if let (Some(old), Some(new)) = (index.value_posting(id), values) {
+                        let touched = old.iter().chain(new.iter()).any(|&s| slot_changed(s));
+                        prop_assert_eq!(Arc::ptr_eq(old, new), !touched, "value {} sharing", id);
+                    }
+                }
+                index = updated;
+                columns = next;
             }
         }
 
