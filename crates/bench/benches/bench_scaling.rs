@@ -3,10 +3,11 @@
 //! figure's claim is that TgtClassInfer scales worst with schema width.
 //!
 //! Also hosts the `zero_copy_scoring` group comparing the selection-vector
-//! `ScoreMatch` hot path against the legacy materializing baseline retained in
-//! `cxm_core::score_candidates_materializing`, the `interned_kernels` group
-//! comparing the interned flat-profile scoring kernels against the legacy
-//! `BTreeMap`/`BTreeSet` kernels on the same `ScoreMatch` unit of work, the
+//! `ScoreMatch` hot path against the materializing reference
+//! `cxm_tests::reference::score_candidates_materializing`, the
+//! `interned_kernels` group comparing the interned flat-profile scoring
+//! kernels against the string-keyed `BTreeMap`/`BTreeSet` reference kernels
+//! of `cxm_tests::reference` on the same `ScoreMatch` unit of work, the
 //! `sharded_standard_match` group comparing the sharded `StandardMatch`
 //! pipeline (hoisted target batch, work-stealing source-table shards) against
 //! the serial per-table loop as the number of source tables grows, and the
@@ -38,8 +39,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cxm_core::{
     candidate_views::{flatten_views, infer_candidate_views},
-    score_candidates, score_candidates_materializing, ContextMatchConfig, ContextualMatcher,
-    ViewInferenceStrategy,
+    score_candidates, ContextMatchConfig, ContextualMatcher, ViewInferenceStrategy,
 };
 use cxm_datagen::{
     generate_multi_table_retail, generate_retail, generate_wide_catalog, RetailConfig,
@@ -49,6 +49,7 @@ use cxm_matching::index::telemetry as index_telemetry;
 use cxm_matching::{ColumnData, GramIndex, GramInterner, KernelCounters, StandardMatcher};
 use cxm_relational::{DataType, Database, Table, Tuple, Value};
 use cxm_service::{MatchService, ServiceConfig};
+use cxm_tests::reference;
 
 /// A copy of `table` with every value of one column textually perturbed —
 /// the "small, continuous drift" unit the column-granular warm keys target.
@@ -174,7 +175,7 @@ fn bench_zero_copy_scoring(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("materializing", items), &items, |b, _| {
             b.iter(|| {
-                score_candidates_materializing(
+                reference::score_candidates_materializing(
                     &dataset.source,
                     &dataset.target,
                     &matcher,
@@ -191,9 +192,9 @@ fn bench_zero_copy_scoring(c: &mut Criterion) {
 }
 
 /// One `ScoreMatch` unit of work (all candidate views × all prototype
-/// matches of the retail source table) under a given kernel generation:
-/// returns the fixed inputs so the bench loop isolates restricted-column
-/// profiling plus pair scoring.
+/// matches of the retail source table) under the interned kernels or the
+/// string-keyed reference kernels: returns the fixed inputs so the bench
+/// loop isolates restricted-column profiling plus pair scoring.
 struct KernelBenchInput {
     dataset: cxm_datagen::RetailDataset,
     matcher: StandardMatcher,
@@ -216,7 +217,7 @@ fn kernel_bench_input(items: usize, legacy: bool) -> KernelBenchInput {
     let config =
         ContextMatchConfig::default().with_inference(ViewInferenceStrategy::SrcClass).with_tau(0.4);
     let matcher = if legacy {
-        StandardMatcher::with_legacy_kernels(config.matching)
+        reference::string_kernel_matcher(config.matching)
     } else {
         StandardMatcher::new(config.matching)
     };
@@ -246,9 +247,6 @@ fn kernel_bench_input(items: usize, legacy: bool) -> KernelBenchInput {
             // Warm the target profile outside the measured loop (a real warm
             // service serves targets from the catalog batch).
             let _ = col.qgram3_ids();
-            if legacy {
-                let _ = col.qgram3_profile();
-            }
             col
         })
         .collect();
@@ -294,10 +292,12 @@ fn run_kernel_input(input: &KernelBenchInput) -> cxm_matching::MatchList {
     .expect("scoring succeeds")
 }
 
-/// Interned flat-profile kernels vs the legacy `BTreeMap`/`BTreeSet`
-/// kernels on the `ScoreMatch` scoring unit: every iteration rebuilds the
-/// view-restricted columns (and so re-profiles them) and scores the full
-/// view × match grid — exactly the work the kernel rewrite targets.
+/// Interned flat-profile kernels vs the string-keyed `BTreeMap`/`BTreeSet`
+/// reference kernels on the `ScoreMatch` scoring unit: every iteration
+/// rebuilds the view-restricted columns (and so re-profiles them) and scores
+/// the full view × match grid — exactly the work the kernel rewrite targets.
+/// The reference is a naive specification that memoizes no profile, so the
+/// `*_legacy` side rebuilds both string profiles for every scored pair.
 fn bench_interned_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("interned_kernels");
     group.sample_size(10);
@@ -329,7 +329,7 @@ fn bench_sharded_standard_match(c: &mut Criterion) {
         let (source, target) = generate_multi_table_retail(&base, tables);
         let matcher = StandardMatcher::new(ContextMatchConfig::default().matching);
         group.bench_with_input(BenchmarkId::new("serial", tables), &tables, |b, _| {
-            b.iter(|| matcher.match_databases_serial(&source, &target))
+            b.iter(|| reference::match_databases_serial(&matcher, &source, &target))
         });
         group.bench_with_input(BenchmarkId::new("sharded", tables), &tables, |b, _| {
             b.iter(|| matcher.match_databases(&source, &target))

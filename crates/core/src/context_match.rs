@@ -29,10 +29,19 @@
 //! therefore extracts the target column batch once for the whole run and
 //! shards the loop across cores (one task per source table, work-stealing
 //! scheduler), merging the per-table artifacts in source-table order so the
-//! output is byte-identical to the serial loop (retained as
-//! [`ContextualMatcher::run_serial`] for equivalence tests and benches).
+//! output is byte-identical to the serial loop (kept by the tests crate as
+//! its reference oracle, `cxm_tests::reference::run_serial`).
 //! `SelectContextualMatches` then runs once over the merged artifacts, exactly
 //! as in the serial algorithm.
+//!
+//! ## One id space per scored pair
+//!
+//! Every (source, target) pair — prototype or view-restricted — is scored in
+//! the interner id space of its **target** column: source columns are
+//! extracted against the target batch's interner, and restricted columns
+//! adopt their target's. The kernels are exact integer arithmetic, so a
+//! prepared batch bound to any interner yields the same bytes as
+//! [`ContextualMatcher::run`].
 
 use std::collections::BTreeMap;
 
@@ -154,7 +163,7 @@ impl ContextualMatcher {
     /// target column batch is extracted (and profiled) once, each source
     /// table's lines 4–11 run as an independent parallel task, and the
     /// per-table artifacts are merged in source-table order before the final
-    /// selection — byte-identical to [`ContextualMatcher::run_serial`].
+    /// selection — byte-identical to the serial per-table loop.
     pub fn run(&self, source: &Database, target: &Database) -> Result<ContextMatchResult> {
         let target_cols = ColumnData::all_from_database(target);
         self.run_prepared(
@@ -172,8 +181,10 @@ impl ContextualMatcher {
     /// Run `ContextMatch(source, targets.database)` against a *prepared*
     /// target side (and, optionally, pre-extracted source columns) — the
     /// catalog-aware entry point. Identical to [`ContextualMatcher::run`] in
-    /// every observable way; the only difference is which artifacts are
-    /// reused instead of rebuilt:
+    /// every observable way, whichever interners the prepared columns are
+    /// bound to (every pair is scored in its target's id space, and the
+    /// kernels' results do not depend on it); the only difference is which
+    /// artifacts are reused instead of rebuilt:
     ///
     /// * `targets.columns` replaces the per-run target batch extraction, so a
     ///   batch kept warm across runs is never re-profiled;
@@ -198,38 +209,8 @@ impl ContextualMatcher {
                 self.run_table(table, source, prepared_cols, targets)
             })
             .collect();
-        self.assemble(shards)
-    }
-
-    /// The serial per-table loop [`ContextualMatcher::run`] replaced
-    /// (re-extracting the target columns every iteration). Kept as the
-    /// reference implementation for equivalence tests and benches.
-    #[doc(hidden)]
-    pub fn run_serial(&self, source: &Database, target: &Database) -> Result<ContextMatchResult> {
-        let shards: Vec<Result<TableShard>> = source
-            .tables()
-            .map(|table| {
-                let target_cols = ColumnData::all_from_database(target);
-                self.run_table(
-                    table,
-                    source,
-                    None,
-                    PreparedTargets {
-                        database: target,
-                        columns: &target_cols,
-                        shared_selections: None,
-                        index: None,
-                    },
-                )
-            })
-            .collect();
-        self.assemble(shards)
-    }
-
-    /// Merge per-table shards in source-table order and run line 12
-    /// (`SelectContextualMatches`) over the combined artifacts — shared by
-    /// the sharded and serial paths so they cannot drift apart.
-    fn assemble(&self, shards: Vec<Result<TableShard>>) -> Result<ContextMatchResult> {
+        // Merge the shards in source-table order, then run line 12
+        // (`SelectContextualMatches`) over the combined artifacts.
         let mut result = ContextMatchResult::default();
         for shard in shards {
             let shard = shard?;

@@ -57,8 +57,7 @@ pub use labeler::{LabelPredictor, SrcLabeler, TgtLabeler};
 pub use naive_infer::naive_infer;
 pub use result_cache::{MatchResultCache, MatchResultKey};
 pub use score::{
-    condition_fingerprint, score_candidates, score_candidates_materializing,
-    score_candidates_prepared, score_candidates_with_targets, RestrictedKey,
+    condition_fingerprint, score_candidates, score_candidates_prepared, RestrictedKey,
     RestrictedProfileCache, SharedSelections,
 };
 pub use select::select_contextual_matches;

@@ -21,8 +21,9 @@
 //!    one task per view, each building borrowed [`ColumnData`] values from
 //!    [`TableSlice`]s — zero `Tuple` clones anywhere on this path;
 //! 4. results are collected per view and appended in view order, so the
-//!    output is byte-identical to the sequential evaluation (determinism is
-//!    asserted by the integration tests).
+//!    output is byte-identical to the sequential, materializing evaluation
+//!    (the tests crate's reference oracle,
+//!    `cxm_tests::reference::score_candidates_materializing`).
 
 use std::sync::{Arc, Mutex};
 
@@ -39,7 +40,7 @@ use rayon::prelude::*;
 ///
 /// Extracts its own target columns; callers holding a hoisted
 /// [`ColumnData::all_from_database`] batch (the sharded `ContextMatch` path)
-/// should use [`score_candidates_with_targets`] so target profiles are reused
+/// should use [`score_candidates_prepared`] so target profiles are reused
 /// across source tables.
 pub fn score_candidates(
     source: &Database,
@@ -50,38 +51,10 @@ pub fn score_candidates(
     views: &[ViewDef],
     prototype: &MatchList,
 ) -> Result<MatchList> {
-    score_candidates_with_targets(
-        source,
-        target,
-        &[],
-        matcher,
-        outcome,
-        source_table,
-        views,
-        prototype,
-    )
-}
-
-/// [`score_candidates`] against a pre-extracted target column batch: each
-/// match's target column is looked up in `target_batch` (falling back to
-/// fresh extraction when absent, e.g. for an empty batch), so the memoized
-/// target profiles built during standard matching are reused instead of
-/// rebuilt once per source table.
-#[allow(clippy::too_many_arguments)]
-pub fn score_candidates_with_targets<'a>(
-    source: &Database,
-    target: &'a Database,
-    target_batch: &[ColumnData<'a>],
-    matcher: &StandardMatcher,
-    outcome: &MatchingOutcome,
-    source_table: &Table,
-    views: &[ViewDef],
-    prototype: &MatchList,
-) -> Result<MatchList> {
     score_candidates_prepared(
         source,
         target,
-        target_batch,
+        &[],
         matcher,
         outcome,
         source_table,
@@ -291,12 +264,20 @@ impl RestrictedProfileCache {
     }
 }
 
-/// [`score_candidates_with_targets`] with an optional *shared* selection
-/// cache: when `shared_selections` is provided, view conditions are resolved
-/// through it (under its lock, after fingerprint validation — see
-/// [`SharedSelections`]) instead of a run-local cache, so selection vectors
-/// survive across calls — and, for a long-lived match service, across
-/// requests. Results are byte-identical to the local-cache path either way.
+/// [`score_candidates`] against a pre-extracted target column batch, with
+/// an optional *shared* selection cache and an optional inverted gram index.
+///
+/// Each match's target column is looked up in `target_batch` (falling back
+/// to fresh extraction when absent, e.g. for an empty batch), so the
+/// memoized target profiles built during standard matching are reused
+/// instead of rebuilt once per source table. Each view-restricted column
+/// adopts its target column's interner, so every pair is scored in the
+/// target's id space. When `shared_selections` is provided, view conditions
+/// are resolved through it (under its lock, after fingerprint validation —
+/// see [`SharedSelections`]) instead of a run-local cache, so selection
+/// vectors survive across calls — and, for a long-lived match service,
+/// across requests. Results are byte-identical to the local-cache path
+/// either way.
 #[allow(clippy::too_many_arguments)]
 pub fn score_candidates_prepared<'a>(
     source: &Database,
@@ -325,7 +306,7 @@ pub fn score_candidates_prepared<'a>(
     // matches and are skipped entirely. Matched source attributes are
     // validated (against the view's *output* schema) for the surviving
     // views, so the parallel loop below cannot fail — mirroring exactly when
-    // the materializing path reports an `Err` instead of scoring.
+    // the materializing reference reports an `Err` instead of scoring.
     //
     // With a shared cache the lock spans only this resolve loop (atom scans
     // and merges), never the scoring grid below. Fingerprint validation
@@ -359,7 +340,7 @@ pub fn score_candidates_prepared<'a>(
             }
             // Select-project views need the derived output schema so a
             // projected-away attribute errors exactly like the
-            // materializing path.
+            // materializing reference.
             Some(_) => {
                 let view_schema = view.schema(base.schema())?;
                 for m in &from_this_table {
@@ -378,8 +359,8 @@ pub fn score_candidates_prepared<'a>(
     // Target columns depend only on the match, not on the view: take each one
     // from the hoisted batch when available — a clone shares the memoized
     // profiles, so a column profiled during standard matching is never
-    // re-profiled here — and extract it once otherwise (the legacy path
-    // re-extracts per view × match).
+    // re-profiled here — and extract it once otherwise (a materializing
+    // evaluation would re-extract it per view × match).
     let by_attr: std::collections::HashMap<&cxm_relational::AttrRef, &ColumnData<'a>> =
         target_batch.iter().map(|c| (&c.attr, c)).collect();
     let target_cols: Vec<ColumnData<'a>> = from_this_table
@@ -522,51 +503,6 @@ fn hintable(restricted: &ColumnData, target: &ColumnData, index: &GramIndex) -> 
         && (!restricted.looks_numeric() || !target.looks_numeric())
         && restricted.interner().token() == index.interner_token()
         && target.interner().token() == index.interner_token()
-}
-
-/// The legacy, materializing implementation of [`score_candidates`]: evaluates
-/// every view into an owned [`Table`] (O(views × rows) tuple clones) before
-/// scoring.
-///
-/// Kept as the reference implementation: the equivalence test in
-/// `tests/tests/selection_equivalence.rs` asserts both paths produce identical
-/// candidate lists, and `bench_scaling` measures the speedup of the zero-copy
-/// path against this baseline. Not intended for production use.
-#[doc(hidden)]
-pub fn score_candidates_materializing(
-    source: &Database,
-    target: &Database,
-    matcher: &StandardMatcher,
-    outcome: &MatchingOutcome,
-    source_table: &Table,
-    views: &[ViewDef],
-    prototype: &MatchList,
-) -> Result<MatchList> {
-    let mut candidates = MatchList::new();
-    let from_this_table: Vec<&Match> =
-        prototype.iter().filter(|m| m.base_table == source_table.name()).collect();
-    if from_this_table.is_empty() {
-        return Ok(candidates);
-    }
-    for view in views {
-        let view_instance = view.evaluate(source)?;
-        if view_instance.is_empty() {
-            continue;
-        }
-        for m in &from_this_table {
-            let restricted = ColumnData::from_table(&view_instance, &m.source.attribute)?;
-            let target_table = target.require_table(&m.target.table)?;
-            let target_col = ColumnData::from_table(target_table, &m.target.attribute)?;
-            let (score, confidence) = matcher.rescore(outcome, &restricted, &m.source, &target_col);
-            candidates.push(m.with_context(
-                view.name.clone(),
-                view.condition.clone(),
-                score,
-                confidence,
-            ));
-        }
-    }
-    Ok(candidates)
 }
 
 #[cfg(test)]
@@ -725,109 +661,6 @@ mod tests {
         )
         .unwrap();
         assert!(candidates.is_empty());
-    }
-
-    #[test]
-    fn foreign_base_table_views_error_instead_of_panicking() {
-        // A view over another table of the source database: matches on `inv`
-        // reference attributes that `price` does not have. Both paths must
-        // return Err, not panic (regression test for the parallel path).
-        let mut source = source_db();
-        source.replace_table(
-            Table::with_rows(
-                TableSchema::new("price", vec![Attribute::int("pid"), Attribute::float("amt")]),
-                vec![tuple![0, 9.99], tuple![1, 4.99]],
-            )
-            .unwrap(),
-        );
-        let target = target_db();
-        let matcher = StandardMatcher::new(MatchingConfig::with_tau(0.2));
-        let table = source.table("inv").unwrap();
-        let outcome = matcher.match_table(table, &target);
-        let views = vec![ViewDef::named_by_condition("price", Condition::eq("pid", 0))];
-        let fast = score_candidates(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &views,
-            &outcome.accepted,
-        );
-        let reference = score_candidates_materializing(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &views,
-            &outcome.accepted,
-        );
-        assert!(fast.is_err(), "zero-copy path must surface the error");
-        assert!(reference.is_err(), "materializing path errors on the same input");
-
-        // A foreign view whose selection is EMPTY is skipped before any
-        // attribute validation — both paths return Ok(empty), not Err.
-        let empty_views = vec![ViewDef::named_by_condition("price", Condition::eq("pid", 99))];
-        let fast = score_candidates(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &empty_views,
-            &outcome.accepted,
-        );
-        let reference = score_candidates_materializing(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &empty_views,
-            &outcome.accepted,
-        );
-        assert!(matches!(&fast, Ok(c) if c.is_empty()), "{fast:?}");
-        assert!(matches!(&reference, Ok(c) if c.is_empty()), "{reference:?}");
-    }
-
-    #[test]
-    fn zero_copy_path_equals_materializing_path() {
-        let source = source_db();
-        let target = target_db();
-        let matcher = StandardMatcher::new(MatchingConfig::with_tau(0.2));
-        let table = source.table("inv").unwrap();
-        let outcome = matcher.match_table(table, &target);
-        let views = vec![
-            ViewDef::named_by_condition("inv", Condition::eq("type", 1)),
-            ViewDef::named_by_condition("inv", Condition::eq("type", 2)),
-            ViewDef::named_by_condition("inv", Condition::is_in("type", [1, 2])),
-            ViewDef::named_by_condition("inv", Condition::eq("type", 99)),
-        ];
-        let fast = score_candidates(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &views,
-            &outcome.accepted,
-        )
-        .unwrap();
-        let reference = score_candidates_materializing(
-            &source,
-            &target,
-            &matcher,
-            &outcome,
-            table,
-            &views,
-            &outcome.accepted,
-        )
-        .unwrap();
-        assert_eq!(fast.len(), reference.len());
-        for (a, b) in fast.iter().zip(reference.iter()) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
     }
 
     #[test]

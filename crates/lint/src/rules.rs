@@ -14,6 +14,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("P001", "no unwrap()/expect() on lock guards in cxm-service/cxm-server"),
     ("P002", "every #[ignore] must carry a reason string"),
     ("C001", "growable collection fields in *Cache types must be annotated"),
+    ("T001", "no #[doc(hidden)] outside the tests crate (tests own the oracles)"),
     ("A001", "malformed cxm-lint directive (bare allow, unknown ID, bad syntax)"),
     ("A002", "allow directive that suppresses nothing"),
 ];
@@ -83,6 +84,9 @@ pub fn check(crate_name: &str, rel_path: &str, scanned: &Scanned) -> Vec<RawFind
     }
     findings.extend(ignore_without_reason(toks));
     findings.extend(cache_fields(toks));
+    if crate_name != "tests" {
+        findings.extend(doc_hidden(toks));
+    }
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
@@ -363,6 +367,33 @@ fn ignore_without_reason(toks: &[Token]) -> Vec<RawFinding> {
     findings
 }
 
+/// T001: `#[doc(hidden)]` outside the `tests` crate. A hidden public item in
+/// a library crate is a second implementation kept for tests or benches —
+/// reference oracles belong in `cxm_tests::reference`, built from public
+/// API, not in the library beside the path they check.
+fn doc_hidden(toks: &[Token]) -> Vec<RawFinding> {
+    let mut findings = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].is_punct('#')
+            && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
+            && toks.get(i + 2).is_some_and(|t| t.is_ident("doc"))
+            && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
+            && toks.get(i + 4).is_some_and(|t| t.is_ident("hidden"))
+            && toks.get(i + 5).is_some_and(|t| t.is_punct(')'))
+        {
+            findings.push(RawFinding {
+                rule: "T001",
+                line: toks[i + 4].line,
+                message: "`#[doc(hidden)]` outside the tests crate — move the reference path \
+                          into `cxm_tests::reference` (tests own the oracles) or make it public \
+                          API"
+                .into(),
+            });
+        }
+    }
+    findings
+}
+
 /// C001: direct growable-collection fields of a type whose name contains
 /// `Cache` must carry an allow annotation stating the bound (or why none is
 /// needed). Warm caches live for the process lifetime; an unbounded field
@@ -555,6 +586,14 @@ mod tests {
     fn p002_requires_reason() {
         assert_eq!(run("harness", "#[ignore]\nfn t() {}").len(), 1);
         assert!(run("harness", "#[ignore = \"rng recalibration\"]\nfn t() {}").is_empty());
+    }
+
+    #[test]
+    fn t001_flags_doc_hidden_outside_the_tests_crate() {
+        let src = "#[doc(hidden)]\npub fn oracle() {}";
+        assert_eq!(run("core", src).len(), 1);
+        assert!(run("tests", src).is_empty());
+        assert!(run("core", "#[doc = \"shown\"]\npub fn f() {}").is_empty());
     }
 
     #[test]

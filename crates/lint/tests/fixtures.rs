@@ -104,6 +104,22 @@ fn c001_cache_fields() {
 }
 
 #[test]
+fn t001_doc_hidden() {
+    let (findings, suppressions) = run("core", "t001.rs", include_str!("fixtures/t001.rs"));
+    // The hidden oracle and the bare-allow site; documented API stays clean.
+    assert_eq!(count(&findings, "T001"), 2, "{findings:#?}");
+    assert_eq!(count(&findings, "A001"), 1);
+    assert_eq!(suppressions.len(), 1);
+    assert_eq!(suppressions[0].rule, "T001");
+
+    // The tests crate owns the oracles: nothing fires but the directives.
+    let (findings, _) = run("tests", "t001.rs", include_str!("fixtures/t001.rs"));
+    assert_eq!(count(&findings, "T001"), 0, "{findings:#?}");
+    assert_eq!(count(&findings, "A001"), 1);
+    assert_eq!(count(&findings, "A002"), 1);
+}
+
+#[test]
 fn directive_meta_rules() {
     let (findings, suppressions) = run("core", "allow.rs", include_str!("fixtures/allow.rs"));
     assert_eq!(count(&findings, "A001"), 1, "unknown rule ID: {findings:#?}");

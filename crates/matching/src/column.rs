@@ -1,6 +1,6 @@
 //! Column data handed to matchers.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use cxm_relational::{AttrRef, ColumnSlice, DataType, Database, Table, Value};
@@ -41,8 +41,8 @@ pub mod telemetry {
 /// agnostic: they consume values through [`ColumnData::iter`],
 /// [`ColumnData::texts`] and [`ColumnData::numbers`].
 ///
-/// Derived artifacts the matchers need repeatedly — the 3-gram frequency
-/// profile, the normalized distinct-value set, the numeric summary — are
+/// Derived artifacts the matchers need repeatedly — the interned 3-gram
+/// profile, the interned distinct-value set, the numeric summary — are
 /// memoized lazily and thread-safely inside the column. `ScoreMatch` rescoring
 /// hits the *same* target column once per candidate view, and `StandardMatch`
 /// hits the same source column once per target attribute; memoization turns
@@ -55,9 +55,10 @@ pub struct ColumnData<'a> {
     pub data_type: DataType,
     /// Non-NULL sample values (owned or borrowed from a base table).
     values: ColumnValues<'a>,
-    /// The interner the column's flat artifacts are built against. Defaults
-    /// to [`GramInterner::global`]; interned kernels apply only to column
-    /// pairs sharing an interner (`Arc::ptr_eq`).
+    /// The interner the column's memoized flat artifacts are built against.
+    /// Defaults to [`GramInterner::global`]. A pair is scored in the
+    /// target's id space, so a source column bound elsewhere is re-interned
+    /// per call ([`ColumnData::qgram3_ids_in`]).
     interner: Arc<GramInterner>,
     /// Content fingerprint of the base column this instance was extracted
     /// from ([`cxm_relational::Table::column_fingerprint`]), when the caller
@@ -77,11 +78,6 @@ struct ColumnCaches {
     qgram3_ids: OnceLock<Arc<InternedProfile>>,
     /// Interned distinct-value id set (the hot-path kernel input).
     value_ids: OnceLock<Arc<InternedValueSet>>,
-    /// Normalized 3-gram frequency profile (the legacy `QGramMatcher`
-    /// kernel; only built when a legacy matcher or explicit caller asks).
-    qgram3: OnceLock<Arc<BTreeMap<String, f64>>>,
-    /// Trimmed, lowercased distinct value set (legacy `ValueOverlapMatcher`).
-    value_set: OnceLock<Arc<BTreeSet<String>>>,
     /// `(mean, population std dev, min, max)` over the numeric values
     /// (`NumericMatcher`); `None` when the column has no numeric values.
     numeric_summary: OnceLock<Option<(f64, f64, f64, f64)>>,
@@ -117,10 +113,6 @@ pub struct ColumnArtifacts {
     pub qgram3_ids: Option<Arc<InternedProfile>>,
     /// Interned distinct-value set.
     pub value_ids: Option<Arc<InternedValueSet>>,
-    /// Legacy normalized 3-gram profile.
-    pub qgram3: Option<Arc<BTreeMap<String, f64>>>,
-    /// Legacy distinct value set.
-    pub value_set: Option<Arc<BTreeSet<String>>>,
     /// Numeric summary (outer `None` = never built; inner `None` = built,
     /// column has no numeric values).
     pub numeric_summary: Option<Option<(f64, f64, f64, f64)>>,
@@ -138,8 +130,6 @@ impl ColumnArtifacts {
     pub fn is_empty(&self) -> bool {
         self.qgram3_ids.is_none()
             && self.value_ids.is_none()
-            && self.qgram3.is_none()
-            && self.value_set.is_none()
             && self.numeric_summary.is_none()
             && self.numeric_count.is_none()
             && self.name_key.is_none()
@@ -262,7 +252,7 @@ impl<'a> ColumnData<'a> {
     /// Build a column from a zero-copy [`ColumnSlice`] (a view-restricted
     /// column), borrowing the selected non-NULL values in place. `table_name`
     /// is the name the column should report (conventionally the view's name,
-    /// so that rescoring matches the legacy materializing path byte for byte).
+    /// so that rescoring matches a materialized view instance byte for byte).
     pub fn from_slice(slice: &ColumnSlice<'a>, table_name: impl Into<String>) -> ColumnData<'a> {
         ColumnData {
             attr: AttrRef::new(table_name, slice.name()),
@@ -346,13 +336,35 @@ impl<'a> ColumnData<'a> {
         }))
     }
 
-    /// The column's interned distinct-value id set (trimmed, ASCII
-    /// lowercased, like [`ColumnData::value_set`]), built on first use and
-    /// memoized for the column's lifetime.
+    /// The column's interned distinct-value id set (values trimmed and
+    /// ASCII-lowercased), built on first use and memoized for the column's
+    /// lifetime.
     pub fn value_ids(&self) -> Arc<InternedValueSet> {
         Arc::clone(self.caches.value_ids.get_or_init(|| {
             Arc::new(self.interner.value_set(self.iter().map(normalized_value_text)))
         }))
+    }
+
+    /// [`ColumnData::qgram3_ids`] in `interner`'s id space: the memoized
+    /// profile when the column is bound to `interner`, otherwise a fresh
+    /// build in `interner` for this one call (counted, not memoized — the
+    /// column keeps its own id space). The kernels' results do not depend
+    /// on the id space, so a pair is always scored in the target's.
+    pub(crate) fn qgram3_ids_in(&self, interner: &Arc<GramInterner>) -> Arc<InternedProfile> {
+        if Arc::ptr_eq(&self.interner, interner) {
+            return self.qgram3_ids();
+        }
+        telemetry::record_qgram_profile_build();
+        Arc::new(interner.qgram_profile(self.iter().map(|v| v.as_text_cow())))
+    }
+
+    /// [`ColumnData::value_ids`] in `interner`'s id space, on the terms of
+    /// [`ColumnData::qgram3_ids_in`].
+    pub(crate) fn value_ids_in(&self, interner: &Arc<GramInterner>) -> Arc<InternedValueSet> {
+        if Arc::ptr_eq(&self.interner, interner) {
+            return self.value_ids();
+        }
+        Arc::new(interner.value_set(self.iter().map(normalized_value_text)))
     }
 
     /// The attribute name's lowered form and identifier token set (the
@@ -374,8 +386,6 @@ impl<'a> ColumnData<'a> {
         ColumnArtifacts {
             qgram3_ids: self.caches.qgram3_ids.get().cloned(),
             value_ids: self.caches.value_ids.get().cloned(),
-            qgram3: self.caches.qgram3.get().cloned(),
-            value_set: self.caches.value_set.get().cloned(),
             numeric_summary: self.caches.numeric_summary.get().copied(),
             numeric_count: self.caches.numeric_count.get().copied(),
             name_key: self.caches.name_key.get().cloned(),
@@ -394,12 +404,6 @@ impl<'a> ColumnData<'a> {
         if let Some(v) = &artifacts.value_ids {
             let _ = self.caches.value_ids.set(Arc::clone(v));
         }
-        if let Some(p) = &artifacts.qgram3 {
-            let _ = self.caches.qgram3.set(Arc::clone(p));
-        }
-        if let Some(v) = &artifacts.value_set {
-            let _ = self.caches.value_set.set(Arc::clone(v));
-        }
         if let Some(n) = artifacts.numeric_summary {
             let _ = self.caches.numeric_summary.set(n);
         }
@@ -409,26 +413,6 @@ impl<'a> ColumnData<'a> {
         if let Some(k) = &artifacts.name_key {
             let _ = self.caches.name_key.set(Arc::clone(k));
         }
-    }
-
-    /// The column's normalized 3-gram frequency profile, built on first use
-    /// and memoized for the column's lifetime. This is the **legacy** kernel
-    /// input — the scoring hot path runs on [`ColumnData::qgram3_ids`]; the
-    /// map profile is only built for legacy matchers, explicit callers and
-    /// equivalence tests.
-    pub fn qgram3_profile(&self) -> Arc<BTreeMap<String, f64>> {
-        Arc::clone(self.caches.qgram3.get_or_init(|| {
-            telemetry::record_qgram_profile_build();
-            Arc::new(build_qgram_profile(self.iter().map(|v| v.as_text()), 3))
-        }))
-    }
-
-    /// The trimmed, ASCII-lowercased distinct value set, built on first use
-    /// and memoized for the column's lifetime.
-    pub fn value_set(&self) -> Arc<BTreeSet<String>> {
-        Arc::clone(self.caches.value_set.get_or_init(|| {
-            Arc::new(self.iter().map(|v| v.as_text().trim().to_ascii_lowercase()).collect())
-        }))
     }
 
     /// `(mean, population std dev, min, max)` of the numeric values, memoized;
@@ -479,25 +463,6 @@ fn normalized_value_text(v: &Value) -> std::borrow::Cow<'_, str> {
         }
         Cow::Owned(s) => Cow::Owned(s.trim().to_ascii_lowercase()),
     }
-}
-
-/// Build an L2-normalized q-gram frequency profile over a bag of texts. The
-/// single implementation behind both the memoized 3-gram profile and
-/// `QGramMatcher`'s non-default widths.
-pub fn build_qgram_profile(texts: impl Iterator<Item = String>, q: usize) -> BTreeMap<String, f64> {
-    let mut counts: BTreeMap<String, f64> = BTreeMap::new();
-    for text in texts {
-        for g in cxm_classify::qgrams(&text, q) {
-            *counts.entry(g).or_insert(0.0) += 1.0;
-        }
-    }
-    let norm: f64 = counts.values().map(|c| c * c).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for v in counts.values_mut() {
-            *v /= norm;
-        }
-    }
-    counts
 }
 
 /// Iterator over a column's values regardless of storage flavour.
@@ -643,7 +608,7 @@ mod tests {
         assert_eq!(shared.attr, borrowed.attr);
         assert_eq!(shared.data_type, borrowed.data_type);
         assert_eq!(shared.texts(), borrowed.texts());
-        assert_eq!(*shared.qgram3_profile(), *borrowed.qgram3_profile());
+        assert_eq!(*shared.qgram3_ids(), *borrowed.qgram3_ids());
         assert!(ColumnData::shared_from_table(&t, "missing").is_err());
         // The batch mirrors all_from_database order.
         let db = cxm_relational::Database::new("RT").with_table(t.clone());
@@ -660,14 +625,14 @@ mod tests {
     fn shared_column_clones_share_values_and_profiles() {
         let t = table();
         let col = ColumnData::shared_from_table(&t, "name").unwrap();
-        let profile = col.qgram3_profile();
+        let profile = col.qgram3_ids();
         let copy = col.clone();
         // Values alias the same allocation across clones.
         let a = col.iter().next().unwrap() as *const Value;
         let b = copy.iter().next().unwrap() as *const Value;
         assert_eq!(a, b, "clones must share the Arc'd value storage");
         // The memoized profile survives the clone (no rebuild).
-        assert!(Arc::ptr_eq(&profile, &copy.qgram3_profile()));
+        assert!(Arc::ptr_eq(&profile, &copy.qgram3_ids()));
     }
 
     #[test]
@@ -697,9 +662,9 @@ mod tests {
         let memo = col.harvest_artifacts().qgram3_ids.expect("memoized after first use");
         assert!(Arc::ptr_eq(&first, &memo));
         assert!(!first.is_empty());
-        // The value id set is memoized too, and matches the legacy set's size.
+        // The value id set is memoized too, one id per distinct value.
         assert!(Arc::ptr_eq(&col.value_ids(), &col.value_ids()));
-        assert_eq!(col.value_ids().len(), col.value_set().len());
+        assert_eq!(col.value_ids().len(), 3);
     }
 
     #[test]
@@ -712,7 +677,7 @@ mod tests {
         let numeric = built.numeric_summary();
         let artifacts = built.harvest_artifacts();
         assert!(!artifacts.is_empty());
-        assert!(artifacts.qgram3.is_none(), "legacy profile was never built");
+        assert!(artifacts.name_key.is_none(), "the name key was never built");
 
         // Seeding a fresh column over the same value bag: no rebuilds, the
         // exact same Arcs are served.

@@ -32,21 +32,6 @@ impl MatcherEnsemble {
         }
     }
 
-    /// The standard ensemble with the instance matchers pinned to the
-    /// **legacy** `BTreeMap`/`BTreeSet` kernels instead of the interned
-    /// merge-join kernels — the reference path for kernel-equivalence tests
-    /// and the `interned_kernels` bench. Same matchers, same weights.
-    pub fn standard_legacy() -> Self {
-        MatcherEnsemble {
-            matchers: vec![
-                (Box::new(NameMatcher::new()) as Box<dyn Matcher>, 0.75),
-                (Box::new(QGramMatcher::legacy()), 1.0),
-                (Box::new(ValueOverlapMatcher::legacy()), 0.9),
-                (Box::new(NumericMatcher::new()), 1.0),
-            ],
-        }
-    }
-
     /// An instance-only ensemble (no attribute-name evidence). Useful for
     /// experiments that want to isolate the data-driven behaviour.
     pub fn instance_only() -> Self {

@@ -12,86 +12,28 @@
 //!   sides holding "hardcover"/"paperback").
 //!
 //! Both matchers score through the **interned flat kernels** of
-//! [`crate::intern`] whenever the two columns share a
-//! [`GramInterner`](crate::intern::GramInterner) (which every column does by
-//! default): sorted `u32` id vectors,
-//! merge-join inner loops, no string comparison on the hot path. The legacy
-//! `BTreeMap`/`BTreeSet` kernels are retained behind the
-//! [`QGramMatcher::legacy`] / [`ValueOverlapMatcher::legacy`] constructors
-//! for equivalence tests and benchmarking, and
-//! [`crate::intern::telemetry`] counts which generation served each score.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
+//! [`crate::intern`]: sorted `u32` id vectors, merge-join inner loops, no
+//! string comparison on the hot path. A pair is always scored in the
+//! **target's** id space: a source column bound to another
+//! [`GramInterner`](crate::intern::GramInterner) has its profile or value set
+//! built in the target's interner for that one score (not memoized). The
+//! kernels' arithmetic is exact integers, so the score does not depend on
+//! which interner assigned the ids — interner independence is the contract,
+//! pinned bit for bit by the kernel property tests against the string-keyed
+//! reference kernels of the tests crate (`cxm_tests::reference`).
 
 use crate::column::ColumnData;
 use crate::intern::telemetry as kernel_telemetry;
 use crate::matcher::{Matcher, PairHint};
 
-fn same_interner(a: &ColumnData, b: &ColumnData) -> bool {
-    Arc::ptr_eq(a.interner(), b.interner())
-}
-
-/// Cosine-similarity matcher over q-gram frequency profiles.
-#[derive(Debug, Clone)]
-pub struct QGramMatcher {
-    q: usize,
-    use_legacy_kernel: bool,
-}
+/// Cosine-similarity matcher over 3-gram frequency profiles.
+#[derive(Debug, Clone, Default)]
+pub struct QGramMatcher;
 
 impl QGramMatcher {
     /// Create a matcher using 3-grams (the paper's tokenization).
     pub fn new() -> Self {
-        QGramMatcher { q: 3, use_legacy_kernel: false }
-    }
-
-    /// Create a matcher using q-grams of the given width.
-    pub fn with_q(q: usize) -> Self {
-        QGramMatcher { q: q.max(1), use_legacy_kernel: false }
-    }
-
-    /// The reference 3-gram matcher scoring through the legacy
-    /// `BTreeMap<String, f64>` kernel (per-gram string comparisons). Kept
-    /// for the kernel-equivalence property tests and the
-    /// `interned_kernels` bench; agrees with the interned kernel to within
-    /// 1e-12 (see [`crate::intern`] for why the rounding differs).
-    pub fn legacy() -> Self {
-        QGramMatcher { q: 3, use_legacy_kernel: true }
-    }
-
-    /// Whether this matcher is pinned to the legacy kernel.
-    pub fn is_legacy(&self) -> bool {
-        self.use_legacy_kernel
-    }
-
-    /// Build the normalized q-gram frequency profile of a column. For the
-    /// default width (3) this is served from the column's memoized profile, so
-    /// repeated scoring of the same column costs one build total.
-    pub fn profile(&self, column: &ColumnData) -> std::sync::Arc<BTreeMap<String, f64>> {
-        if self.q == 3 {
-            return column.qgram3_profile();
-        }
-        std::sync::Arc::new(crate::column::build_qgram_profile(column.texts().into_iter(), self.q))
-    }
-
-    /// Cosine similarity of two normalized profiles.
-    fn cosine(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        // Iterate over the smaller profile for the dot product.
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        small
-            .iter()
-            .filter_map(|(g, &w)| large.get(g).map(|&w2| w * w2))
-            .sum::<f64>()
-            .clamp(0.0, 1.0)
-    }
-}
-
-impl Default for QGramMatcher {
-    fn default() -> Self {
-        QGramMatcher::new()
+        QGramMatcher
     }
 }
 
@@ -101,33 +43,26 @@ impl Matcher for QGramMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        if self.q == 3 && !self.use_legacy_kernel && same_interner(source, target) {
-            kernel_telemetry::record_interned_score();
-            return source.qgram3_ids().cosine(&target.qgram3_ids());
-        }
-        kernel_telemetry::record_legacy_score();
-        Self::cosine(&self.profile(source), &self.profile(target))
+        kernel_telemetry::record_interned_score();
+        source.qgram3_ids_in(target.interner()).cosine(&target.qgram3_ids())
     }
 
     fn score_with_hint(&self, source: &ColumnData, target: &ColumnData, hint: PairHint) -> f64 {
-        // Serve the score from the scan's exact TAAT dot — but only when the
-        // exact path would have taken the interned kernel; on any other path
-        // the hint's id space does not apply. The dot is bit-equal to the
-        // merge-join's (exact integer products and sums, so the grouping
-        // order is immaterial); dividing by the same memoized norms
-        // reproduces the kernel's result bit for bit, and a zero dot skips
-        // even the division, matching the kernel's early-out literal `0.0`.
-        if let Some(dot) = hint.qgram_dot {
-            if self.q == 3 && !self.use_legacy_kernel && same_interner(source, target) {
-                kernel_telemetry::record_pruned_score();
-                if dot == 0.0 {
-                    return 0.0;
-                }
-                let (a, b) = (source.qgram3_ids(), target.qgram3_ids());
-                return (dot / (a.norm() * b.norm())).clamp(0.0, 1.0);
-            }
+        // Serve the score from the scan's exact TAAT dot. The dot is
+        // bit-equal to the merge-join's (exact integer products and sums, so
+        // neither the grouping order nor the id space matters); dividing by
+        // the same norms reproduces the kernel's result bit for bit, and a
+        // zero dot skips even the division, matching the kernel's early-out
+        // literal `0.0`.
+        let Some(dot) = hint.qgram_dot else {
+            return self.score(source, target);
+        };
+        kernel_telemetry::record_pruned_score();
+        if dot == 0.0 {
+            return 0.0;
         }
-        self.score(source, target)
+        let (a, b) = (source.qgram3_ids_in(target.interner()), target.qgram3_ids());
+        (dot / (a.norm() * b.norm())).clamp(0.0, 1.0)
     }
 
     fn applicable(&self, source: &ColumnData, target: &ColumnData) -> bool {
@@ -141,27 +76,12 @@ impl Matcher for QGramMatcher {
 
 /// Jaccard similarity of distinct (case-normalized) value sets.
 #[derive(Debug, Clone, Default)]
-pub struct ValueOverlapMatcher {
-    use_legacy_kernel: bool,
-}
+pub struct ValueOverlapMatcher;
 
 impl ValueOverlapMatcher {
     /// Create a value-overlap matcher.
     pub fn new() -> Self {
-        ValueOverlapMatcher { use_legacy_kernel: false }
-    }
-
-    /// The reference matcher scoring through the legacy
-    /// `BTreeSet<String>` kernel. Bit-identical to the interned kernel
-    /// (both divide the same two intersection/union counts); kept for the
-    /// equivalence property tests and the `interned_kernels` bench.
-    pub fn legacy() -> Self {
-        ValueOverlapMatcher { use_legacy_kernel: true }
-    }
-
-    /// Whether this matcher is pinned to the legacy kernel.
-    pub fn is_legacy(&self) -> bool {
-        self.use_legacy_kernel
+        ValueOverlapMatcher
     }
 }
 
@@ -171,25 +91,14 @@ impl Matcher for ValueOverlapMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        if !self.use_legacy_kernel && same_interner(source, target) {
-            kernel_telemetry::record_interned_score();
-            return source.value_ids().jaccard(&target.value_ids());
-        }
-        kernel_telemetry::record_legacy_score();
-        let a = source.value_set();
-        let b = target.value_set();
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        let inter = a.intersection(&b).count() as f64;
-        let union = a.union(&b).count() as f64;
-        inter / union
+        kernel_telemetry::record_interned_score();
+        source.value_ids_in(target.interner()).jaccard(&target.value_ids())
     }
 
     fn score_with_hint(&self, source: &ColumnData, target: &ColumnData, hint: PairHint) -> f64 {
-        // Disjoint interned sets make the exact kernel return 0/union == +0.0;
+        // Disjoint sets make the exact kernel return 0/union == +0.0;
         // substitute the same bit pattern without walking the id vectors.
-        if hint.overlap_zero && !self.use_legacy_kernel && same_interner(source, target) {
+        if hint.overlap_zero {
             kernel_telemetry::record_pruned_score();
             return 0.0;
         }
@@ -263,10 +172,13 @@ mod tests {
 
     #[test]
     fn qgram_profile_is_normalized() {
-        let m = QGramMatcher::new();
-        let p = m.profile(&col("x", vec!["abc", "abd"]));
-        let norm: f64 = p.values().map(|v| v * v).sum();
-        assert!((norm - 1.0).abs() < 1e-9);
+        // The interned profile keeps raw counts plus their L2 norm, so a
+        // column's cosine with itself is 1.
+        let a = col("x", vec!["abc", "abd"]);
+        let p = a.qgram3_ids();
+        let norm = p.entries().iter().map(|&(_, c)| c * c).sum::<f64>().sqrt();
+        assert_eq!(p.norm().to_bits(), norm.to_bits());
+        assert!((QGramMatcher::new().score(&a, &a) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,36 +204,26 @@ mod tests {
     }
 
     #[test]
-    fn interned_and_legacy_kernels_agree() {
-        let fast = QGramMatcher::new();
-        let slow = QGramMatcher::legacy();
-        assert!(!fast.is_legacy() && slow.is_legacy());
-        let a = col("name", vec!["leaves of grass", "heart of darkness", "wasteland"]);
-        let b = col("title", vec!["the historian", "middlemarch", "heart of darkness"]);
-        assert!((fast.score(&a, &b) - slow.score(&a, &b)).abs() < 1e-12);
-        // Jaccard is bit-identical between kernels.
-        let fo = ValueOverlapMatcher::new();
-        let so = ValueOverlapMatcher::legacy();
-        assert!(!fo.is_legacy() && so.is_legacy());
-        assert_eq!(fo.score(&a, &b).to_bits(), so.score(&a, &b).to_bits());
-    }
-
-    #[test]
-    fn mismatched_interners_fall_back_to_the_legacy_kernel() {
-        use crate::intern::{telemetry, GramInterner};
-        let private = std::sync::Arc::new(GramInterner::new());
-        let a = col("x", vec!["hardcover", "paperback"]);
-        let b = col("y", vec!["hardcover", "paperback"]).with_interner(private);
-        let m = QGramMatcher::new();
-        let legacy_before = telemetry::legacy_kernel_scores();
-        let score = m.score(&a, &b);
-        assert!((score - 1.0).abs() < 1e-9, "fallback must still score correctly");
-        assert!(telemetry::legacy_kernel_scores() > legacy_before);
-        // Same interner on both sides takes the interned kernel.
-        let c = col("z", vec!["hardcover", "paperback"]);
-        let interned_before = telemetry::interned_kernel_scores();
-        assert!((m.score(&a, &c) - 1.0).abs() < 1e-9);
-        assert!(telemetry::interned_kernel_scores() > interned_before);
+    fn mismatched_interners_score_in_the_target_id_space() {
+        use crate::intern::GramInterner;
+        use std::sync::Arc;
+        let private = Arc::new(GramInterner::new());
+        let a = col("x", vec!["hardcover", "paperback", "audio cd"]);
+        let shared = col("y", vec!["hardcover", "paperback"]);
+        let foreign = col("y", vec!["hardcover", "paperback"]).with_interner(Arc::clone(&private));
+        let matchers: [&dyn Matcher; 2] = [&QGramMatcher, &ValueOverlapMatcher];
+        for m in matchers {
+            // Either side foreign: bit-equal to the shared-interner score.
+            assert_eq!(m.score(&a, &foreign).to_bits(), m.score(&a, &shared).to_bits());
+            assert_eq!(m.score(&foreign, &a).to_bits(), m.score(&shared, &a).to_bits());
+        }
+        // The source side is built in the target's interner for the call
+        // and never memoized into a column bound to another id space.
+        let fresh = col("z", vec!["hardcover first edition"]);
+        assert!(QGramMatcher.score(&fresh, &foreign) > 0.0);
+        assert_eq!(ValueOverlapMatcher.score(&fresh, &foreign), 0.0);
+        assert!(fresh.harvest_artifacts().is_empty(), "cross-interner builds are not memoized");
+        assert!(private.lookup("hardcover first edition").is_some());
     }
 
     #[test]
@@ -345,20 +247,5 @@ mod tests {
             qgram.score_with_hint(&a, &c, PairHint::default()).to_bits(),
             qgram.score(&a, &c).to_bits()
         );
-        // Legacy matchers never consult hints (different kernel, different
-        // rounding — the proof does not transfer).
-        let legacy = QGramMatcher::legacy();
-        let exact = legacy.score(&a, &b);
-        assert_eq!(legacy.score_with_hint(&a, &b, hint).to_bits(), exact.to_bits());
-    }
-
-    #[test]
-    fn custom_q_width() {
-        let m = QGramMatcher::with_q(2);
-        let a = col("x", vec!["ab"]);
-        assert!(m.profile(&a).contains_key("ab"));
-        // Width is clamped to at least 1.
-        let m0 = QGramMatcher::with_q(0);
-        assert!(!m0.profile(&a).is_empty());
     }
 }

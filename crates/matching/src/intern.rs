@@ -1,21 +1,22 @@
-//! Interned, flat-profile scoring kernels.
+//! Interned, flat-profile scoring kernels — the only q-gram and
+//! value-overlap kernels of the instance matchers.
 //!
-//! The instance matchers originally scored every pair through
-//! `BTreeMap<String, f64>` q-gram profiles and `BTreeSet<String>` value sets:
-//! per-gram `String` comparisons inside tree walks, in the single hottest
-//! loop of the system (`ScoreMatch` rescoring and `StandardMatch`). This
-//! module replaces those derived artifacts with **flat, interned, cache
-//! friendly** representations:
+//! Scoring a pair is the single hottest loop of the system (`ScoreMatch`
+//! rescoring and `StandardMatch`), so the matchers' derived artifacts are
+//! **flat, interned, cache friendly** representations, with no per-gram
+//! string comparison or tree walk:
 //!
 //! * [`GramInterner`] — maps gram / normalized-value strings to dense `u32`
-//!   ids. One interner is shared (behind an `Arc`) by every column that will
-//!   ever be scored against another: ids are only comparable within one
-//!   interner. Reads go through a **frozen snapshot** (one brief lock to
-//!   clone the `Arc`, then every lookup is lock-free); a 3-gram is looked up
-//!   by its packed integer code with one hash probe, never as a string.
-//!   Growth appends under a mutex and publishes a new snapshot. After
-//!   warm-up the gram vocabulary stops growing and builds never touch the
-//!   growth lock.
+//!   ids. Ids are only comparable within one interner, so a pair is always
+//!   scored in **one id space — the target's**: a source column bound to
+//!   another interner has its artifact built in the target's interner for
+//!   that call. A catalog shares one interner (behind an `Arc`) with every
+//!   source it scores, so that rebuild never happens on the served paths.
+//!   Reads go through a **frozen snapshot** (one brief lock to clone the
+//!   `Arc`, then every lookup is lock-free); a 3-gram is looked up by its
+//!   packed integer code with one hash probe, never as a string. Growth
+//!   appends under a mutex and publishes a new snapshot. After warm-up the
+//!   gram vocabulary stops growing and builds never touch the growth lock.
 //! * [`InternedProfile`] — a q-gram frequency profile as a sorted
 //!   `Vec<(u32, f64)>` sparse vector of **raw counts** plus its L2 norm.
 //!   [`InternedProfile::cosine`] is a linear merge-join over the two id
@@ -30,43 +31,32 @@
 //! dot product and the squared norm is an integer far below 2⁵³: the
 //! additions are **exact** and therefore order-independent. The kernel's
 //! result does not depend on which ids the interner happened to assign, so
-//! scores are deterministic across runs, threads and interners. The legacy
-//! kernels normalize each profile before the dot product and accumulate in
-//! gram order, which rounds differently in the last ulps; the property tests
-//! in `tests/tests/property_based.rs` pin the two kernels to within 1e-12
-//! (Jaccard is bit-identical: both kernels divide the same two integers).
-//!
-//! The legacy `BTreeMap`/`BTreeSet` path is retained — construct matchers
-//! with [`crate::instance::QGramMatcher::legacy`] /
-//! [`crate::instance::ValueOverlapMatcher::legacy`] (or a
-//! [`crate::MatcherEnsemble::standard_legacy`] ensemble) — and the
-//! [`telemetry`] counters make visible which kernel generation actually
-//! served each score.
+//! scores are deterministic across runs, threads and interners — **interner
+//! independence is the contract**: a pair scored across two interners is
+//! bit-equal to the same pair scored in one. The kernel property tests in
+//! `tests/tests/property_based.rs` pin it, together with agreement with the
+//! string-keyed reference kernels of `cxm_tests::reference`: within 1e-12
+//! for the cosine (the reference normalizes each profile before the dot
+//! product and accumulates in gram order, which rounds differently in the
+//! last ulps) and bit for bit for Jaccard (both divide the same two
+//! integers).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-/// Process-wide instrumentation distinguishing the kernel generations: every
-/// q-gram cosine / value-overlap Jaccard evaluation records whether it ran on
-/// the interned merge-join kernels or fell back to the legacy
-/// `BTreeMap`/`BTreeSet` path (mismatched interners, non-default gram width,
-/// or an explicitly legacy matcher).
+/// Process-wide instrumentation of the kernels: every q-gram cosine /
+/// value-overlap Jaccard evaluation records whether it ran the merge-join or
+/// was answered from an inverted-index hint.
 pub mod telemetry {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static INTERNED_KERNEL_SCORES: AtomicUsize = AtomicUsize::new(0);
-    static LEGACY_KERNEL_SCORES: AtomicUsize = AtomicUsize::new(0);
     static PRUNED_KERNEL_SCORES: AtomicUsize = AtomicUsize::new(0);
 
     /// Scores served by the interned merge-join kernels so far.
     pub fn interned_kernel_scores() -> usize {
         INTERNED_KERNEL_SCORES.load(Ordering::Relaxed)
-    }
-
-    /// Scores served by the legacy `BTreeMap`/`BTreeSet` kernels so far.
-    pub fn legacy_kernel_scores() -> usize {
-        LEGACY_KERNEL_SCORES.load(Ordering::Relaxed)
     }
 
     /// Scores answered from an inverted-index pruning hint (the merge-join
@@ -77,10 +67,6 @@ pub mod telemetry {
 
     pub(crate) fn record_interned_score() {
         INTERNED_KERNEL_SCORES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_legacy_score() {
-        LEGACY_KERNEL_SCORES.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_pruned_score() {
@@ -97,20 +83,14 @@ pub mod telemetry {
     pub struct KernelCounters {
         /// Interned merge-join scores at snapshot time.
         pub interned: usize,
-        /// Legacy `BTreeMap`/`BTreeSet` scores at snapshot time.
-        pub legacy: usize,
         /// Index-pruned (merge-join skipped) scores at snapshot time.
         pub pruned: usize,
     }
 
     impl KernelCounters {
-        /// The current values of all three kernel counters.
+        /// The current values of both kernel counters.
         pub fn snapshot() -> Self {
-            KernelCounters {
-                interned: interned_kernel_scores(),
-                legacy: legacy_kernel_scores(),
-                pruned: pruned_kernel_scores(),
-            }
+            KernelCounters { interned: interned_kernel_scores(), pruned: pruned_kernel_scores() }
         }
 
         /// Counter growth since this snapshot was taken. Meaningful only
@@ -120,7 +100,6 @@ pub mod telemetry {
             let now = KernelCounters::snapshot();
             KernelCounters {
                 interned: now.interned - self.interned,
-                legacy: now.legacy - self.legacy,
                 pruned: now.pruned - self.pruned,
             }
         }
@@ -488,8 +467,8 @@ fn split_leaves(
 ///
 /// Ids are dense, assigned in first-intern order, and stable for the
 /// interner's lifetime. Ids from *different* interners are not comparable —
-/// the matchers check interner identity (`Arc::ptr_eq`) before using the
-/// interned kernels and fall back to the legacy string kernels otherwise.
+/// the matchers check interner identity (`Arc::ptr_eq`) and build the source
+/// side of a mixed pair in the target's interner.
 ///
 /// Cost: a known 3-gram (or any three-scalar string) costs one integer-hash
 /// probe of the snapshot's packed table — no string rendering, byte hashing
@@ -676,10 +655,9 @@ impl GramInterner {
         self.grow(texts)
     }
 
-    /// Build the interned 3-gram count profile of a bag of texts — the flat
-    /// counterpart of [`crate::column::build_qgram_profile`] (which
-    /// normalizes eagerly; this kernel keeps raw counts and the norm so the
-    /// dot product stays exact-integer arithmetic).
+    /// Build the interned 3-gram count profile of a bag of texts. The
+    /// profile keeps raw counts and their norm, so the dot product stays
+    /// exact-integer arithmetic.
     ///
     /// Grams arrive as three scalars ([`cxm_classify::for_each_qgram`]) and
     /// a known gram costs one probe of the frozen snapshot's packed table by
@@ -702,7 +680,7 @@ impl GramInterner {
     }
 
     /// Build the interned distinct-value set of a bag of already-normalized
-    /// texts (the flat counterpart of [`crate::ColumnData::value_set`]).
+    /// texts.
     pub fn value_set<T: AsRef<str>>(&self, texts: impl Iterator<Item = T>) -> InternedValueSet {
         let snap = self.snapshot();
         let mut known_ids: Vec<u32> = Vec::new();
@@ -770,7 +748,7 @@ impl InternedProfile {
 
     /// Cosine similarity of two profiles — a single linear merge-join over
     /// the sorted id vectors. Both profiles must come from the same
-    /// interner; the matchers guarantee that by checking interner identity.
+    /// interner; the matchers guarantee that by scoring in the target's.
     pub fn cosine(&self, other: &InternedProfile) -> f64 {
         if self.entries.is_empty() || other.entries.is_empty() {
             return 0.0;
@@ -840,7 +818,7 @@ impl InternedValueSet {
     }
 
     /// Jaccard similarity of two sets — intersection by merge-join, union by
-    /// inclusion–exclusion. Divides the same two integers as the legacy
+    /// inclusion–exclusion. Divides the same two integers as a string-keyed
     /// `BTreeSet` kernel, so the result is bit-identical to it.
     pub fn jaccard(&self, other: &InternedValueSet) -> f64 {
         if self.ids.is_empty() || other.ids.is_empty() {

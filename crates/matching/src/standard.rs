@@ -20,11 +20,20 @@
 //! cores: the target column batch is extracted and profiled **once** for the
 //! whole run ([`ColumnData::all_from_database`]), every shard scores against
 //! the same shared batch, and the per-table [`MatchingOutcome`]s are merged in
-//! source-table order so the output is byte-identical to the serial loop
-//! (retained as [`StandardMatcher::match_databases_serial`] for equivalence
-//! tests and benches).
+//! source-table order so the output is byte-identical to the serial
+//! per-table loop (the tests crate keeps that loop as its reference oracle,
+//! `cxm_tests::reference::match_databases_serial`).
+//!
+//! ## One id space per scored pair
+//!
+//! Every pair is scored in the **target's** interner id space:
+//! [`StandardMatcher::match_table_with_targets`] extracts the source columns
+//! against the target batch's interner, and any column still bound elsewhere
+//! is re-interned per call by the instance matchers. The kernels are exact
+//! integer arithmetic, so the interner never changes a score.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cxm_relational::{AttrRef, Database, Table};
 use rayon::prelude::*;
@@ -145,18 +154,6 @@ impl StandardMatcher {
         StandardMatcher { ensemble, config }
     }
 
-    /// A matcher with the standard weights but the instance matchers pinned
-    /// to the legacy `BTreeMap`/`BTreeSet` kernels
-    /// ([`MatcherEnsemble::standard_legacy`]). Kept as the reference
-    /// implementation for kernel-equivalence tests and the
-    /// `interned_kernels` bench; production paths use
-    /// [`StandardMatcher::new`], whose instance matchers score through the
-    /// interned merge-join kernels of [`cxm_matching::intern`](crate::intern).
-    #[doc(hidden)]
-    pub fn with_legacy_kernels(config: MatchingConfig) -> Self {
-        StandardMatcher { ensemble: MatcherEnsemble::standard_legacy(), config }
-    }
-
     /// The active configuration.
     pub fn config(&self) -> MatchingConfig {
         self.config
@@ -174,58 +171,37 @@ impl StandardMatcher {
     /// batch. Callers matching several source tables against the same target
     /// schema build the batch once with [`ColumnData::all_from_database`] so
     /// the target columns' memoized matcher profiles are computed exactly once
-    /// for the whole run instead of once per source table.
+    /// for the whole run instead of once per source table. The source columns
+    /// are extracted against the batch's interner, so every pair is scored in
+    /// one id space.
     pub fn match_table_with_targets(
         &self,
         source: &Table,
         target_cols: &[ColumnData],
     ) -> MatchingOutcome {
-        let source_cols = ColumnData::all_from_table(source);
+        let mut source_cols = ColumnData::all_from_table(source);
+        if let Some(interner) = target_cols.first().map(ColumnData::interner) {
+            source_cols =
+                source_cols.into_iter().map(|c| c.with_interner(Arc::clone(interner))).collect();
+        }
         self.match_columns(&source_cols, target_cols)
     }
 
     /// `StandardMatch` over every table of the source database, sharded across
     /// cores: one task per source table, all scoring against one shared target
-    /// column batch, merged in source-table order (byte-identical to
-    /// [`StandardMatcher::match_databases_serial`]).
+    /// column batch, merged in source-table order (byte-identical to the
+    /// serial per-table loop).
     pub fn match_databases(&self, source: &Database, target: &Database) -> MatchingOutcome {
         let target_cols = ColumnData::all_from_database(target);
-        self.match_databases_with_targets(source, &target_cols)
-    }
-
-    /// [`StandardMatcher::match_databases`] against a pre-extracted target
-    /// column batch. Long-lived callers (the match service's warm catalog)
-    /// hoist the batch once across *many* runs instead of once per run; the
-    /// batch must cover the target schema in
-    /// [`ColumnData::all_from_database`] order.
-    pub fn match_databases_with_targets(
-        &self,
-        source: &Database,
-        target_cols: &[ColumnData],
-    ) -> MatchingOutcome {
         let tables: Vec<&Table> = source.tables().collect();
         let shards: Vec<MatchingOutcome> = tables
             .par_iter()
             .with_min_len(1)
-            .map(|table| self.match_table_with_targets(table, target_cols))
+            .map(|table| self.match_table_with_targets(table, &target_cols))
             .collect();
         let mut outcome = MatchingOutcome::default();
         for shard in shards {
             outcome.merge(shard);
-        }
-        outcome
-    }
-
-    /// The serial per-table loop [`StandardMatcher::match_databases`] replaced:
-    /// one `match_table` call per source table, re-extracting (and thereby
-    /// re-profiling) the entire target column batch every iteration. Kept as
-    /// the reference implementation for equivalence tests and the
-    /// `sharded_standard_match` bench.
-    #[doc(hidden)]
-    pub fn match_databases_serial(&self, source: &Database, target: &Database) -> MatchingOutcome {
-        let mut outcome = MatchingOutcome::default();
-        for table in source.tables() {
-            outcome.merge(self.match_table(table, target));
         }
         outcome
     }
@@ -594,24 +570,6 @@ mod tests {
         )
         .unwrap();
         source_db().with_table(media)
-    }
-
-    #[test]
-    fn sharded_match_databases_equals_serial() {
-        let matcher = StandardMatcher::with_defaults();
-        let source = multi_source_db();
-        let target = target_db();
-        let sharded = matcher.match_databases(&source, &target);
-        let serial = matcher.match_databases_serial(&source, &target);
-        assert_eq!(sharded.accepted, serial.accepted);
-        assert_eq!(sharded.all_pairs, serial.all_pairs);
-        assert_eq!(sharded.distributions.len(), serial.distributions.len());
-        for (key, dist) in &serial.distributions {
-            assert_eq!(sharded.distributions.get(key), Some(dist), "distribution for {key:?}");
-        }
-        // Shards from both tables contributed.
-        assert!(sharded.all_pairs.iter().any(|m| m.base_table == "inv"));
-        assert!(sharded.all_pairs.iter().any(|m| m.base_table == "media"));
     }
 
     #[cfg(debug_assertions)]

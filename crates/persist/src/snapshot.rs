@@ -137,8 +137,8 @@ pub struct RestrictedRecord {
 /// The portable form of [`ColumnArtifacts`]: only artifacts that are
 /// expensive to rebuild and safe to validate travel — interned profiles and
 /// value sets (meaningful under the snapshot's own interner dump), and the
-/// numeric summaries. The legacy string-keyed artifacts and the name key are
-/// cheap lazy rebuilds and stay behind.
+/// numeric summaries. The name key is a cheap lazy rebuild and stays
+/// behind.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArtifactsRecord {
     /// Interned 3-gram profile entries (id-sorted `(id, count)`).
@@ -201,8 +201,6 @@ impl ArtifactsRecord {
         Some(ColumnArtifacts {
             qgram3_ids,
             value_ids,
-            qgram3: None,
-            value_set: None,
             numeric_summary: self.numeric_summary,
             numeric_count: self.numeric_count.map(|c| c as usize),
             name_key: None,

@@ -674,7 +674,7 @@ mod tests {
         catalog.register_database(&target());
         let first = catalog.snapshot();
         // Warm one column's profile in the live snapshot.
-        let warm_profile = first.columns()[0].qgram3_profile();
+        let warm_profile = first.columns()[0].qgram3_ids();
 
         // Re-registering identical content reuses every table — including
         // the row storage, deduplicated by fingerprint against the previous
@@ -698,7 +698,7 @@ mod tests {
         );
         let second = catalog.snapshot();
         assert!(
-            Arc::ptr_eq(&warm_profile, &second.columns()[0].qgram3_profile()),
+            Arc::ptr_eq(&warm_profile, &second.columns()[0].qgram3_ids()),
             "reused table must carry its memoized profile across snapshots"
         );
 
@@ -722,7 +722,7 @@ mod tests {
             }
         );
         let third = catalog.snapshot();
-        assert!(Arc::ptr_eq(&warm_profile, &third.columns()[0].qgram3_profile()));
+        assert!(Arc::ptr_eq(&warm_profile, &third.columns()[0].qgram3_ids()));
         assert_ne!(third.fingerprint_of("music"), first.fingerprint_of("music"));
         assert_eq!(third.fingerprint_of("book"), first.fingerprint_of("book"));
     }

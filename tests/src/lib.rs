@@ -1,4 +1,7 @@
 //! Integration-test package — the cross-crate tests live in `tests/tests/`.
 //!
-//! This library target exists only so Cargo has a compilation unit to attach
-//! the integration tests to; it intentionally exposes nothing.
+//! The library target holds what those tests (and the benches) share: the
+//! [`reference`](mod@reference) oracles the optimised library paths are
+//! pinned against.
+
+pub mod reference;

@@ -10,6 +10,7 @@ use cxm_core::{ContextMatchConfig, ContextualMatcher};
 use cxm_matching::column::telemetry;
 use cxm_matching::StandardMatcher;
 use cxm_relational::{tuple, Attribute, Database, Table, TableSchema};
+use cxm_tests::reference::{match_databases_serial, run_serial};
 
 fn text_table(name: &str, attrs: [&str; 2], rows: Vec<[&str; 2]>) -> Table {
     Table::with_rows(
@@ -62,13 +63,13 @@ fn match_databases_profiles_each_target_column_exactly_once() {
         builds,
         source_cols + target_cols,
         "each column must be profiled exactly once per run \
-         (the serial legacy loop would profile each target column once per source table)"
+         (the serial reference loop profiles each target column once per source table)"
     );
 
     // The serial reference path really does re-profile the targets per source
     // table — the cost the hoisted batch removes.
     let before = telemetry::qgram_profile_builds();
-    let _ = matcher.match_databases_serial(&source, &target);
+    let _ = match_databases_serial(&matcher, &source, &target);
     let serial_builds = telemetry::qgram_profile_builds() - before;
     assert_eq!(serial_builds, source_cols + 3 * target_cols);
 
@@ -83,7 +84,7 @@ fn match_databases_profiles_each_target_column_exactly_once() {
     let sharded_result = cm.run(&source, &target).unwrap();
     let sharded_run_builds = telemetry::qgram_profile_builds() - before;
     let before = telemetry::qgram_profile_builds();
-    let serial_result = cm.run_serial(&source, &target).unwrap();
+    let serial_result = run_serial(&cm, &source, &target).unwrap();
     let serial_run_builds = telemetry::qgram_profile_builds() - before;
     assert_eq!(sharded_result.selected, serial_result.selected);
     assert_eq!(serial_run_builds - sharded_run_builds, 2 * target_cols);

@@ -199,6 +199,7 @@ mod interned_kernels {
     use cxm_matching::instance::{QGramMatcher, ValueOverlapMatcher};
     use cxm_matching::{ColumnData, GramInterner, Matcher};
     use cxm_relational::{AttrRef, DataType};
+    use cxm_tests::reference::{StringOverlapMatcher, StringQGramMatcher};
 
     /// Alphabet the generated values draw from: small, with a space and a
     /// digit, so profiles overlap often (the interesting regime for the
@@ -233,38 +234,60 @@ mod interned_kernels {
     }
 
     proptest! {
-        /// The interned merge-join cosine agrees with the legacy
-        /// `BTreeMap<String, f64>` kernel to within 1e-12 on arbitrary
-        /// columns (the two kernels round differently: legacy normalizes
-        /// each profile before the dot product, the interned kernel keeps
-        /// exact integer counts and divides by the norms once).
+        /// The interned merge-join cosine agrees with the string-keyed
+        /// `BTreeMap<String, f64>` reference kernel to within 1e-12 on
+        /// arbitrary columns (the two kernels round differently: the
+        /// reference normalizes each profile before the dot product, the
+        /// interned kernel keeps exact integer counts and divides by the
+        /// norms once), and is interner-independent: the pair scored across
+        /// two interners is bit-equal to the shared-interner score.
         #[test]
         fn interned_cosine_matches_legacy(a in column_values(), b in column_values()) {
+            let (a, b) = (texts(a), texts(b));
             let interner = Arc::new(GramInterner::new());
-            let ca = column("a", texts(a), &interner);
-            let cb = column("b", texts(b), &interner);
+            let ca = column("a", a.clone(), &interner);
+            let cb = column("b", b.clone(), &interner);
             let fast = QGramMatcher::new().score(&ca, &cb);
-            let slow = QGramMatcher::legacy().score(&ca, &cb);
-            prop_assert!((fast - slow).abs() <= 1e-12, "interned {fast} vs legacy {slow}");
+            let slow = StringQGramMatcher.score(&ca, &cb);
+            prop_assert!((fast - slow).abs() <= 1e-12, "interned {fast} vs reference {slow}");
             prop_assert!((0.0..=1.0).contains(&fast));
             // Symmetry holds bit-exactly for the interned kernel.
             prop_assert_eq!(
                 QGramMatcher::new().score(&cb, &ca).to_bits(),
                 fast.to_bits()
             );
+            // Either side in a private id space: scored in the target's.
+            let private = Arc::new(GramInterner::new());
+            let foreign_a = column("a", a, &private);
+            let foreign_b = column("b", b, &private);
+            let qgram = QGramMatcher::new();
+            prop_assert_eq!(qgram.score(&foreign_a, &cb).to_bits(), fast.to_bits());
+            prop_assert_eq!(qgram.score(&ca, &foreign_b).to_bits(), fast.to_bits());
         }
 
         /// The interned merge-join Jaccard is **bit-identical** to the
-        /// legacy `BTreeSet<String>` kernel: both divide the same two
-        /// intersection/union counts.
+        /// string-keyed `BTreeSet<String>` reference kernel (both divide the
+        /// same two intersection/union counts), and interner-independent:
+        /// the pair scored across two interners is bit-equal to the
+        /// shared-interner score.
         #[test]
         fn interned_jaccard_matches_legacy(a in column_values(), b in column_values()) {
+            let (a, b) = (texts(a), texts(b));
             let interner = Arc::new(GramInterner::new());
-            let ca = column("a", texts(a), &interner);
-            let cb = column("b", texts(b), &interner);
+            let ca = column("a", a.clone(), &interner);
+            let cb = column("b", b.clone(), &interner);
             let fast = ValueOverlapMatcher::new().score(&ca, &cb);
-            let slow = ValueOverlapMatcher::legacy().score(&ca, &cb);
-            prop_assert_eq!(fast.to_bits(), slow.to_bits(), "interned {} vs legacy {}", fast, slow);
+            let slow = StringOverlapMatcher.score(&ca, &cb);
+            prop_assert_eq!(
+                fast.to_bits(), slow.to_bits(), "interned {} vs reference {}", fast, slow
+            );
+            // Either side in a private id space: scored in the target's.
+            let private = Arc::new(GramInterner::new());
+            let foreign_a = column("a", a, &private);
+            let foreign_b = column("b", b, &private);
+            let overlap = ValueOverlapMatcher::new();
+            prop_assert_eq!(overlap.score(&foreign_a, &cb).to_bits(), fast.to_bits());
+            prop_assert_eq!(overlap.score(&ca, &foreign_b).to_bits(), fast.to_bits());
         }
 
         /// Interner ids round-trip (`resolve(intern(s)) == s`), are stable
