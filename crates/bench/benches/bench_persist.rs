@@ -1,53 +1,30 @@
 //! Warm-state persistence benchmarks: the `persist_io` group measures
-//! snapshot save and load+restore on a midsize catalog, and the
-//! `pr9_report` "benchmark" compares a cold service start (register +
-//! first submit, with its profile-build count) against a snapshot-restored
-//! start across catalog sizes, writing the machine-readable summary
-//! `BENCH_PR9.json` at the repository root. Runs in `--test` smoke mode
-//! too, so CI always produces the artifact.
-
-use std::path::PathBuf;
-use std::time::Instant;
+//! snapshot save and load+restore on a midsize catalog, and compares a cold
+//! service start (construct + register + first submit) against a
+//! snapshot-restored start (load + validate + first submit).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
-use cxm_datagen::{generate_retail, RetailConfig, RetailDataset};
+use cxm_datagen::{generate_retail, RetailConfig};
 use cxm_service::{MatchService, ServiceConfig};
 
-fn bench_config() -> ContextMatchConfig {
-    ContextMatchConfig::default().with_inference(ViewInferenceStrategy::Naive).with_tau(0.4)
-}
-
 fn bench_service_config() -> ServiceConfig {
-    ServiceConfig { context: bench_config(), ..ServiceConfig::default() }
-}
-
-fn dataset(target_rows: usize) -> RetailDataset {
-    generate_retail(&RetailConfig { source_items: 100, target_rows, ..RetailConfig::default() })
-}
-
-fn snapshot_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cxm-bench-pr9-{}-{name}.snap", std::process::id()))
-}
-
-/// A warmed service over `ds` (registered + one submission).
-fn warmed(ds: &RetailDataset) -> MatchService {
-    let service = MatchService::with_config(bench_service_config());
-    service.register_target(&ds.target);
-    service.submit(&ds.source).expect("warm-up");
-    service
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    samples[samples.len() / 2]
+    let context =
+        ContextMatchConfig::default().with_inference(ViewInferenceStrategy::Naive).with_tau(0.4);
+    ServiceConfig { context, ..ServiceConfig::default() }
 }
 
 fn bench_persist_io(c: &mut Criterion) {
-    let ds = dataset(300);
-    let service = warmed(&ds);
-    let path = snapshot_path("io");
+    let ds = generate_retail(&RetailConfig {
+        source_items: 100,
+        target_rows: 300,
+        ..RetailConfig::default()
+    });
+    let service = MatchService::with_config(bench_service_config());
+    service.register_target(&ds.target);
+    service.submit(&ds.source).expect("warm-up");
+    let path = std::env::temp_dir().join(format!("cxm-bench-{}-io.snap", std::process::id()));
     let mut group = c.benchmark_group("persist_io");
 
     group.bench_function("snapshot_save", |b| {
@@ -62,100 +39,27 @@ fn bench_persist_io(c: &mut Criterion) {
             restored
         })
     });
+
+    group.bench_function("cold_start_first_submit", |b| {
+        b.iter(|| {
+            let service = MatchService::with_config(bench_service_config());
+            service.register_target(&ds.target);
+            service.submit(&ds.source).expect("cold submit")
+        })
+    });
+    group.bench_function("restored_start_first_submit", |b| {
+        b.iter(|| {
+            let restored =
+                MatchService::with_warm_state(bench_service_config(), &path).expect("load");
+            let summary = restored.restore_summary();
+            assert_eq!(summary.degraded_sections, 0, "{summary}");
+            assert_eq!(summary.rebuilt_columns, 0, "{summary}");
+            restored.submit(&ds.source).expect("restored submit")
+        })
+    });
     group.finish();
     let _ = std::fs::remove_file(&path);
 }
 
-/// Cold vs snapshot-restored start across catalog sizes, with profile-build
-/// counts proving the restored path rebuilds nothing.
-fn bench_pr9_report(c: &mut Criterion) {
-    if !c.filter_matches("pr9_report") {
-        return;
-    }
-    const REPS: usize = 3;
-
-    let mut scales = Vec::new();
-    for target_rows in [150usize, 600] {
-        let ds = dataset(target_rows);
-        let target_columns: usize = ds.target.tables().map(|t| t.column_fingerprints().len()).sum();
-
-        // Cold start: construct, register, first submit.
-        let mut cold_ms = Vec::new();
-        let mut cold_builds = 0usize;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let service = MatchService::with_config(bench_service_config());
-            service.register_target(&ds.target);
-            let outcome = service.submit(&ds.source).expect("cold submit");
-            cold_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            cold_builds = outcome.telemetry.qgram_profile_builds;
-        }
-
-        // Snapshot write cost from a warmed service.
-        let warm = warmed(&ds);
-        let path = snapshot_path(&format!("rows{target_rows}"));
-        let mut write_ms = Vec::new();
-        for _ in 0..REPS {
-            let start = Instant::now();
-            warm.save_warm_state(&path).expect("save");
-            write_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        let snapshot_bytes = std::fs::metadata(&path).expect("snapshot written").len();
-
-        // Restored start: load + validate + first submit.
-        let mut restore_ms = Vec::new();
-        let mut restored_builds = 0usize;
-        let mut restored_columns = 0usize;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let restored =
-                MatchService::with_warm_state(bench_service_config(), &path).expect("load");
-            let outcome = restored.submit(&ds.source).expect("restored submit");
-            restore_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            restored_builds = outcome.telemetry.qgram_profile_builds;
-            let summary = restored.restore_summary();
-            assert_eq!(summary.degraded_sections, 0, "{summary}");
-            assert_eq!(summary.rebuilt_columns, 0, "{summary}");
-            restored_columns = summary.restored_columns;
-        }
-        let _ = std::fs::remove_file(&path);
-
-        assert!(
-            restored_builds < cold_builds,
-            "restore must skip target profiling: {restored_builds} vs {cold_builds}"
-        );
-
-        scales.push(format!(
-            "    {{\n      \"target_rows\": {target_rows},\n      \
-             \"target_columns\": {target_columns},\n      \
-             \"snapshot_bytes\": {snapshot_bytes},\n      \
-             \"snapshot_write_ms\": {:.3},\n      \
-             \"cold_start_ms\": {:.3},\n      \
-             \"restored_start_ms\": {:.3},\n      \
-             \"restored_over_cold\": {:.3},\n      \
-             \"cold_first_submit_profile_builds\": {cold_builds},\n      \
-             \"restored_first_submit_profile_builds\": {restored_builds},\n      \
-             \"restored_columns\": {restored_columns}\n    }}",
-            median(write_ms),
-            median(cold_ms.clone()),
-            median(restore_ms.clone()),
-            median(restore_ms) / median(cold_ms),
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"pr\": 9,\n  \"description\": \"Crash-safe warm-state persistence on the \
-         retail scenario (100-item source, Naive inference): cold start (construct + register \
-         + first submit) vs snapshot-restored start (load + validate + first submit), with \
-         first-submit q-gram profile-build counts showing the restored path re-profiles no \
-         target column, plus snapshot write cost and file size vs catalog scale (median of \
-         {REPS})\",\n  \"scales\": [\n{}\n  ]\n}}\n",
-        scales.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-    std::fs::write(path, &json).expect("BENCH_PR9.json is writable");
-    println!("pr9_report: wrote {path}");
-}
-
-criterion_group!(benches, bench_persist_io, bench_pr9_report);
+criterion_group!(benches, bench_persist_io);
 criterion_main!(benches);

@@ -1,17 +1,10 @@
 //! Serving-layer benchmarks: the `server_throughput` group compares a warm
 //! `submit` over the loopback wire protocol against the same submission on
 //! an in-process `MatchService` (the wire tax: JSON encode/decode, framing,
-//! one TCP round trip), and the `pr8_report` "benchmark" re-measures the
-//! serving comparisons with plain wall clocks and writes the
-//! machine-readable summary `BENCH_PR8.json` at the repository root:
-//! single-client vs multi-client warm throughput (with the machine's core
-//! count, since concurrency can only pay on ≥ 2 cores), warm wire latency
-//! percentiles against the in-process warm-repeat reference, and a cold
-//! wire submission. Runs in `--test` smoke mode too, so CI always produces
-//! the artifact, and honors the CLI substring filter like any other
-//! benchmark.
-
-use std::time::Instant;
+//! one TCP round trip), and the `connection_scaling` group measures a warm
+//! wire `submit` with zero and with 1 000 idle peer connections attached
+//! (the readiness-driven reactor's claim is that idle connections are free:
+//! descriptors and buffers, not threads or latency).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -58,6 +51,20 @@ fn assert_warm_hit(reply: &Json) {
     assert_eq!(reply.get("result_cache_hit"), Some(&Json::Bool(true)), "warm phase must hit");
 }
 
+/// Open `count` extra connections, each proving liveness with one `stats`
+/// round trip before going idle.
+fn idle_fleet(handle: &ServerHandle, count: usize) -> Vec<Client> {
+    (0..count)
+        .map(|i| {
+            let mut client =
+                Client::connect(handle.local_addr()).unwrap_or_else(|e| panic!("connect {i}: {e}"));
+            let reply = client.stats(None).unwrap_or_else(|e| panic!("stats {i}: {e}"));
+            assert!(is_ok(&reply), "idle connection {i}: {reply:?}");
+            client
+        })
+        .collect()
+}
+
 fn bench_server_throughput(c: &mut Criterion) {
     let dataset = bench_dataset();
     let mut group = c.benchmark_group("server_throughput");
@@ -89,157 +96,25 @@ fn bench_server_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let index = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[index]
-}
-
-/// Measure the PR 8 serving comparisons with plain wall clocks and write the
-/// machine-readable summary `BENCH_PR8.json` at the repository root.
-fn bench_pr8_report(c: &mut Criterion) {
-    if !c.filter_matches("pr8_report") {
-        return;
-    }
-    const WARM_SAMPLES: usize = 300;
-    const CLIENTS: usize = 4;
-    const PER_CLIENT: usize = 100;
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let workers = cores.clamp(2, 8);
+fn bench_connection_scaling(c: &mut Criterion) {
     let dataset = bench_dataset();
-
-    // In-process warm-repeat reference: result memoization OFF, so this is
-    // a real warm re-match from warm artifacts — the `warm_repeat_ms` rung
-    // of the PR 5 reuse ladder, and the honest yardstick for the wire path
-    // (which serves warm repeats from the result cache *plus* the wire tax).
-    let warm_repeat_service = MatchService::with_config(ServiceConfig {
-        context: bench_config(),
-        match_result_entries: 0,
-        ..ServiceConfig::default()
-    });
-    warm_repeat_service.register_target(&dataset.target);
-    warm_repeat_service.submit(&dataset.source).expect("warm-up");
-    let mut in_process: Vec<f64> = (0..WARM_SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            let response = warm_repeat_service.submit(&dataset.source).expect("submit");
-            assert!(!response.telemetry.result_cache_hit);
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    in_process.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let in_process_p50 = percentile(&in_process, 0.5);
-
-    // The in-process result-cache hit (default config), for the ladder's
-    // bottom rung next to the wire numbers.
-    let hit_service = MatchService::with_config(ServiceConfig {
-        context: bench_config(),
-        ..ServiceConfig::default()
-    });
-    hit_service.register_target(&dataset.target);
-    hit_service.submit(&dataset.source).expect("warm-up");
-    let mut hits: Vec<f64> = (0..WARM_SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            let response = hit_service.submit(&dataset.source).expect("submit");
-            assert!(response.telemetry.result_cache_hit);
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    hits.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let hit_p50 = percentile(&hits, 0.5);
-
-    let (handle, mut client) = warm_server(workers);
-
-    // Warm wire latency distribution, single client.
-    let mut wire: Vec<f64> = (0..WARM_SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            let reply = client.submit("bench", &dataset.source, None).expect("submit");
-            assert_warm_hit(&reply);
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    let single_elapsed: f64 = wire.iter().sum();
-    wire.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let (wire_p50, wire_p99) = (percentile(&wire, 0.5), percentile(&wire, 0.99));
-    let single_rps = WARM_SAMPLES as f64 / single_elapsed;
-
-    // Multi-client warm throughput: CLIENTS connections submitting
-    // concurrently. Only ≥ 2 cores can turn concurrency into throughput;
-    // the report records the machine's core count next to the ratio.
-    let addr = handle.local_addr();
-    let start = Instant::now();
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            let source = dataset.source.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for _ in 0..PER_CLIENT {
-                    let reply = client.submit("bench", &source, None).expect("submit");
-                    assert_warm_hit(&reply);
-                }
+    let mut group = c.benchmark_group("connection_scaling");
+    for idle in [0usize, 1_000] {
+        let (handle, mut client) = warm_server(2);
+        let fleet = idle_fleet(&handle, idle);
+        group.bench_function(format!("wire_warm_submit_{idle}_idle_conns"), |b| {
+            b.iter(|| {
+                let reply = client.submit("bench", &dataset.source, None).expect("submit");
+                assert_warm_hit(&reply);
+                reply
             })
-        })
-        .collect();
-    for thread in threads {
-        thread.join().expect("client thread");
+        });
+        drop(fleet);
+        client.shutdown().expect("shutdown");
+        handle.join();
     }
-    let multi_rps = (CLIENTS * PER_CLIENT) as f64 / start.elapsed().as_secs_f64();
-
-    // A cold wire submission (fresh source each time: full pipeline).
-    let mut cold: Vec<f64> = (0..5)
-        .map(|round| {
-            let source = generate_retail(&RetailConfig {
-                seed: 500 + round,
-                source_items: 100,
-                target_rows: 600,
-                ..RetailConfig::default()
-            })
-            .source;
-            let start = Instant::now();
-            let reply = client.submit("bench", &source, None).expect("submit");
-            assert!(is_ok(&reply), "{reply:?}");
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    cold.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let cold_median = cold[cold.len() / 2];
-
-    let stats = handle.stats();
-    assert_eq!(stats.admission_rejects, 0, "the bench load must not saturate admission: {stats}");
-    client.shutdown().expect("shutdown");
-    handle.join();
-
-    let json = format!(
-        "{{\n  \"pr\": 8,\n  \"description\": \"Multi-tenant serving layer on the retail \
-         scenario (100x600 rows, Naive inference): warm wire submissions (result-cache hits \
-         through framed JSON-over-TCP on loopback) vs the in-process warm-repeat reference, \
-         single-client vs {CLIENTS}-client warm throughput, and a cold wire submission \
-         ({WARM_SAMPLES} warm samples)\",\n  \
-         \"cores\": {cores},\n  \"workers\": {workers},\n  \"serving\": {{\n    \
-         \"single_client_warm_rps\": {:.1},\n    \
-         \"multi_client_warm_rps\": {:.1},\n    \
-         \"multi_client_speedup\": {:.3},\n    \
-         \"wire_warm_p50_ms\": {:.4},\n    \
-         \"wire_warm_p99_ms\": {:.4},\n    \
-         \"in_process_warm_repeat_p50_ms\": {:.4},\n    \
-         \"in_process_result_cache_hit_p50_ms\": {:.4},\n    \
-         \"wire_over_warm_repeat_p50\": {:.3},\n    \
-         \"wire_cold_submit_ms\": {:.3}\n  }}\n}}\n",
-        single_rps,
-        multi_rps,
-        multi_rps / single_rps,
-        wire_p50 * 1e3,
-        wire_p99 * 1e3,
-        in_process_p50 * 1e3,
-        hit_p50 * 1e3,
-        wire_p50 / in_process_p50,
-        cold_median * 1e3,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(path, &json).expect("BENCH_PR8.json is writable");
-    println!("pr8_report: wrote {path}");
+    group.finish();
 }
 
-criterion_group!(benches, bench_server_throughput, bench_pr8_report);
+criterion_group!(benches, bench_server_throughput, bench_connection_scaling);
 criterion_main!(benches);

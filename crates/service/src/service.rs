@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use crate::lock::MutexExt;
 
 use cxm_core::{
-    ContextMatchConfig, ContextMatchResult, ContextualMatcher, MatchResultKey,
+    BoundedCache, ContextMatchConfig, ContextMatchResult, ContextualMatcher, MatchResultKey,
     PreparedSourceColumns, PreparedTargets, SharedSelections,
 };
 use cxm_matching::column::telemetry as profile_telemetry;
@@ -325,7 +325,9 @@ pub struct MatchResponse {
 pub struct MatchService {
     matcher: ContextualMatcher,
     catalog: TargetCatalog,
-    sources: Mutex<SourceCache>,
+    /// Oldest-first bounded cache of prepared source-column batches, keyed
+    /// by the source's combined content fingerprint.
+    sources: Mutex<BoundedCache<u64, Arc<PreparedSourceColumns<'static>>>>,
     /// [`ContextMatchConfig::signature`] of the configuration every request
     /// runs with — the configuration third of each result-cache key,
     /// computed once at construction.
@@ -373,7 +375,7 @@ impl MatchService {
                 config.match_result_entries,
                 interner,
             ),
-            sources: Mutex::new(SourceCache::new(config.source_cache_capacity)),
+            sources: Mutex::new(BoundedCache::with_capacity(config.source_cache_capacity)),
             config_signature: config.context.signature(),
             restore: crate::persist::RestoreSummary::default(),
         }
@@ -621,7 +623,7 @@ impl MatchService {
         key: u64,
         interner: &Arc<GramInterner>,
     ) -> (Arc<PreparedSourceColumns<'static>>, bool) {
-        if let Some(columns) = self.sources.lock_or_recover().get(key) {
+        if let Some(columns) = self.sources.lock_or_recover().get(&key).cloned() {
             return (columns, true);
         }
         // Build outside the lock: extraction clones every source value, and
@@ -630,7 +632,7 @@ impl MatchService {
         // but the first inserted Arc stays canonical.
         let columns = Arc::new(build_source_columns(source, interner));
         let mut cache = self.sources.lock_or_recover();
-        if let Some(existing) = cache.get(key) {
+        if let Some(existing) = cache.get(&key).cloned() {
             return (existing, true);
         }
         cache.insert(key, Arc::clone(&columns));
@@ -673,41 +675,6 @@ fn combined_fingerprint(tables: &std::collections::BTreeMap<String, u64>) -> u64
         h.write_u64(*fingerprint);
     }
     h.finish()
-}
-
-/// Oldest-first bounded cache of prepared source-column batches (a thin
-/// wrapper over [`cxm_core::BoundedCache`]).
-#[derive(Debug)]
-struct SourceCache {
-    entries: cxm_core::BoundedCache<u64, Arc<PreparedSourceColumns<'static>>>,
-}
-
-impl SourceCache {
-    fn new(capacity: usize) -> Self {
-        SourceCache { entries: cxm_core::BoundedCache::with_capacity(capacity) }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<PreparedSourceColumns<'static>>> {
-        self.entries.get(&key).map(Arc::clone)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    /// Warm batches pushed out by the capacity bound so far (surfaced per
-    /// request as [`RequestTelemetry::source_cache_evictions`]).
-    fn evictions(&self) -> usize {
-        self.entries.evictions()
-    }
-
-    fn insert(&mut self, key: u64, columns: Arc<PreparedSourceColumns<'static>>) {
-        self.entries.insert(key, columns);
-    }
 }
 
 #[cfg(test)]

@@ -106,7 +106,8 @@ fn retail_byte_identical_equivalence() {
 ///   whole-match result-cache hit — zero classifier work units, zero
 ///   builds, byte-identical outcome;
 /// * after replacing **one column** of a 2-column target table: exactly 1
-///   build (zero for the sibling column), then a result-cache hit again;
+///   build (zero for the sibling column) and exactly that column's postings
+///   re-posted in the next index, then a result-cache hit again;
 /// * after replacing the whole table: exactly 2 builds.
 fn exact_profile_accounting() {
     fn text_table(name: &str, attrs: [&str; 2], rows: Vec<[&str; 2]>) -> Table {
@@ -191,9 +192,19 @@ fn exact_profile_accounting() {
         (3, 1),
         "book's 2 columns + music.title carried forward; only music.press rebuilt"
     );
+    assert_eq!(
+        (update.postings_reused, update.postings_rebuilt),
+        (3, 1),
+        "a one-column edit re-posts exactly that column's postings"
+    );
 
     let after_column = service.submit(&source).unwrap();
     assert!(!after_column.telemetry.result_cache_hit, "new catalog version re-keys");
+    assert!(after_column.telemetry.index_built, "a new snapshot re-derives the index");
+    assert!(
+        after_column.telemetry.index_postings_reused > 0,
+        "the unchanged columns' posting lists are carried into the new index"
+    );
     assert_eq!(
         after_column.telemetry.qgram_profile_builds, 1,
         "exactly the replaced column is re-profiled, zero for siblings"
