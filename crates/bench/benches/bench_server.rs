@@ -4,15 +4,25 @@
 //! one TCP round trip), and the `connection_scaling` group measures a warm
 //! wire `submit` with zero and with 1 000 idle peer connections attached
 //! (the readiness-driven reactor's claim is that idle connections are free:
-//! descriptors and buffers, not threads or latency).
+//! descriptors and buffers, not threads or latency). The `wire_codec` group
+//! times the JSON codec alone on the two frames the benchmark's workloads
+//! spend their codec time in — a warm retail `submit` reply and a wide
+//! `register` — parsing their bytes and writing their prebuilt value trees,
+//! each beside a `*_reference` twin running the character-at-a-time codec
+//! of `cxm_tests::reference`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
-use cxm_datagen::{generate_retail, RetailConfig};
+use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_server::client::is_ok;
-use cxm_server::{serve, Client, Json, ServerConfig, ServerHandle, TenantPolicy, TenantQuotas};
+use cxm_server::json::parse;
+use cxm_server::protocol::{encode_database, ok_frame};
+use cxm_server::{
+    encode_result, serve, Client, Json, ServerConfig, ServerHandle, TenantPolicy, TenantQuotas,
+};
 use cxm_service::{MatchService, ServiceConfig};
+use cxm_tests::reference::{json_parse, json_to_bytes};
 
 fn bench_config() -> ContextMatchConfig {
     ContextMatchConfig::default().with_inference(ViewInferenceStrategy::Naive).with_tau(0.4)
@@ -116,5 +126,58 @@ fn bench_connection_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_server_throughput, bench_connection_scaling);
+/// The `wire_codec` frames at the benchmark's sizes: the retail reply
+/// (100 source items, 600 target rows) and the register of a 60 × 8 × 40
+/// wide catalog in 15 value families.
+fn codec_frames() -> [(&'static str, Json); 2] {
+    let dataset = bench_dataset();
+    let service = MatchService::with_config(ServiceConfig {
+        context: bench_config(),
+        ..ServiceConfig::default()
+    });
+    service.register_target(&dataset.target);
+    let response = service.submit(&dataset.source).expect("submit");
+    let reply = ok_frame(
+        "submit",
+        vec![
+            ("tenant".into(), Json::str("bench")),
+            ("catalog_version".into(), Json::Int(response.telemetry.catalog_version as i64)),
+            ("result_cache_hit".into(), Json::Bool(true)),
+            ("result".into(), encode_result(&response.result, &TenantPolicy::default())),
+        ],
+    );
+    let wide = generate_wide_catalog(&WideCatalogConfig {
+        tables: 60,
+        columns_per_table: 8,
+        rows_per_table: 40,
+        families: 15,
+        ..WideCatalogConfig::default()
+    });
+    let tables = encode_database(&wide.target).get("tables").cloned().expect("encoded tables");
+    let register = Json::Object(vec![
+        ("op".into(), Json::str("register")),
+        ("tenant".into(), Json::str("bench")),
+        ("tables".into(), tables),
+    ]);
+    [("retail_reply", reply), ("wide_register", register)]
+}
+
+fn bench_wire_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_codec");
+    for (name, frame) in codec_frames() {
+        let bytes = frame.to_bytes();
+        assert_eq!(bytes, json_to_bytes(&frame), "{name}: writer bytes differ from the reference");
+        let parsed = parse(&bytes).expect("an encoded frame parses");
+        assert_eq!(Some(&parsed), json_parse(&bytes).ok().as_ref(), "{name}: parse differs");
+        group.bench_function(format!("parse_{name}"), |b| b.iter(|| parse(&bytes)));
+        group.bench_function(format!("parse_{name}_reference"), |b| b.iter(|| json_parse(&bytes)));
+        group.bench_function(format!("encode_{name}"), |b| b.iter(|| frame.to_bytes()));
+        group.bench_function(format!("encode_{name}_reference"), |b| {
+            b.iter(|| json_to_bytes(&frame))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_server_throughput, bench_connection_scaling, bench_wire_codec);
 criterion_main!(benches);

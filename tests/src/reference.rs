@@ -15,7 +15,11 @@
 //! * [`StringQGramMatcher`] / [`StringOverlapMatcher`] — the q-gram cosine
 //!   and value-overlap Jaccard over string-keyed `BTreeMap` profiles and
 //!   `BTreeSet` value sets, rebuilt on every call; [`string_kernel_matcher`]
-//!   scores through them in place of the interned kernels.
+//!   scores through them in place of the interned kernels;
+//! * [`json_parse`] / [`json_to_bytes`] — the wire codec one character at a
+//!   time: the parser validates and appends each character on its own step
+//!   and checks each object key against every earlier one, and the writer
+//!   pushes each character and renders each number through `to_string()`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +35,9 @@ use cxm_matching::{
     StandardMatcher,
 };
 use cxm_relational::{Database, Result, Table, ViewDef};
+
+mod json;
+pub use json::{json_parse, json_to_bytes};
 
 /// `ContextMatch(source, target)` as the serial per-table loop: for each
 /// source table in order, extract a fresh target column batch, run lines
