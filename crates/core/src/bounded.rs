@@ -3,9 +3,8 @@
 //! [`crate::RestrictedProfileCache`], [`crate::MatchResultCache`] and the
 //! service's source column-batch cache all need the same shape: a
 //! capacity-bounded map evicting oldest-inserted first, with `0` meaning
-//! "disabled", hit/miss/eviction counters for telemetry, and cheap clones
-//! so a catalog can carry the cache across snapshots. This is that shape,
-//! once.
+//! "disabled", and hit/miss/eviction counters for telemetry. This is that
+//! shape, once.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;

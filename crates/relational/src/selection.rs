@@ -41,9 +41,7 @@
 //!    [`Table::fingerprint`] of the instance its atoms were scanned from
 //!    (memoized on the instance, so the check is one comparison), and an
 //!    instance with different content clears the bucket before selecting. A
-//!    bucket can therefore never serve another instance's row indices, and
-//!    its fingerprint is trustworthy provenance for
-//!    [`SelectionCache::revalidate_columns`]'s column-scoped retention.
+//!    bucket can therefore never serve another instance's row indices.
 //!    [`SelectionCache::validate_fingerprint`] remains as an explicit
 //!    claim/invalidate hook for callers that reconcile buckets without
 //!    selecting.
@@ -669,11 +667,8 @@ impl<'a> ColumnSlice<'a> {
 /// base table once per distinct `(table, atom)` pair and serves every other
 /// evaluation by merging cached selection vectors.
 ///
-/// Cloning a cache is cheap: the selection vectors themselves are shared
-/// behind `Arc`s, so a long-lived service can carry a warm cache across
-/// catalog snapshots and invalidate single tables via
-/// [`SelectionCache::invalidate_table`] /
-/// [`SelectionCache::validate_fingerprint`].
+/// Cloning a cache is cheap: the clone shares the selection vectors behind
+/// `Arc`s, and its later selects and validations never touch the original.
 #[derive(Debug, Default, Clone)]
 pub struct SelectionCache {
     /// Per-table buckets; ordered so telemetry walks (`cached_atoms`,
@@ -691,19 +686,13 @@ pub struct SelectionCache {
     misses: usize,
 }
 
-/// Per-table cache bucket. The content fingerprint is the guard **and** the
-/// provenance record: every [`SelectionCache::atom`] lookup compares the
-/// instance's memoized [`Table::fingerprint`] against it and clears the
-/// bucket on mismatch, so cached selections are only ever served for the
-/// exact content they were scanned from, and
-/// [`SelectionCache::revalidate_columns`] can trust the stamp when retaining
-/// atoms across a partial content change.
+/// Per-table cache bucket. The content fingerprint is the guard: every
+/// [`SelectionCache::atom`] lookup compares the instance's memoized
+/// [`Table::fingerprint`] against it and clears the bucket on mismatch, so
+/// cached selections are only ever served for the exact content they were
+/// scanned from.
 #[derive(Debug, Default, Clone)]
 struct TableAtoms {
-    /// Row count of the instance the cached atoms were scanned from. `None`
-    /// right after a fingerprint (re)validation: the next [`SelectionCache::atom`]
-    /// call records the instance's count.
-    base_rows: Option<usize>,
     /// [`Table::fingerprint`] of the instance the atoms were scanned from
     /// (or that a caller pre-claimed via
     /// [`SelectionCache::validate_fingerprint`]).
@@ -721,18 +710,6 @@ impl SelectionCache {
     /// bucket evicted first; the bucket being inserted is never the victim).
     pub fn with_table_capacity(capacity: usize) -> Self {
         SelectionCache { capacity: Some(capacity.max(1)), ..SelectionCache::default() }
-    }
-
-    /// Change the table-bucket capacity (`None` = unbounded). Shrinking
-    /// evicts oldest buckets immediately.
-    pub fn set_table_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity.map(|c| c.max(1));
-        self.evict_over_capacity(None);
-    }
-
-    /// The current table-bucket capacity.
-    pub fn table_capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of atom scans avoided so far.
@@ -772,82 +749,8 @@ impl SelectionCache {
             return true;
         }
         bucket.by_atom.clear();
-        bucket.base_rows = None;
         bucket.fingerprint = Some(fingerprint);
         false
-    }
-
-    /// Reconcile the bucket of `table` with a **partially changed** instance
-    /// whose previous content fingerprinted as `old_fingerprint` and whose
-    /// new content fingerprints as `new_fingerprint`: drop only the cached
-    /// atoms whose condition reads one of the `changed` columns, keep every
-    /// other selection warm, and record the new fingerprint and row count.
-    /// Returns the number of atoms dropped.
-    ///
-    /// Soundness: an atom's selection depends only on the value bag of the
-    /// columns its condition reads (in row order) and on the base row count.
-    /// A column whose [`Table::column_fingerprint`] is unchanged has an
-    /// identical bag — per-column fingerprints cover the row count — so
-    /// every surviving selection is exactly what a fresh scan of the new
-    /// instance would produce. Two guards protect that argument:
-    ///
-    /// * **Provenance.** Atoms are retained only when the bucket's recorded
-    ///   fingerprint is exactly `old_fingerprint` — i.e. its selections are
-    ///   known to have been scanned from the *previous* instance of this
-    ///   table (every select stamps the bucket with the scanned instance's
-    ///   fingerprint; see the module invariants). A bucket carrying some
-    ///   other fingerprint (or none) may hold atoms from an unrelated
-    ///   same-named table (e.g. a request source sharing the cache); those
-    ///   are cleared wholesale, never stamped valid for content they were
-    ///   not derived from.
-    /// * **Row count.** When the row count changed, every column
-    ///   fingerprint changed with it — but the constant atom
-    ///   (`Condition::True`) reads no column at all, so a row-count change
-    ///   clears the bucket wholesale too.
-    ///
-    /// This is the column-granular refinement of
-    /// [`SelectionCache::invalidate_table`]: a catalog replacing one column
-    /// of a wide table keeps its siblings' selections instead of rescanning
-    /// them on the next request.
-    pub fn revalidate_columns(
-        &mut self,
-        table: &str,
-        old_fingerprint: u64,
-        new_fingerprint: u64,
-        rows: usize,
-        changed: &std::collections::BTreeSet<String>,
-    ) -> usize {
-        let Some(bucket) = self.tables.get_mut(table) else { return 0 };
-        if bucket.fingerprint == Some(new_fingerprint) {
-            return 0;
-        }
-        let before = bucket.by_atom.len();
-        match bucket.base_rows {
-            Some(r) if r == rows && bucket.fingerprint == Some(old_fingerprint) => {
-                bucket.by_atom.retain(|atom, _| atom.attributes().is_disjoint(changed));
-            }
-            _ => bucket.by_atom.clear(),
-        }
-        if bucket.by_atom.is_empty() {
-            // Nothing survived: drop the bucket outright (same observable
-            // state as `invalidate_table`) instead of keeping an empty one.
-            self.invalidate_table(table);
-            return before;
-        }
-        bucket.base_rows = Some(rows);
-        bucket.fingerprint = Some(new_fingerprint);
-        before - bucket.by_atom.len()
-    }
-
-    /// Drop the cached selections of one table (e.g. when a catalog replaces
-    /// that table). Returns whether a bucket existed.
-    pub fn invalidate_table(&mut self, table: &str) -> bool {
-        if self.tables.remove(table).is_some() {
-            self.order.retain(|name| name != table);
-            true
-        } else {
-            false
-        }
     }
 
     /// The bucket of `table`, created (and capacity-evicting the oldest
@@ -856,16 +759,16 @@ impl SelectionCache {
         if !self.tables.contains_key(table) {
             self.tables.insert(table.to_string(), TableAtoms::default());
             self.order.push_back(table.to_string());
-            self.evict_over_capacity(Some(table));
+            self.evict_over_capacity(table);
         }
         self.tables.get_mut(table).expect("bucket just ensured")
     }
 
     /// Evict oldest buckets until within capacity, never evicting `keep`.
-    fn evict_over_capacity(&mut self, keep: Option<&str>) {
+    fn evict_over_capacity(&mut self, keep: &str) {
         let Some(capacity) = self.capacity else { return };
         while self.tables.len() > capacity {
-            let Some(pos) = self.order.iter().position(|name| Some(name.as_str()) != keep) else {
+            let Some(pos) = self.order.iter().position(|name| name != keep) else {
                 return;
             };
             let evicted = self.order.remove(pos).expect("position is in range");
@@ -881,11 +784,8 @@ impl SelectionCache {
     /// Every lookup is **content-validated**: the bucket records the
     /// [`Table::fingerprint`] of the instance its atoms were scanned from,
     /// and an instance with any other content clears the bucket before
-    /// selecting. Two consequences: a same-named table of different content
-    /// (same-sized or not) can never be served another instance's row
-    /// indices, and every populated bucket carries trustworthy provenance —
-    /// which is what lets [`SelectionCache::revalidate_columns`] retain
-    /// selections across catalog updates at column granularity.
+    /// selecting, so a same-named table of different content (same-sized or
+    /// not) can never be served another instance's row indices.
     fn atom(&mut self, table: &Table, atom: &Condition) -> Arc<RowSelection> {
         let fingerprint = table.fingerprint();
         let cached = {
@@ -894,7 +794,6 @@ impl SelectionCache {
                 bucket.by_atom.clear();
                 bucket.fingerprint = Some(fingerprint);
             }
-            bucket.base_rows = Some(table.len());
             bucket.by_atom.get(atom).cloned()
         };
         if let Some(cached) = cached {
@@ -1243,124 +1142,8 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_columns_keeps_unaffected_atoms() {
-        use std::collections::BTreeSet;
-        let t1 = inv_table();
-        let mut cache = SelectionCache::new();
-        // No explicit validation: selecting stamps the bucket with t1's
-        // fingerprint automatically, which is the provenance revalidation
-        // trusts below.
-        let on_type = cache.select(&t1, &Condition::eq("type", 1));
-        let on_descr = cache.select(&t1, &Condition::eq("descr", "paperback"));
-        let all = cache.select(&t1, &Condition::True);
-        assert_eq!(cache.cached_atoms(), 3);
-
-        // A new same-sized instance whose only changed column is `descr`:
-        // the `type` and `True` atoms survive, the `descr` atom is dropped.
-        let rows: Vec<Tuple> = t1
-            .rows()
-            .iter()
-            .map(|r| Tuple::new(vec![r.at(0).clone(), r.at(1).clone(), Value::str("rebound")]))
-            .collect();
-        let t2 = Table::with_rows(t1.schema().clone(), rows).unwrap();
-        let changed: BTreeSet<String> = ["descr".to_string()].into();
-        let dropped =
-            cache.revalidate_columns("inv", t1.fingerprint(), t2.fingerprint(), t2.len(), &changed);
-        assert_eq!(dropped, 1, "only the descr atom may be dropped");
-        assert_eq!(cache.cached_atoms(), 2);
-
-        // Surviving atoms are served as hits against the new instance and
-        // are the very Arcs cached from the old one.
-        let before = cache.hits();
-        assert!(Arc::ptr_eq(&on_type, &cache.select(&t2, &Condition::eq("type", 1))));
-        assert!(Arc::ptr_eq(&all, &cache.select(&t2, &Condition::True)));
-        assert_eq!(cache.hits(), before + 2);
-        // The dropped atom is rescanned against the new content.
-        let rescanned = cache.select(&t2, &Condition::eq("descr", "paperback"));
-        assert!(!Arc::ptr_eq(&on_descr, &rescanned));
-        assert!(rescanned.is_empty(), "new content has no paperback rows");
-
-        // Revalidating the same fingerprint is a no-op.
-        assert_eq!(
-            cache.revalidate_columns("inv", t1.fingerprint(), t2.fingerprint(), t2.len(), &changed),
-            0
-        );
-        assert_eq!(cache.cached_atoms(), 3);
-
-        // A row-count change clears the whole bucket, `True` included.
-        let t3 = t2.head(t2.len() - 1);
-        let all_cols: BTreeSet<String> =
-            t3.schema().attribute_names().iter().map(|s| s.to_string()).collect();
-        cache.revalidate_columns("inv", t2.fingerprint(), t3.fingerprint(), t3.len(), &all_cols);
-        assert_eq!(cache.cached_atoms(), 0);
-        assert_eq!(cache.select(&t3, &Condition::True).len(), t3.len());
-    }
-
-    #[test]
-    fn revalidate_columns_refuses_foreign_provenance() {
-        use std::collections::BTreeSet;
-        // A bucket holding atoms from a same-named, same-sized table of
-        // DIFFERENT content (e.g. a request source sharing a target's name)
-        // must be cleared wholesale, never stamped valid for the target.
-        let source_like = inv_table();
-        let rows: Vec<Tuple> =
-            source_like.rows().iter().map(|r| r.project(&[0, 1, 2])).rev().collect();
-        let old_target = Table::with_rows(source_like.schema().clone(), rows).unwrap();
-        assert_eq!(source_like.len(), old_target.len());
-        assert_ne!(source_like.fingerprint(), old_target.fingerprint());
-
-        for validated in [false, true] {
-            let mut cache = SelectionCache::new();
-            if validated {
-                // Explicitly pre-claimed for the SOURCE content; the other
-                // arm relies on select's automatic stamping — both record
-                // the source's fingerprint, not the old target's.
-                cache.validate_fingerprint("inv", source_like.fingerprint());
-            }
-            let foreign = cache.select(&source_like, &Condition::eq("type", 1));
-            // The catalog revalidates from old-target to new-target; the
-            // changed set does not mention `type`, but the bucket's atoms
-            // are not the old target's, so nothing may survive.
-            let changed: BTreeSet<String> = ["descr".to_string()].into();
-            let new_target = old_target.head(old_target.len()); // same content, fresh instance
-            cache.revalidate_columns(
-                "inv",
-                old_target.fingerprint(),
-                new_target.fingerprint(),
-                new_target.len(),
-                &changed,
-            );
-            assert_eq!(cache.cached_atoms(), 0, "foreign atoms cleared (validated={validated})");
-            let rescanned = cache.select(&new_target, &Condition::eq("type", 1));
-            assert!(
-                !Arc::ptr_eq(&foreign, &rescanned),
-                "selection must be rescanned from the new target (validated={validated})"
-            );
-            assert_ne!(&*foreign.indices(), &*rescanned.indices());
-        }
-    }
-
-    #[test]
-    fn invalidate_table_drops_one_bucket() {
-        let t = inv_table();
-        let other = wide_table(80);
-        let mut cache = SelectionCache::new();
-        cache.select(&t, &Condition::eq("type", 1));
-        cache.select(&other, &Condition::eq("type", 0));
-        assert_eq!(cache.cached_tables(), vec!["inv".to_string(), "wide".to_string()]);
-        assert!(cache.invalidate_table("inv"));
-        assert!(!cache.invalidate_table("inv"));
-        assert_eq!(cache.cached_tables(), vec!["wide".to_string()]);
-        // The surviving bucket still serves hits.
-        let before = cache.hits();
-        cache.select(&other, &Condition::eq("type", 0));
-        assert_eq!(cache.hits(), before + 1);
-    }
-
-    #[test]
     fn table_capacity_evicts_oldest_buckets() {
         let mut cache = SelectionCache::with_table_capacity(2);
-        assert_eq!(cache.table_capacity(), Some(2));
         let tables: Vec<Table> = (0..3)
             .map(|i| {
                 Table::with_rows(
@@ -1384,12 +1167,12 @@ mod tests {
         cache.validate_fingerprint("t9", 42);
         assert_eq!(cache.cached_tables().len(), 2);
         assert!(cache.cached_tables().contains(&"t9".to_string()));
-        // Shrinking evicts immediately; capacity never goes below 1.
-        cache.set_table_capacity(Some(0));
-        assert_eq!(cache.table_capacity(), Some(1));
-        assert_eq!(cache.cached_tables().len(), 1);
-        cache.set_table_capacity(None);
-        assert_eq!(cache.table_capacity(), None);
+        // A zero bound still keeps the bucket being selected against.
+        let mut single = SelectionCache::with_table_capacity(0);
+        for (i, table) in tables.iter().enumerate() {
+            single.select(table, &Condition::eq("x", i as i64));
+        }
+        assert_eq!(single.cached_tables(), vec!["t2".to_string()]);
     }
 
     #[test]
@@ -1400,9 +1183,13 @@ mod tests {
         let mut copy = cache.clone();
         let b = copy.select(&t, &Condition::eq("type", 1));
         assert!(Arc::ptr_eq(&a, &b), "clone must share cached selections, not copy them");
-        // Invalidation in the clone does not affect the original.
-        copy.invalidate_table("inv");
+        // Claiming the clone's bucket for other content clears only the
+        // clone: the original still serves its cached Arc as a hit.
+        assert!(!copy.validate_fingerprint("inv", t.fingerprint() ^ 1));
+        assert_eq!(copy.cached_atoms(), 0);
+        let hits = cache.hits();
         let c = cache.select(&t, &Condition::eq("type", 1));
         assert!(Arc::ptr_eq(&a, &c));
+        assert_eq!(cache.hits(), hits + 1);
     }
 }

@@ -107,13 +107,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// True when buffered bytes form the *start* of a frame that has not
-    /// completed yet — the signal the idle-timeout sweep uses to tell a
-    /// byte-dribbling (slow-loris) peer from a quiescent keep-alive one.
-    pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.consumed
-    }
-
     /// Pop the next complete frame payload, if one is buffered. An
     /// over-`max_bytes` header is an [`io::ErrorKind::InvalidData`] error,
     /// and the connection owning this decoder must be closed: the stream
@@ -260,7 +253,6 @@ mod tests {
             }
         }
         assert_eq!(frames, vec![b"{\"op\":\"stats\"}".to_vec(), Vec::new(), b"second".to_vec()]);
-        assert!(!decoder.has_partial(), "everything consumed");
     }
 
     #[test]
@@ -277,10 +269,8 @@ mod tests {
         assert_eq!(decoder.next_frame().unwrap().unwrap(), b"first");
         assert_eq!(decoder.next_frame().unwrap().unwrap(), b"second");
         assert_eq!(decoder.next_frame().unwrap(), None, "third frame incomplete");
-        assert!(decoder.has_partial(), "a dribbled prefix counts as partial");
         decoder.extend(b"c");
         assert_eq!(decoder.next_frame().unwrap().unwrap(), b"abc");
-        assert!(!decoder.has_partial());
     }
 
     #[test]
@@ -300,7 +290,6 @@ mod tests {
             decoder.extend(&wire);
             assert_eq!(decoder.next_frame().unwrap().unwrap(), vec![7u8; 100]);
         }
-        assert!(!decoder.has_partial());
         assert!(decoder.buf.capacity() < 64 * 1024, "buffer stays small under reuse");
     }
 }

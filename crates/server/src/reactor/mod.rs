@@ -38,6 +38,8 @@ pub mod sys;
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -47,9 +49,6 @@ use cxm_service::MutexExt;
 use crate::frame::FrameDecoder;
 use crate::telemetry::{bump, monotonic_ms, ServerCounters};
 use sys::{Event, Interest, Poller};
-
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
 
 /// Poller token of the listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -154,41 +153,25 @@ impl ReactorShared {
 /// `WouldBlock` on write is success.
 #[derive(Debug)]
 struct Waker {
-    #[cfg(unix)]
-    tx: std::os::unix::net::UnixStream,
-    #[cfg(unix)]
-    rx: std::os::unix::net::UnixStream,
+    tx: UnixStream,
+    rx: UnixStream,
 }
 
 impl Waker {
     fn new() -> io::Result<Waker> {
-        #[cfg(unix)]
-        {
-            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok(Waker { tx, rx })
-        }
-        #[cfg(not(unix))]
-        {
-            // The fallback poller ticks on its own; no pipe needed.
-            Ok(Waker {})
-        }
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
     }
 
     fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let _ = (&self.tx).write(&[1]);
-        }
+        let _ = (&self.tx).write(&[1]);
     }
 
     fn drain(&self) {
-        #[cfg(unix)]
-        {
-            let mut buf = [0u8; 64];
-            while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
-        }
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -270,13 +253,8 @@ impl<H: Handler> Reactor<H> {
     ) -> io::Result<Reactor<H>> {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
-        #[cfg(unix)]
-        {
-            poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-            poller.add(shared.waker.rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
-        }
-        #[cfg(not(unix))]
-        poller.add(TOKEN_LISTENER, TOKEN_LISTENER, Interest::READ)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.add(shared.waker.rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
         Ok(Reactor {
             poller,
             listener,
@@ -379,11 +357,7 @@ impl<H: Handler> Reactor<H> {
             }
         };
         let id = ConnId { slot: slot as u32, generation: self.generation };
-        #[cfg(unix)]
-        let registered = self.poller.add(stream.as_raw_fd(), id.token(), Interest::READ);
-        #[cfg(not(unix))]
-        let registered = self.poller.add(id.token(), id.token(), Interest::READ);
-        if registered.is_err() {
+        if self.poller.add(stream.as_raw_fd(), id.token(), Interest::READ).is_err() {
             self.free.push(slot);
             return;
         }
@@ -555,12 +529,7 @@ impl<H: Handler> Reactor<H> {
             return;
         }
         conn.interest = wants;
-        #[cfg(unix)]
-        let fd = conn.stream.as_raw_fd();
-        #[cfg(not(unix))]
-        let fd = conn.id.token();
-        let token = conn.id.token();
-        let _ = self.poller.modify(fd, token, wants);
+        let _ = self.poller.modify(conn.stream.as_raw_fd(), conn.id.token(), wants);
     }
 
     /// Deliver worker completions: unpark the connection, stream the
@@ -606,10 +575,7 @@ impl<H: Handler> Reactor<H> {
 
     fn close_conn(&mut self, slot: usize, reason: CloseReason) {
         let Some(conn) = self.conns[slot].take() else { return };
-        #[cfg(unix)]
         let _ = self.poller.delete(conn.stream.as_raw_fd());
-        #[cfg(not(unix))]
-        let _ = self.poller.delete(conn.id.token());
         if reason == CloseReason::Idle {
             bump(&self.counters.idle_timeout_closes);
         }

@@ -14,13 +14,14 @@
 //! ThreadSanitizer CI job. Everything above this file — connection state
 //! machines, admission, dispatch — is ordinary safe Rust.
 //!
-//! On non-Linux targets the same [`Poller`] API degrades to a ticking
-//! poller with **no unsafe at all**: `wait` sleeps up to 10 ms and then
-//! reports every registered descriptor ready for its registered interest.
-//! That is a correct level-triggered superset — callers must already treat
-//! `WouldBlock` as "not actually ready" — just a busy one, which keeps the
-//! crate building everywhere while Linux gets the real readiness loop.
+//! epoll is the only poller: the server builds for Linux targets alone.
 #![allow(unsafe_code)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("cxm-server's connection reactor is built on epoll and supports Linux only");
+
+use std::io;
+use std::os::fd::RawFd;
 
 /// What a registration wants to be told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,218 +53,143 @@ pub struct Event {
     pub closed: bool,
 }
 
-/// Raw file descriptor alias, so the non-Linux fallback compiles without
-/// `std::os::fd`.
-#[cfg(unix)]
-pub type Fd = std::os::fd::RawFd;
-#[cfg(not(unix))]
-pub type Fd = u64;
+// Constants from <sys/epoll.h>; stable kernel ABI.
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLL_CLOEXEC: i32 = 0x8_0000;
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::{Event, Fd, Interest};
-    use std::io;
+/// `struct epoll_event`. The kernel ABI packs it on x86-64; other
+/// architectures use natural alignment.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // Constants from <sys/epoll.h>; stable kernel ABI.
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0x8_0000;
+// These symbols come from the libc std already links — declarations
+// only, no new dependency.
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn close(fd: i32) -> i32;
+}
 
-    /// `struct epoll_event`. The kernel ABI packs it on x86-64; other
-    /// architectures use natural alignment.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+fn interest_bits(interest: Interest) -> u32 {
+    let mut bits = 0;
+    if interest.read {
+        bits |= EPOLLIN;
+    }
+    if interest.write {
+        bits |= EPOLLOUT;
+    }
+    bits
+}
+
+/// The Linux poller: one epoll instance.
+#[derive(Debug)]
+pub struct Poller {
+    epfd: i32,
+}
+
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes a flag word and returns a new fd
+        // or -1; no pointers cross the boundary.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller { epfd })
     }
 
-    // These symbols come from the libc std already links — declarations
-    // only, no new dependency.
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
+    fn ctl(&self, op: i32, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
+        let mut event = event;
+        let ptr = match event.as_mut() {
+            Some(e) => e as *mut EpollEvent,
+            None => std::ptr::null_mut(),
+        };
+        // SAFETY: `ptr` is null (allowed for EPOLL_CTL_DEL since Linux
+        // 2.6.9) or points at a live stack-owned EpollEvent that the
+        // kernel only reads during the call.
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, ptr) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = 0;
-        if interest.read {
-            bits |= EPOLLIN;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
+    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(
+            EPOLL_CTL_ADD,
+            fd,
+            Some(EpollEvent { events: interest_bits(interest), data: token }),
+        )
     }
 
-    /// The Linux poller: one epoll instance.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: i32,
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(
+            EPOLL_CTL_MOD,
+            fd,
+            Some(EpollEvent { events: interest_bits(interest), data: token }),
+        )
     }
 
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: epoll_create1 takes a flag word and returns a new fd
-            // or -1; no pointers cross the boundary.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
-        }
+    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, None)
+    }
 
-        fn ctl(&self, op: i32, fd: Fd, event: Option<EpollEvent>) -> io::Result<()> {
-            let mut event = event;
-            let ptr = match event.as_mut() {
-                Some(e) => e as *mut EpollEvent,
-                None => std::ptr::null_mut(),
-            };
-            // SAFETY: `ptr` is null (allowed for EPOLL_CTL_DEL since Linux
-            // 2.6.9) or points at a live stack-owned EpollEvent that the
-            // kernel only reads during the call.
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, ptr) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: Fd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_ADD,
-                fd,
-                Some(EpollEvent { events: interest_bits(interest), data: token }),
-            )
-        }
-
-        pub fn modify(&self, fd: Fd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_MOD,
-                fd,
-                Some(EpollEvent { events: interest_bits(interest), data: token }),
-            )
-        }
-
-        pub fn delete(&self, fd: Fd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            let mut raw = [EpollEvent { events: 0, data: 0 }; 64];
-            loop {
-                // SAFETY: `raw` is a live, writable buffer of `raw.len()`
-                // events; the kernel fills at most that many.
-                let n = unsafe {
-                    epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as i32, timeout_ms)
-                };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    // A signal landing mid-wait is not an error; retry.
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(e);
+    pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        events.clear();
+        let mut raw = [EpollEvent { events: 0, data: 0 }; 64];
+        loop {
+            // SAFETY: `raw` is a live, writable buffer of `raw.len()`
+            // events; the kernel fills at most that many.
+            let n =
+                unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as i32, timeout_ms) };
+            if n < 0 {
+                let e = io::Error::last_os_error();
+                // A signal landing mid-wait is not an error; retry.
+                if e.kind() == io::ErrorKind::Interrupted {
+                    continue;
                 }
-                for ev in raw.iter().take(n as usize) {
-                    // Copy the fields out — references into a packed struct
-                    // are not allowed.
-                    let bits = ev.events;
-                    let token = ev.data;
-                    events.push(Event {
-                        token,
-                        readable: bits & EPOLLIN != 0,
-                        writable: bits & EPOLLOUT != 0,
-                        closed: bits & (EPOLLERR | EPOLLHUP) != 0,
-                    });
-                }
-                return Ok(());
+                return Err(e);
             }
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            // SAFETY: `epfd` is the epoll fd this struct owns; closing it
-            // once at drop cannot double-close.
-            unsafe {
-                close(self.epfd);
+            for ev in raw.iter().take(n as usize) {
+                // Copy the fields out — references into a packed struct
+                // are not allowed.
+                let bits = ev.events;
+                let token = ev.data;
+                events.push(Event {
+                    token,
+                    readable: bits & EPOLLIN != 0,
+                    writable: bits & EPOLLOUT != 0,
+                    closed: bits & (EPOLLERR | EPOLLHUP) != 0,
+                });
             }
+            return Ok(());
         }
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use super::{Event, Fd, Interest};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// Degraded fallback: a registry that reports everything ready on a
-    /// 10 ms tick. Level-triggered-correct (callers handle `WouldBlock`),
-    /// just busier than real readiness.
-    #[derive(Debug)]
-    pub struct Poller {
-        fds: Mutex<BTreeMap<Fd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller { fds: Mutex::new(BTreeMap::new()) })
-        }
-
-        fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<Fd, (u64, Interest)>> {
-            self.fds.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        pub fn add(&self, fd: Fd, token: u64, interest: Interest) -> io::Result<()> {
-            self.lock().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: Fd, token: u64, interest: Interest) -> io::Result<()> {
-            self.lock().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn delete(&self, fd: Fd) -> io::Result<()> {
-            self.lock().remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            let tick = if timeout_ms < 0 { 10 } else { timeout_ms.min(10) as u64 };
-            std::thread::sleep(Duration::from_millis(tick));
-            for (_, (token, interest)) in self.lock().iter() {
-                if interest.read || interest.write {
-                    events.push(Event {
-                        token: *token,
-                        readable: interest.read,
-                        writable: interest.write,
-                        closed: false,
-                    });
-                }
-            }
-            Ok(())
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: `epfd` is the epoll fd this struct owns; closing it
+        // once at drop cannot double-close.
+        unsafe {
+            close(self.epfd);
         }
     }
 }
 
-pub use imp::Poller;
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
@@ -283,12 +209,9 @@ mod tests {
         let (mut tx, mut rx) = pair();
         poller.add(rx.as_raw_fd(), 42, Interest::READ).expect("add");
 
-        // Nothing written yet: a zero-timeout wait reports nothing (on the
-        // fallback poller everything registered reports ready, so only
-        // assert emptiness on Linux, where readiness is real).
+        // Nothing written yet: a zero-timeout wait reports nothing.
         let mut events = Vec::new();
         poller.wait(&mut events, 0).expect("wait");
-        #[cfg(target_os = "linux")]
         assert!(events.is_empty(), "{events:?}");
 
         tx.write_all(b"ping").expect("write");
@@ -315,7 +238,6 @@ mod tests {
         assert!(events.iter().all(|e| e.token != 42), "deleted fds stay silent");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn hangup_is_reported_as_closed() {
         let poller = Poller::new().expect("poller");

@@ -309,4 +309,25 @@ mod tests {
         assert_eq!(registry.len(), 2);
         assert!(registry.get("missing").is_none());
     }
+
+    #[test]
+    fn a_zero_selection_quota_keeps_one_bucket() {
+        use cxm_relational::{tuple, Attribute, Condition, Table, TableSchema};
+        // A zero request clamps to zero, which must stay a bound: the
+        // ceiling is what keeps a tenant's warm memory in check.
+        let registry = TenantRegistry::new(ContextMatchConfig::default(), QuotaCeilings::default());
+        let quotas = TenantQuotas { selection_cache_tables: Some(0), ..TenantQuotas::default() };
+        let tenant = registry.register("t", TenantPolicy::default(), &quotas);
+        let snapshot = tenant.service.catalog().snapshot();
+        let mut cache = snapshot.selections().lock_or_recover();
+        for name in ["a", "b", "c"] {
+            let table = Table::with_rows(
+                TableSchema::new(name, vec![Attribute::int("x")]),
+                vec![tuple![1]],
+            )
+            .unwrap();
+            cache.select(&table, &Condition::eq("x", 1));
+        }
+        assert!(cache.cached_tables().len() <= 1, "{:?}", cache.cached_tables());
+    }
 }

@@ -2,13 +2,19 @@
 //!
 //! A snapshot owns everything a request needs from the target side — the
 //! database instance, the hoisted column batch (with `Arc`-shared values and
-//! memoized matcher profiles), the per-table content fingerprints, and a
-//! shared selection cache. Updates never mutate a snapshot: they build a new
-//! one (reusing every table whose fingerprint is unchanged) and swap it in
-//! behind an `Arc`, so concurrent in-flight requests keep the consistent view
-//! they started with.
+//! memoized matcher profiles), the per-table content fingerprints — plus a
+//! handle on the catalog's two source-side caches. Updates never mutate a
+//! snapshot: they build a new one (reusing every table whose fingerprint is
+//! unchanged) and swap it in behind an `Arc`, so concurrent in-flight
+//! requests keep the consistent view they started with.
+//!
+//! The selection cache and the restricted-profile cache hold artifacts of
+//! the *source* instances requests submit, keyed and validated by source
+//! content fingerprints, so no target update can make an entry stale. The
+//! catalog therefore creates one of each with its first snapshot, and every
+//! later snapshot shares that same pair.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -19,8 +25,9 @@ use cxm_matching::{ColumnData, GramIndex, GramInterner};
 use cxm_relational::{Database, Error, Result, SelectionCache, Table};
 
 /// An immutable view of the registered target tables plus the warm artifacts
-/// derived from them. Obtained from [`TargetCatalog::snapshot`]; requests
-/// hold the `Arc` for their whole run.
+/// derived from them, and a handle on the catalog's source-side caches.
+/// Obtained from [`TargetCatalog::snapshot`]; requests hold the `Arc` for
+/// their whole run.
 #[derive(Debug)]
 pub struct CatalogSnapshot {
     version: u64,
@@ -34,16 +41,16 @@ pub struct CatalogSnapshot {
     columns: Vec<ColumnData<'static>>,
     /// Each table's sub-range of `columns`.
     table_ranges: BTreeMap<String, Range<usize>>,
-    /// Shared selection cache, pre-warmed by carrying the previous
-    /// snapshot's cache forward (minus invalidated tables). Requests
-    /// fingerprint-validate their source tables against it before selecting.
-    selections: Mutex<SelectionCache>,
-    /// Cross-request cache of view-restricted column artifacts, carried
-    /// forward across snapshots. Keyed by source-**column** content
-    /// fingerprints and condition signatures ([`cxm_core::RestrictedKey`]),
-    /// so target updates never require invalidation and stale source entries
-    /// age out via the bound.
-    restricted_profiles: Mutex<RestrictedProfileCache>,
+    /// The catalog's selection cache over source tables, shared by every
+    /// snapshot of the catalog. Requests fingerprint-validate their source
+    /// tables against it before selecting.
+    selections: Arc<Mutex<SelectionCache>>,
+    /// The catalog's cache of view-restricted source column artifacts,
+    /// shared by every snapshot of the catalog. Keyed by source-**column**
+    /// content fingerprints and condition signatures
+    /// ([`cxm_core::RestrictedKey`]), so target updates never require
+    /// invalidation and stale source entries age out via the bound.
+    restricted_profiles: Arc<Mutex<RestrictedProfileCache>>,
     /// Whole-match result memoization for this snapshot. Keys embed the
     /// snapshot version ([`cxm_core::MatchResultKey`]), so no entry of a
     /// predecessor could ever hit here: each snapshot starts empty, keeping
@@ -115,6 +122,33 @@ pub struct CatalogUpdate {
 }
 
 impl CatalogSnapshot {
+    /// Snapshot version 0: no tables, and fresh source-side caches that
+    /// every later snapshot of the catalog shares.
+    fn empty(
+        interner: Arc<GramInterner>,
+        selection_capacity: usize,
+        restricted_capacity: usize,
+        result_capacity: usize,
+    ) -> Self {
+        CatalogSnapshot {
+            version: 0,
+            database: Database::new("target-catalog"),
+            fingerprints: BTreeMap::new(),
+            columns: Vec::new(),
+            table_ranges: BTreeMap::new(),
+            selections: Arc::new(Mutex::new(SelectionCache::with_table_capacity(
+                selection_capacity,
+            ))),
+            restricted_profiles: Arc::new(Mutex::new(RestrictedProfileCache::with_capacity(
+                restricted_capacity,
+            ))),
+            match_results: Mutex::new(MatchResultCache::with_capacity(result_capacity)),
+            interner,
+            gram_index: OnceLock::new(),
+            prev_gram_index: None,
+        }
+    }
+
     /// Build a snapshot of `database`, reusing the warm artifacts of `prev`
     /// at **column granularity**: an unchanged table is carried forward
     /// wholesale (including its row storage: its `Arc<Table>` is swapped in
@@ -123,55 +157,46 @@ impl CatalogSnapshot {
     /// `CatalogUpdate::copied`), and a *changed* table still carries forward
     /// every column whose own content fingerprint is unchanged. Replacing
     /// one column of a wide table extracts — and later re-profiles — exactly
-    /// that column ([`CatalogUpdate::columns_rebuilt`]), and only selections
-    /// whose condition reads a changed column are dropped from the shared
-    /// selection cache ([`SelectionCache::revalidate_columns`]).
+    /// that column ([`CatalogUpdate::columns_rebuilt`]). The new snapshot
+    /// holds `prev`'s own source-side caches.
     fn build(
         version: u64,
         mut database: Database,
-        prev: Option<&CatalogSnapshot>,
-        interner: &Arc<GramInterner>,
-        restricted_capacity: usize,
-        result_capacity: usize,
+        prev: &CatalogSnapshot,
     ) -> (Self, CatalogUpdate) {
         let fingerprints = database.table_fingerprints();
         // Share unchanged row storage with the previous snapshot. Derived
         // databases (replace/drop of one table) already share via the
         // Arc-backed `Database` clone; a wholesale `register_database` gets
         // its unchanged tables deduplicated here by fingerprint.
-        let mut shared = 0usize;
-        let mut copied = 0usize;
-        if let Some(p) = prev {
-            let names: Vec<String> = database.table_names().iter().map(|n| n.to_string()).collect();
-            for name in names {
-                let prev_arc = match p.database.shared_table(&name) {
-                    Some(arc) => arc,
-                    None => continue,
-                };
-                let unchanged = p.fingerprints.get(&name) == fingerprints.get(&name);
-                let current = database.shared_table(&name).expect("name comes from the database");
-                if Arc::ptr_eq(current, prev_arc) {
-                    continue;
-                }
-                if unchanged {
-                    database.replace_shared_table(Arc::clone(prev_arc));
-                }
+        let names: Vec<String> = database.table_names().iter().map(|n| n.to_string()).collect();
+        for name in names {
+            let prev_arc = match prev.database.shared_table(&name) {
+                Some(arc) => arc,
+                None => continue,
+            };
+            let unchanged = prev.fingerprints.get(&name) == fingerprints.get(&name);
+            let current = database.shared_table(&name).expect("name comes from the database");
+            if Arc::ptr_eq(current, prev_arc) {
+                continue;
             }
-            for name in database.table_names() {
-                let is_shared = p
-                    .database
+            if unchanged {
+                database.replace_shared_table(Arc::clone(prev_arc));
+            }
+        }
+        let shared = database
+            .table_names()
+            .into_iter()
+            .filter(|name| {
+                prev.database
                     .shared_table(name)
                     .zip(database.shared_table(name))
-                    .is_some_and(|(a, b)| Arc::ptr_eq(a, b));
-                if is_shared {
-                    shared += 1;
-                } else {
-                    copied += 1;
-                }
-            }
-        } else {
-            copied = database.len();
-        }
+                    .is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+            })
+            .count();
+        let copied = database.len() - shared;
+        let dropped =
+            prev.fingerprints.keys().filter(|name| !fingerprints.contains_key(*name)).count();
 
         let mut columns = Vec::new();
         let mut table_ranges = BTreeMap::new();
@@ -182,7 +207,7 @@ impl CatalogSnapshot {
         for table in database.tables() {
             let start = columns.len();
             let fingerprint = fingerprints[table.name()];
-            match prev.and_then(|p| p.columns_if_unchanged(table.name(), fingerprint)) {
+            match prev.columns_if_unchanged(table.name(), fingerprint) {
                 Some(warm) => {
                     // A clone of a warm column shares both its Arc'd values
                     // and its memoized profiles — zero rebuilds downstream.
@@ -195,7 +220,7 @@ impl CatalogSnapshot {
                     // whose own content fingerprint is unchanged — a clone
                     // shares the previous column's Arc'd values *and* its
                     // memoized profiles — and extract only the rest.
-                    let warm_cols = prev.and_then(|p| p.table_columns(table.name()));
+                    let warm_cols = prev.table_columns(table.name());
                     let column_fingerprints = table.column_fingerprints().to_vec();
                     for (attr, &column_fp) in
                         table.schema().attributes().iter().zip(&column_fingerprints)
@@ -214,7 +239,7 @@ impl CatalogSnapshot {
                                 columns.push(
                                     ColumnData::shared_from_table(table, &attr.name)
                                         .expect("attribute comes from the table's own schema")
-                                        .with_interner(Arc::clone(interner))
+                                        .with_interner(Arc::clone(&prev.interner))
                                         .with_fingerprint(column_fp),
                                 );
                                 columns_rebuilt += 1;
@@ -227,51 +252,11 @@ impl CatalogSnapshot {
             table_ranges.insert(table.name().to_string(), start..columns.len());
         }
 
-        // Carry the previous selection cache forward (cheap: Arc-shared
-        // selection vectors). Dropped tables lose their bucket; *changed*
-        // tables keep every selection whose condition reads only unchanged
-        // columns (column-scoped revalidation). Source-table buckets — the
-        // cache's main traffic — survive catalog updates untouched.
-        let mut selections =
-            prev.map(|p| p.selections.lock_or_recover().clone()).unwrap_or_default();
-        let mut dropped = 0usize;
-        if let Some(p) = prev {
-            for (name, old_fp) in &p.fingerprints {
-                match fingerprints.get(name) {
-                    Some(new_fp) if new_fp == old_fp => {}
-                    Some(&new_fp) => {
-                        let table = database.table(name).expect("name comes from the database");
-                        let changed = changed_column_names(p.table_columns(name), table);
-                        selections.revalidate_columns(name, *old_fp, new_fp, table.len(), &changed);
-                    }
-                    None => {
-                        selections.invalidate_table(name);
-                        dropped += 1;
-                    }
-                }
-            }
-        }
-
-        // Carry the restricted-profile cache forward as-is: its keys embed
-        // source-column content fingerprints, so no target update can make an
-        // entry stale, and the capacity bound ages out dead content.
-        let restricted_profiles = prev
-            .map(|p| p.restricted_profiles.lock_or_recover().clone())
-            .unwrap_or_else(|| RestrictedProfileCache::with_capacity(restricted_capacity));
-
-        // Start the whole-match result cache empty: its keys embed the
-        // snapshot version, so every predecessor entry is unreachable from
-        // here on. Carrying them would only keep dead results resident until
-        // the bound aged them out; the capacity and lifetime totals carry.
-        let match_results = prev
-            .map(|p| p.match_results.lock_or_recover().next_generation())
-            .unwrap_or_else(|| MatchResultCache::with_capacity(result_capacity));
-
         // The gram index builds lazily (first request), so at update time we
         // can only *predict* its reuse: against the latest built generation,
         // count the columns whose fingerprints carry forward.
         let prev_gram_index =
-            prev.and_then(|p| p.gram_index.get().cloned().or_else(|| p.prev_gram_index.clone()));
+            prev.gram_index.get().cloned().or_else(|| prev.prev_gram_index.clone());
         let (postings_reused, postings_rebuilt) = match &prev_gram_index {
             Some(index) if index.same_shape(&columns) => {
                 let carried = index.columns_carried(&columns);
@@ -300,10 +285,15 @@ impl CatalogSnapshot {
             fingerprints,
             columns,
             table_ranges,
-            selections: Mutex::new(selections),
-            restricted_profiles: Mutex::new(restricted_profiles),
-            match_results: Mutex::new(match_results),
-            interner: Arc::clone(interner),
+            selections: Arc::clone(&prev.selections),
+            restricted_profiles: Arc::clone(&prev.restricted_profiles),
+            // Start the whole-match result cache empty: its keys embed the
+            // snapshot version, so every predecessor entry is unreachable
+            // from here on. Carrying them would only keep dead results
+            // resident until the bound aged them out; the capacity and
+            // lifetime totals carry.
+            match_results: Mutex::new(prev.match_results.lock_or_recover().next_generation()),
+            interner: Arc::clone(&prev.interner),
             gram_index: OnceLock::new(),
             prev_gram_index,
         };
@@ -358,13 +348,16 @@ impl CatalogSnapshot {
         self.fingerprints.get(table).copied()
     }
 
-    /// The shared selection cache (fingerprint-validated by requests).
+    /// The catalog's selection cache over source tables (fingerprint-
+    /// validated by requests), the same object for every snapshot of the
+    /// catalog.
     pub fn selections(&self) -> &Mutex<SelectionCache> {
         &self.selections
     }
 
-    /// The cross-request view-restricted profile cache (see
-    /// [`RestrictedProfileCache`]).
+    /// The catalog's cross-request view-restricted profile cache (see
+    /// [`RestrictedProfileCache`]), the same object for every snapshot of
+    /// the catalog.
     pub fn restricted_profiles(&self) -> &Mutex<RestrictedProfileCache> {
         &self.restricted_profiles
     }
@@ -407,37 +400,6 @@ impl CatalogSnapshot {
     }
 }
 
-/// The attribute names of `table` whose content differs from the same-named
-/// column of the previous snapshot's batch (`prev_columns`), plus every
-/// attribute only one side has — the set of columns whose dependent
-/// selections must be dropped. Attributes present in both with equal
-/// per-column fingerprints are unchanged by construction.
-fn changed_column_names(
-    prev_columns: Option<&[ColumnData<'static>]>,
-    table: &Table,
-) -> BTreeSet<String> {
-    let old: BTreeMap<&str, Option<u64>> = prev_columns
-        .unwrap_or(&[])
-        .iter()
-        .map(|c| (c.attr.attribute.as_str(), c.fingerprint()))
-        .collect();
-    let mut changed = BTreeSet::new();
-    for (attr, &fp) in table.schema().attributes().iter().zip(table.column_fingerprints()) {
-        match old.get(attr.name.as_str()) {
-            Some(Some(old_fp)) if *old_fp == fp => {}
-            _ => {
-                changed.insert(attr.name.clone());
-            }
-        }
-    }
-    for (name, _) in old {
-        if table.schema().index_of(name).is_none() {
-            changed.insert(name.to_string());
-        }
-    }
-    changed
-}
-
 /// The snapshot-swapped catalog of target tables a [`crate::MatchService`]
 /// matches into.
 ///
@@ -451,9 +413,10 @@ pub struct TargetCatalog {
     current: RwLock<Arc<CatalogSnapshot>>,
     update_lock: Mutex<()>,
     interner: Arc<GramInterner>,
-    restricted_capacity: usize,
-    result_capacity: usize,
 }
+
+/// Default bound on selection-cache table buckets (see [`SelectionCache`]).
+pub(crate) const DEFAULT_SELECTION_CACHE_TABLES: usize = 64;
 
 /// Default bound on cached view-restricted columns (see
 /// [`RestrictedProfileCache`]).
@@ -465,20 +428,12 @@ pub const DEFAULT_RESTRICTED_PROFILE_CAPACITY: usize = 4096;
 pub const DEFAULT_MATCH_RESULT_CAPACITY: usize = 64;
 
 impl TargetCatalog {
-    /// An empty catalog (snapshot version 0, no tables) with an unbounded
-    /// shared selection cache, default-bounded restricted-profile and
-    /// match-result caches, and the process-global interner.
+    /// An empty catalog (snapshot version 0, no tables) with default-bounded
+    /// selection, restricted-profile and match-result caches, and the
+    /// process-global interner.
     pub fn new() -> Self {
-        TargetCatalog::with_selection_capacity(None)
-    }
-
-    /// An empty catalog whose shared selection cache retains at most
-    /// `capacity` table buckets (`None` = unbounded; oldest evicted first).
-    /// The bound carries forward into every future snapshot, since each
-    /// snapshot's cache is cloned from its predecessor.
-    pub fn with_selection_capacity(capacity: Option<usize>) -> Self {
         TargetCatalog::with_warm_config(
-            capacity,
+            DEFAULT_SELECTION_CACHE_TABLES,
             DEFAULT_RESTRICTED_PROFILE_CAPACITY,
             DEFAULT_MATCH_RESULT_CAPACITY,
             GramInterner::global(),
@@ -486,34 +441,32 @@ impl TargetCatalog {
     }
 
     /// An empty catalog with explicit warm-artifact policy: the selection
-    /// cache bound, the restricted-profile cache bound (`0` disables
+    /// cache's table-bucket bound (oldest evicted first; `0` keeps one
+    /// bucket), the restricted-profile cache bound (`0` disables
     /// restricted-column caching), the match-result cache bound (`0`
     /// disables whole-result memoization), and the catalog-scoped
     /// [`GramInterner`] every snapshot's columns intern against. Pass a
     /// private interner for an isolated id space (tests, multi-tenant
     /// processes); the default ([`GramInterner::global`]) lets ad-hoc
-    /// columns outside the catalog share ids with it.
+    /// columns outside the catalog share ids with it. The selection and
+    /// restricted-profile caches are created here, once, and shared by every
+    /// snapshot the catalog ever produces.
     pub fn with_warm_config(
-        selection_capacity: Option<usize>,
+        selection_capacity: usize,
         restricted_capacity: usize,
         result_capacity: usize,
         interner: Arc<GramInterner>,
     ) -> Self {
-        let (snapshot, _) = CatalogSnapshot::build(
-            0,
-            Database::new("target-catalog"),
-            None,
-            &interner,
+        let snapshot = CatalogSnapshot::empty(
+            Arc::clone(&interner),
+            selection_capacity,
             restricted_capacity,
             result_capacity,
         );
-        snapshot.selections.lock_or_recover().set_table_capacity(selection_capacity);
         TargetCatalog {
             current: RwLock::new(Arc::new(snapshot)),
             update_lock: Mutex::new(()),
             interner,
-            restricted_capacity,
-            result_capacity,
         }
     }
 
@@ -585,9 +538,8 @@ impl TargetCatalog {
     /// instance shares the row storage of every unchanged table — a
     /// single-table replace copies one table's tuples, not the whole target
     /// ([`CatalogUpdate::shared`] / [`CatalogUpdate::copied`] report the
-    /// split) — and the expensive artifacts (column batches, memoized
-    /// profiles, selections, restricted-column profiles) are reused per
-    /// fingerprint on top.
+    /// split) — and the expensive target artifacts (column batches,
+    /// memoized profiles) are reused per fingerprint on top.
     fn update<F>(&self, next_database: F) -> Result<CatalogUpdate>
     where
         F: FnOnce(&CatalogSnapshot) -> Result<Database>,
@@ -595,14 +547,7 @@ impl TargetCatalog {
         let _writers = self.update_lock.lock_or_recover();
         let prev = self.snapshot();
         let database = next_database(&prev)?;
-        let (snapshot, update) = CatalogSnapshot::build(
-            prev.version() + 1,
-            database,
-            Some(&prev),
-            &self.interner,
-            self.restricted_capacity,
-            self.result_capacity,
-        );
+        let (snapshot, update) = CatalogSnapshot::build(prev.version() + 1, database, &prev);
         *self.current.write_or_recover() = Arc::new(snapshot);
         Ok(update)
     }
@@ -752,30 +697,20 @@ mod tests {
             second.database().shared_table("music").unwrap(),
             third.database().shared_table("music").unwrap(),
         ));
-        // The restricted-profile cache and interner carry across snapshots.
+        // Every snapshot shares the catalog's interner and its one
+        // restricted-profile cache.
         assert!(Arc::ptr_eq(first.interner(), third.interner()));
         assert_eq!(third.restricted_profiles().lock_or_recover().capacity(), 4096);
     }
 
     #[test]
     fn single_column_replace_rebuilds_exactly_that_column() {
-        use cxm_relational::Condition;
         let catalog = TargetCatalog::new();
         catalog.register_database(&target());
         let first = catalog.snapshot();
-        // Warm both of book's column profiles and a selection on `format`
-        // plus one on `title`.
+        // Warm both of book's column profiles.
         let title_profile = first.table_columns("book").unwrap()[0].qgram3_ids();
         let format_profile = first.table_columns("book").unwrap()[1].qgram3_ids();
-        {
-            // No explicit validation needed: selecting stamps the bucket
-            // with the scanned instance's fingerprint, which is the
-            // provenance the update's column-scoped retention trusts.
-            let mut cache = first.selections().lock_or_recover();
-            let book = first.database().table("book").unwrap();
-            cache.select(book, &Condition::eq("title", "middlemarch"));
-            cache.select(book, &Condition::eq("format", "paperback"));
-        }
 
         // Replace book changing ONLY the format column's values.
         let replacement =
@@ -805,16 +740,6 @@ mod tests {
             second.table_columns("book").unwrap()[0].fingerprint(),
             Some(new_book.column_fingerprint("title").unwrap())
         );
-        // Selections: the title atom survived (warm hit), the format atom
-        // was dropped with the changed column.
-        {
-            let mut cache = second.selections().lock_or_recover();
-            let (hits, misses) = (cache.hits(), cache.misses());
-            cache.select(new_book, &Condition::eq("title", "middlemarch"));
-            assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses), "title atom warm");
-            cache.select(new_book, &Condition::eq("format", "paperback"));
-            assert_eq!(cache.misses(), misses + 1, "format atom rescanned");
-        }
     }
 
     #[test]
@@ -883,25 +808,28 @@ mod tests {
     }
 
     #[test]
-    fn changed_tables_lose_their_cached_selections() {
+    fn snapshots_share_one_pair_of_source_caches() {
         use cxm_relational::Condition;
         let catalog = TargetCatalog::new();
         catalog.register_database(&target());
-        let snap = catalog.snapshot();
-        // Seed a selection for both a target table and an unrelated source
-        // table in the shared cache.
-        {
-            let mut cache = snap.selections().lock_or_recover();
-            let book = snap.database().table("book").unwrap();
-            cache.select(book, &Condition::eq("format", "paperback"));
-            let src = table("src", &[("x", "y")]);
-            cache.select(&src, &Condition::eq("format", "y"));
-            assert_eq!(cache.cached_atoms(), 2);
-        }
+        let v1 = catalog.snapshot();
+        // A request's source table may share a target table's name. Its
+        // bucket holds source rows, which no target update can make stale.
+        let source = table("book", &[("emma", "paperback"), ("persuasion", "hardcover")]);
+        let paperback = Condition::eq("format", "paperback");
+        let seeded = v1.selections().lock_or_recover().select(&source, &paperback);
+
         catalog.replace_table(table("book", &[("new book", "paperback")])).unwrap();
-        let next = catalog.snapshot();
-        let cache = next.selections().lock_or_recover();
-        // The changed table's bucket is gone; the source bucket survived.
-        assert_eq!(cache.cached_tables(), vec!["src".to_string()]);
+        let update = catalog.drop_table("music").unwrap();
+        assert_eq!((update.version, update.dropped), (3, 1));
+        let latest = catalog.snapshot();
+        assert!(std::ptr::eq(latest.selections(), v1.selections()));
+        assert!(std::ptr::eq(latest.restricted_profiles(), v1.restricted_profiles()));
+
+        let mut cache = latest.selections().lock_or_recover();
+        let hits = cache.hits();
+        let served = cache.select(&source, &paperback);
+        assert_eq!(cache.hits(), hits + 1, "the source atom is served warm");
+        assert!(Arc::ptr_eq(&seeded, &served));
     }
 }

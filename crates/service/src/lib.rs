@@ -15,11 +15,10 @@
 //!   tables. Each registered table carries its
 //!   [`cxm_relational::Table::fingerprint`]; a snapshot hoists the target
 //!   column batch once (with `Arc`-shared values and memoized matcher
-//!   profiles) and carries a shared [`cxm_relational::SelectionCache`]
-//!   forward, pre-warmed from the previous snapshot. Updates
-//!   (`register`/`replace`/`drop`) build a *new* snapshot behind an `Arc`
-//!   swap, rebuilding only the tables whose fingerprint changed — in-flight
-//!   requests keep a consistent view of the snapshot they started with.
+//!   profiles). Updates (`register`/`replace`/`drop`) build a *new*
+//!   snapshot behind an `Arc` swap, rebuilding only the tables whose
+//!   fingerprint changed — in-flight requests keep a consistent view of the
+//!   snapshot they started with.
 //! * [`MatchService`] — request execution. [`MatchService::submit`] runs the
 //!   contextual matcher for one source database against the current
 //!   snapshot over the existing work-stealing pool (parallel source-table
@@ -29,9 +28,12 @@
 //!   cache hits/misses, classifier work units, and which warm artifacts
 //!   were reused.
 //!
-//! Snapshots also carry a bounded, fingerprint-keyed
-//! [`cxm_core::RestrictedProfileCache`] forward across updates: the
-//! view-restricted columns `ScoreMatch` derives per candidate view are
+//! The catalog owns one [`cxm_relational::SelectionCache`] and one bounded,
+//! fingerprint-keyed [`cxm_core::RestrictedProfileCache`], created with its
+//! first snapshot and shared by every later one. Both hold artifacts of the
+//! *source* instances requests submit, validated by source content
+//! fingerprints, so a catalog update neither copies nor reconciles them.
+//! The view-restricted columns `ScoreMatch` derives per candidate view are
 //! profiled once and reused by every later request over the same source
 //! content — a warm repeat performs **zero** q-gram profile builds even
 //! when candidate views are in play. All scoring runs on the interned flat

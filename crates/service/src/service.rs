@@ -16,7 +16,7 @@ use cxm_relational::{Database, Fnv64, Result, Table};
 
 use crate::catalog::{
     CatalogUpdate, TargetCatalog, DEFAULT_MATCH_RESULT_CAPACITY,
-    DEFAULT_RESTRICTED_PROFILE_CAPACITY,
+    DEFAULT_RESTRICTED_PROFILE_CAPACITY, DEFAULT_SELECTION_CACHE_TABLES,
 };
 
 /// Configuration of a [`MatchService`].
@@ -28,9 +28,9 @@ pub struct ServiceConfig {
     /// warm source-column batches for; `0` disables source-side reuse.
     /// Eviction is oldest-first.
     pub source_cache_capacity: usize,
-    /// How many table buckets the shared selection cache retains (oldest
-    /// evicted first); `0` means unbounded. Bounds the cache's memory under
-    /// many distinct source schemas.
+    /// How many table buckets the catalog's selection cache retains (oldest
+    /// evicted first); `0` keeps one bucket, the one being selected against.
+    /// Bounds the cache's memory under many distinct source schemas.
     pub selection_cache_tables: usize,
     /// How many view-restricted columns the cross-request
     /// [`cxm_core::RestrictedProfileCache`] retains (oldest inserted evicted
@@ -50,7 +50,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             context: ContextMatchConfig::default(),
             source_cache_capacity: 16,
-            selection_cache_tables: 64,
+            selection_cache_tables: DEFAULT_SELECTION_CACHE_TABLES,
             restricted_profile_entries: DEFAULT_RESTRICTED_PROFILE_CAPACITY,
             match_result_entries: DEFAULT_MATCH_RESULT_CAPACITY,
         }
@@ -59,7 +59,7 @@ impl Default for ServiceConfig {
 
 /// Per-request telemetry, measured from the process-wide instrumentation
 /// counters (`cxm_matching::column::telemetry`, `cxm_classify::telemetry`)
-/// and the snapshot's shared selection cache.
+/// and the catalog's shared selection and restricted-profile caches.
 ///
 /// The counters are process-global, so the deltas attribute work to a request
 /// accurately only while requests do not overlap — which is how
@@ -365,12 +365,10 @@ impl MatchService {
     /// id-assignment-independent, so results stay byte-identical to a
     /// service using a private (or the global) interner.
     pub fn with_config_and_interner(config: ServiceConfig, interner: Arc<GramInterner>) -> Self {
-        let selection_capacity =
-            (config.selection_cache_tables > 0).then_some(config.selection_cache_tables);
         MatchService {
             matcher: ContextualMatcher::new(config.context),
             catalog: TargetCatalog::with_warm_config(
-                selection_capacity,
+                config.selection_cache_tables,
                 config.restricted_profile_entries,
                 config.match_result_entries,
                 interner,
@@ -913,6 +911,93 @@ mod tests {
         let after = service.submit(&source).unwrap();
         assert!(after.telemetry.index_built);
         assert!(after.telemetry.index_postings_reused > 0, "incremental build shares lists");
+    }
+
+    #[test]
+    fn submits_racing_catalog_updates_match_cold_runs() {
+        use std::collections::BTreeMap;
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+        // Every snapshot shares the catalog's selection and restricted-profile
+        // caches, so requests against different versions publish into one
+        // pair of caches while the catalog changes underneath them. Each
+        // answer must still be the cold answer for the version it names.
+        let config = ContextMatchConfig::default().with_tau(0.4);
+        let retail = |seed| {
+            generate_retail(&RetailConfig {
+                seed,
+                source_items: 40,
+                target_rows: 16,
+                ..RetailConfig::default()
+            })
+        };
+        let sources: Vec<Database> = (1..=3).map(|seed| retail(seed).source).collect();
+        let target = retail(1).target;
+        let flipped = target.tables().next().unwrap().clone();
+        let states = [flipped.clone(), flipped.head(flipped.len() - 1)];
+        let cold: Vec<Vec<ContextMatchResult>> = states
+            .iter()
+            .map(|state| {
+                let mut db = target.clone();
+                db.replace_table(state.clone());
+                let matcher = ContextualMatcher::new(config);
+                sources.iter().map(|source| matcher.run(source, &db).unwrap()).collect()
+            })
+            .collect();
+
+        let service = MatchService::with_config_and_interner(
+            ServiceConfig { context: config, match_result_entries: 0, ..ServiceConfig::default() },
+            Arc::new(GramInterner::new()),
+        );
+        let mut installed = BTreeMap::from([(service.register_target(&target).version, 0)]);
+        let done = AtomicBool::new(false);
+        let completed = AtomicUsize::new(0);
+        let responses: Vec<(usize, MatchResponse)> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        while !done.load(Ordering::Acquire) {
+                            for (i, source) in sources.iter().enumerate() {
+                                seen.push((i, service.submit(source).unwrap()));
+                                completed.fetch_add(1, Ordering::Release);
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            // Flip the table only after some submit completed since the last
+            // flip, so the responses span many versions on any host.
+            let mut last = 0;
+            for flip in 1..=20 {
+                while completed.load(Ordering::Acquire) == last {
+                    assert!(!submitters.iter().all(|h| h.is_finished()), "submitters stopped");
+                    std::thread::yield_now();
+                }
+                last = completed.load(Ordering::Acquire);
+                let state = flip % 2;
+                installed
+                    .insert(service.replace_table(states[state].clone()).unwrap().version, state);
+            }
+            done.store(true, Ordering::Release);
+            submitters.into_iter().flat_map(|handle| handle.join().unwrap()).collect()
+        });
+
+        let mut versions = std::collections::BTreeSet::new();
+        for (i, response) in &responses {
+            let version = response.telemetry.catalog_version;
+            let expected = &cold[installed[&version]][*i];
+            assert_eq!(response.result.selected, expected.selected, "source {i}, v{version}");
+            assert_eq!(response.result.standard, expected.standard, "source {i}, v{version}");
+            assert_eq!(response.result.candidates, expected.candidates, "source {i}, v{version}");
+            versions.insert(version);
+        }
+        assert!(versions.len() > 2, "submits must span catalog updates: {versions:?}");
+        assert!(
+            responses.iter().any(|(_, r)| !r.result.candidates.is_empty()),
+            "the fixture must score candidate views, or neither cache is exercised"
+        );
     }
 
     #[test]

@@ -114,9 +114,9 @@ fn main() {
     report("retail (after replace)", &after);
 
     // Edit a SINGLE COLUMN of that table: the catalog rebuilds exactly that
-    // column — every sibling column keeps its values, memoized profiles and
-    // cached selections — and the next request re-profiles exactly one
-    // column.
+    // column — every sibling column keeps its values and memoized profiles
+    // (target selections are never cached; the selection cache holds source
+    // tables only) — and the next request re-profiles exactly one column.
     let column = replacement
         .schema()
         .attributes()

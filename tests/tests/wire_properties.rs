@@ -8,11 +8,16 @@
 //!   of encoded retail `submit`, `register` and reply frames, `parse` never
 //!   panics and accepts exactly the inputs the reference accepts, with
 //!   equal values (no truncation is accepted); `Request::from_json` and
-//!   `decode_database` never panic on whatever parses.
+//!   `decode_database` never panic on whatever parses;
+//! * on streams of frames, oversized headers and arbitrary bytes, fed in
+//!   fragments of random size, `FrameDecoder` never panics and yields
+//!   exactly the payloads the blocking `read_frame` reads, failing at the
+//!   same frame.
 //!
 //! Inputs are generated from a seeded LCG, as in `persist_properties.rs`:
 //! one `u64` seed fans out into trees, byte strings and mutations.
 
+use std::io::{self, Cursor};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -21,7 +26,7 @@ use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, RetailConfig};
 use cxm_server::json::{parse, Json};
 use cxm_server::protocol::{decode_database, encode_database, encode_result, ok_frame};
-use cxm_server::{Request, TenantPolicy};
+use cxm_server::{frame_bytes, read_frame, FrameDecoder, Request, TenantPolicy};
 use cxm_service::{MatchService, ServiceConfig};
 use cxm_tests::reference::{json_parse, json_to_bytes};
 
@@ -119,6 +124,94 @@ impl Lcg {
         const ALPHABET: &[u8] = b"{}[]\":,\\ /0123456789-+.eEtruefalsnbu\
             \x00\x1f\x7f\x80\xbf\xc3\xa9\xe2\x82\xac\xf0\x9f\xed\xff";
         (0..self.below(64)).map(|_| ALPHABET[self.below(ALPHABET.len() as u64) as usize]).collect()
+    }
+
+    fn bytes(&mut self, len: u64) -> Vec<u8> {
+        (0..len).map(|_| self.below(256) as u8).collect()
+    }
+
+    /// A wire stream for the frame layer: whole frames with empty, small
+    /// and mid-size payloads (up to `max_bytes`), headers over `max_bytes`,
+    /// and arbitrary bytes, sometimes cut short inside a frame.
+    fn frame_stream(&mut self, max_bytes: u64) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for _ in 0..self.below(6) {
+            match self.below(8) {
+                0 => {
+                    let len = match self.below(3) {
+                        0 => max_bytes + 1,
+                        1 => u64::from(u32::MAX),
+                        _ => max_bytes + 1 + self.below(1 << 20),
+                    };
+                    wire.extend_from_slice(&(len as u32).to_be_bytes());
+                    let tail = self.below(32);
+                    wire.extend(self.bytes(tail));
+                }
+                1 => {
+                    let len = self.below(16);
+                    wire.extend(self.bytes(len));
+                }
+                _ => {
+                    let len = match self.below(4) {
+                        0 => 0,
+                        1 => 1 + self.below(16),
+                        2 => 100 + self.below(max_bytes - 99),
+                        _ => max_bytes,
+                    };
+                    wire.extend(frame_bytes(&self.bytes(len)));
+                }
+            }
+        }
+        if self.below(3) == 0 {
+            let cut = self.below(wire.len() as u64) as usize;
+            wire.truncate(cut);
+        }
+        wire
+    }
+}
+
+/// Every frame `read_frame` reads from `wire`, and how the stream ended: a
+/// clean end between frames, a trailing partial frame
+/// ([`io::ErrorKind::UnexpectedEof`]) or an oversized header
+/// ([`io::ErrorKind::InvalidData`]).
+fn read_frames(wire: &[u8], max_bytes: usize) -> (Vec<Vec<u8>>, Option<io::ErrorKind>) {
+    let mut reader = Cursor::new(wire);
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(&mut reader, max_bytes) {
+            Ok(Some(payload)) => frames.push(payload),
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(e.kind())),
+        }
+    }
+}
+
+/// Every frame a [`FrameDecoder`] pops from `wire` delivered in fragments
+/// of random size, and the error that stopped it, if any. Without an error,
+/// the decoder's last answer was `Ok(None)`: it waits for more bytes.
+fn decode_frames(
+    lcg: &mut Lcg,
+    wire: &[u8],
+    max_bytes: usize,
+) -> (Vec<Vec<u8>>, Option<io::ErrorKind>) {
+    let mut decoder = FrameDecoder::new(max_bytes);
+    let mut frames = Vec::new();
+    let mut rest = wire;
+    loop {
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(payload)) => frames.push(payload),
+                Ok(None) => break,
+                Err(e) => return (frames, Some(e.kind())),
+            }
+        }
+        if rest.is_empty() {
+            return (frames, None);
+        }
+        let limit = if lcg.below(2) == 0 { 8 } else { rest.len() as u64 };
+        let (fragment, tail) = rest.split_at(1 + lcg.below(limit.min(rest.len() as u64)) as usize);
+        decoder.extend(fragment);
+        rest = tail;
     }
 }
 
@@ -245,6 +338,34 @@ proptest! {
     #[test]
     fn arbitrary_bytes_parse_like_the_reference(seed in any::<u64>()) {
         assert_parses_like_reference(&Lcg(seed).json_ish_bytes());
+    }
+
+    /// Fed in fragments of random size, the frame decoder yields exactly
+    /// the payloads `read_frame` reads and fails with `InvalidData` at the
+    /// same frame; where `read_frame` hits `UnexpectedEof` inside a trailing
+    /// frame, the decoder answers `Ok(None)` and waits for more bytes.
+    #[test]
+    fn frame_decoder_reads_fragmented_streams_like_read_frame(seed in any::<u64>()) {
+        let mut lcg = Lcg(seed);
+        let max_bytes = 256 + lcg.below(4096);
+        let wire = lcg.frame_stream(max_bytes);
+        let max_bytes = max_bytes as usize;
+        let (expected, end) = read_frames(&wire, max_bytes);
+        let (frames, error) = decode_frames(&mut lcg, &wire, max_bytes);
+        let lens = |frames: &[Vec<u8>]| frames.iter().map(Vec::len).collect::<Vec<_>>();
+        prop_assert!(
+            frames == expected,
+            "seed {seed}: decoder frame lengths {:?}, read_frame {:?}",
+            lens(&frames),
+            lens(&expected)
+        );
+        match end {
+            Some(io::ErrorKind::InvalidData) => {
+                prop_assert_eq!(error, Some(io::ErrorKind::InvalidData))
+            }
+            None | Some(io::ErrorKind::UnexpectedEof) => prop_assert_eq!(error, None),
+            Some(other) => panic!("read_frame failed with {other:?}"),
+        }
     }
 
     /// Replacing any one byte of a real frame never panics the parser,
