@@ -43,7 +43,6 @@ impl Matcher for QGramMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        kernel_telemetry::record_interned_score();
         source.qgram3_ids_in(target.interner()).cosine(&target.qgram3_ids())
     }
 
@@ -91,7 +90,6 @@ impl Matcher for ValueOverlapMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        kernel_telemetry::record_interned_score();
         source.value_ids_in(target.interner()).jaccard(&target.value_ids())
     }
 

@@ -10,6 +10,12 @@
 //! compare a server response against a serial in-process reference *by
 //! bytes* rather than by a lossy structural diff.
 //!
+//! Writing is idempotent over parsing, `write(parse(write(x))) == write(x)`,
+//! with one exception: `Json::Float(-0.0)` writes `-0`, which parses as
+//! `Json::Int(0)` and then writes `0`. The writer keeps the `-0` bytes
+//! because `tests/tests/wire_properties.rs` pins them to the reference
+//! codec's.
+//!
 //! Cost model. Both ends of the wire spend their codec time in strings, so
 //! both string loops work one *run* at a time: a run is the longest stretch
 //! of bytes that holds no `"`, `\` or C0 control byte, found with one
@@ -507,6 +513,11 @@ mod tests {
             let twice = parse(once.as_bytes()).unwrap().to_text();
             assert_eq!(once, twice);
         }
+        // The one exception: negative zero writes `-0`, an integer literal.
+        let once = Json::Float(-0.0).to_text();
+        assert_eq!(once, "-0");
+        assert_eq!(parse(once.as_bytes()).unwrap(), Json::Int(0));
+        assert_eq!(parse(once.as_bytes()).unwrap().to_text(), "0");
     }
 
     #[test]
