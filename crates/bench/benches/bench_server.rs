@@ -9,15 +9,20 @@
 //! spend their codec time in — a warm retail `submit` reply and a wide
 //! `register` — parsing their bytes and writing their prebuilt value trees,
 //! each beside a `*_reference` twin running the character-at-a-time codec
-//! of `cxm_tests::reference`.
+//! of `cxm_tests::reference`. It also times the two ways to encode a match
+//! result, on the retail reply and on the wide catalog's probe reply: the
+//! server's streaming `write_result` (`write_result_*`) against building
+//! and writing the `encode_result` tree (`encode_result_*`).
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
+use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_server::client::is_ok;
 use cxm_server::json::parse;
-use cxm_server::protocol::{encode_database, ok_frame};
+use cxm_server::protocol::{encode_database, ok_frame, write_result};
 use cxm_server::{
     encode_result, serve, Client, Json, ServerConfig, ServerHandle, TenantPolicy, TenantQuotas,
 };
@@ -126,34 +131,45 @@ fn bench_connection_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `wire_codec` frames at the benchmark's sizes: the retail reply
-/// (100 source items, 600 target rows) and the register of a 60 × 8 × 40
-/// wide catalog in 15 value families.
-fn codec_frames() -> [(&'static str, Json); 2] {
-    let dataset = bench_dataset();
-    let service = MatchService::with_config(ServiceConfig {
-        context: bench_config(),
-        ..ServiceConfig::default()
-    });
-    service.register_target(&dataset.target);
-    let response = service.submit(&dataset.source).expect("submit");
-    let reply = ok_frame(
-        "submit",
-        vec![
-            ("tenant".into(), Json::str("bench")),
-            ("catalog_version".into(), Json::Int(response.telemetry.catalog_version as i64)),
-            ("result_cache_hit".into(), Json::Bool(true)),
-            ("result".into(), encode_result(&response.result, &TenantPolicy::default())),
-        ],
-    );
-    let wide = generate_wide_catalog(&WideCatalogConfig {
+/// The benchmark's wide catalog: 60 tables × 8 columns × 40 rows in 15
+/// value families, plus its probe source.
+fn wide_dataset() -> cxm_datagen::WideCatalogDataset {
+    generate_wide_catalog(&WideCatalogConfig {
         tables: 60,
         columns_per_table: 8,
         rows_per_table: 40,
         families: 15,
         ..WideCatalogConfig::default()
+    })
+}
+
+/// The match result of `source` against a fresh service over `target`.
+fn match_result(
+    target: &cxm_relational::Database,
+    source: &cxm_relational::Database,
+) -> Arc<ContextMatchResult> {
+    let service = MatchService::with_config(ServiceConfig {
+        context: bench_config(),
+        ..ServiceConfig::default()
     });
-    let tables = encode_database(&wide.target).get("tables").cloned().expect("encoded tables");
+    service.register_target(target);
+    service.submit(source).expect("submit").result
+}
+
+/// The `wire_codec` frames at the benchmark's sizes: the retail reply
+/// (100 source items, 600 target rows) and the register of the wide
+/// catalog.
+fn codec_frames(retail: &ContextMatchResult) -> [(&'static str, Json); 2] {
+    let reply = ok_frame(
+        "submit",
+        vec![
+            ("tenant".into(), Json::str("bench")),
+            ("catalog_version".into(), Json::Int(1)),
+            ("result_cache_hit".into(), Json::Bool(true)),
+            ("result".into(), encode_result(retail, &TenantPolicy::default())),
+        ],
+    );
+    let tables = encode_database(&wide_dataset().target).get("tables").cloned().expect("tables");
     let register = Json::Object(vec![
         ("op".into(), Json::str("register")),
         ("tenant".into(), Json::str("bench")),
@@ -164,7 +180,9 @@ fn codec_frames() -> [(&'static str, Json); 2] {
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
-    for (name, frame) in codec_frames() {
+    let retail = bench_dataset();
+    let retail = match_result(&retail.target, &retail.source);
+    for (name, frame) in codec_frames(&retail) {
         let bytes = frame.to_bytes();
         assert_eq!(bytes, json_to_bytes(&frame), "{name}: writer bytes differ from the reference");
         let parsed = parse(&bytes).expect("an encoded frame parses");
@@ -174,6 +192,25 @@ fn bench_wire_codec(c: &mut Criterion) {
         group.bench_function(format!("encode_{name}"), |b| b.iter(|| frame.to_bytes()));
         group.bench_function(format!("encode_{name}_reference"), |b| {
             b.iter(|| json_to_bytes(&frame))
+        });
+    }
+    let wide = wide_dataset();
+    let wide = match_result(&wide.target, &wide.source);
+    let policy = TenantPolicy::default();
+    for (name, result) in [("retail_reply", &retail), ("wide_reply", &wide)] {
+        let write = || {
+            let mut out = Vec::new();
+            write_result(&mut out, result, &policy);
+            out
+        };
+        assert_eq!(
+            write(),
+            encode_result(result, &policy).to_bytes(),
+            "{name}: streamed bytes differ from the tree's"
+        );
+        group.bench_function(format!("write_result_{name}"), |b| b.iter(write));
+        group.bench_function(format!("encode_result_{name}"), |b| {
+            b.iter(|| encode_result(result, &policy).to_bytes())
         });
     }
     group.finish();

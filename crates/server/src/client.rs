@@ -65,18 +65,7 @@ impl Client {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        let tables =
-            encode_database(target).get("tables").cloned().unwrap_or(Json::Array(Vec::new()));
-        let mut members = vec![
-            ("op".into(), Json::str("register")),
-            ("tenant".into(), Json::str(tenant)),
-            ("tables".into(), tables),
-        ];
-        let policy_members = encode_policy(policy, quotas);
-        if !policy_members.is_empty() {
-            members.push(("policy".into(), Json::Object(policy_members)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&register_request(tenant, target, policy, quotas))
     }
 
     /// Replace one registered target table.
@@ -105,30 +94,18 @@ impl Client {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        let mut members = vec![
-            ("op".into(), Json::str("submit")),
-            ("tenant".into(), Json::str(tenant)),
-            ("source".into(), encode_database(source)),
-        ];
-        if let Some(ms) = deadline_ms {
-            members.push(("deadline_ms".into(), Json::Int(ms as i64)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&submit_request(tenant, source, deadline_ms))
     }
 
     /// Fetch the server stats snapshot, optionally restricted to one tenant.
     pub fn stats(&mut self, tenant: Option<&str>) -> io::Result<Json> {
-        let mut members = vec![("op".into(), Json::str("stats"))];
-        if let Some(tenant) = tenant {
-            members.push(("tenant".into(), Json::str(tenant)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&stats_request(tenant))
     }
 
     /// Ask the server to snapshot every tenant's warm state to its persist
     /// path. Fails with `bad_request` when the server has no persist path.
     pub fn persist(&mut self) -> io::Result<Json> {
-        self.request(&Json::Object(vec![("op".into(), Json::str("persist"))]))
+        self.request(&persist_request())
     }
 
     /// Ask the server to drain gracefully. The acknowledgement arrives
@@ -136,6 +113,52 @@ impl Client {
     pub fn shutdown(&mut self) -> io::Result<Json> {
         self.request(&Json::Object(vec![("op".into(), Json::str("shutdown"))]))
     }
+}
+
+// The request builders both clients send through, so a call sends the same
+// frame whichever client makes it.
+
+fn register_request(
+    tenant: &str,
+    target: &Database,
+    policy: &TenantPolicy,
+    quotas: &TenantQuotas,
+) -> Json {
+    let tables = encode_database(target).get("tables").cloned().unwrap_or(Json::Array(Vec::new()));
+    let mut members = vec![
+        ("op".into(), Json::str("register")),
+        ("tenant".into(), Json::str(tenant)),
+        ("tables".into(), tables),
+    ];
+    let policy_members = encode_policy(policy, quotas);
+    if !policy_members.is_empty() {
+        members.push(("policy".into(), Json::Object(policy_members)));
+    }
+    Json::Object(members)
+}
+
+fn submit_request(tenant: &str, source: &Database, deadline_ms: Option<u64>) -> Json {
+    let mut members = vec![
+        ("op".into(), Json::str("submit")),
+        ("tenant".into(), Json::str(tenant)),
+        ("source".into(), encode_database(source)),
+    ];
+    if let Some(ms) = deadline_ms {
+        members.push(("deadline_ms".into(), Json::Int(ms as i64)));
+    }
+    Json::Object(members)
+}
+
+fn stats_request(tenant: Option<&str>) -> Json {
+    let mut members = vec![("op".into(), Json::str("stats"))];
+    if let Some(tenant) = tenant {
+        members.push(("tenant".into(), Json::str(tenant)));
+    }
+    Json::Object(members)
+}
+
+fn persist_request() -> Json {
+    Json::Object(vec![("op".into(), Json::str("persist"))])
 }
 
 fn encode_policy(policy: &TenantPolicy, quotas: &TenantQuotas) -> Vec<(String, Json)> {
@@ -390,18 +413,7 @@ impl<S: Sleeper> RetryingClient<S> {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        let tables =
-            encode_database(target).get("tables").cloned().unwrap_or(Json::Array(Vec::new()));
-        let mut members = vec![
-            ("op".into(), Json::str("register")),
-            ("tenant".into(), Json::str(tenant)),
-            ("tables".into(), tables),
-        ];
-        let policy_members = encode_policy(policy, quotas);
-        if !policy_members.is_empty() {
-            members.push(("policy".into(), Json::Object(policy_members)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&register_request(tenant, target, policy, quotas))
     }
 
     /// [`Client::submit`] with retries.
@@ -411,28 +423,103 @@ impl<S: Sleeper> RetryingClient<S> {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        let mut members = vec![
-            ("op".into(), Json::str("submit")),
-            ("tenant".into(), Json::str(tenant)),
-            ("source".into(), encode_database(source)),
-        ];
-        if let Some(ms) = deadline_ms {
-            members.push(("deadline_ms".into(), Json::Int(ms as i64)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&submit_request(tenant, source, deadline_ms))
     }
 
     /// [`Client::stats`] with retries.
     pub fn stats(&mut self, tenant: Option<&str>) -> io::Result<Json> {
-        let mut members = vec![("op".into(), Json::str("stats"))];
-        if let Some(tenant) = tenant {
-            members.push(("tenant".into(), Json::str(tenant)));
-        }
-        self.request(&Json::Object(members))
+        self.request(&stats_request(tenant))
     }
 
     /// [`Client::persist`] with retries.
     pub fn persist(&mut self) -> io::Result<Json> {
-        self.request(&Json::Object(vec![("op".into(), Json::str("persist"))]))
+        self.request(&persist_request())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    use cxm_relational::{tuple, Attribute, TableSchema};
+
+    /// A server that takes `connections` connections one after another and
+    /// answers every frame `{"ok":true}`; joining it yields every request
+    /// payload it read, in order.
+    fn capture(connections: usize) -> (String, JoinHandle<Vec<Vec<u8>>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = std::thread::spawn(move || {
+            let mut frames = Vec::new();
+            for _ in 0..connections {
+                let (mut stream, _) = listener.accept().expect("accept");
+                while let Some(payload) =
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("read a frame")
+                {
+                    frames.push(payload);
+                    write_frame(&mut stream, br#"{"ok":true}"#).expect("reply");
+                }
+            }
+            frames
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn both_clients_send_the_same_frames() {
+        let db = Database::new("db").with_table(
+            Table::with_rows(
+                TableSchema::new("book", vec![Attribute::text("title")]),
+                vec![tuple!["x"]],
+            )
+            .expect("one-column table"),
+        );
+        let policy = TenantPolicy { score_threshold: Some(0.5), top_k: Some(3) };
+        let quotas = TenantQuotas { match_result_entries: Some(8), ..TenantQuotas::default() };
+        let none = (TenantPolicy::default(), TenantQuotas::default());
+        let (addr, server) = capture(2);
+        {
+            let mut client = Client::connect(addr.as_str()).expect("connect");
+            client.register("t", &db, &policy, &quotas).expect("register");
+            client.register("t", &db, &none.0, &none.1).expect("register");
+            client.submit("t", &db, Some(250)).expect("submit");
+            client.submit("t", &db, None).expect("submit");
+            client.stats(Some("t")).expect("stats");
+            client.stats(None).expect("stats");
+            client.persist().expect("persist");
+        }
+        {
+            let mut client = RetryingClient::new(addr.as_str(), RetryPolicy::default());
+            client.register("t", &db, &policy, &quotas).expect("register");
+            client.register("t", &db, &none.0, &none.1).expect("register");
+            client.submit("t", &db, Some(250)).expect("submit");
+            client.submit("t", &db, None).expect("submit");
+            client.stats(Some("t")).expect("stats");
+            client.stats(None).expect("stats");
+            client.persist().expect("persist");
+        }
+        let frames = server.join().expect("capture server");
+        let (plain, retrying) = frames.split_at(frames.len() / 2);
+        assert_eq!(plain, retrying);
+
+        let table =
+            r#"{"name":"book","attributes":[{"name":"title","type":"string"}],"rows":[["x"]]}"#;
+        let source = format!(r#"{{"name":"db","tables":[{table}]}}"#);
+        let expected = [
+            format!(
+                r#"{{"op":"register","tenant":"t","tables":[{table}],"policy":{{"score_threshold":0.5,"top_k":3,"match_result_entries":8}}}}"#
+            ),
+            format!(r#"{{"op":"register","tenant":"t","tables":[{table}]}}"#),
+            format!(r#"{{"op":"submit","tenant":"t","source":{source},"deadline_ms":250}}"#),
+            format!(r#"{{"op":"submit","tenant":"t","source":{source}}}"#),
+            r#"{"op":"stats","tenant":"t"}"#.to_string(),
+            r#"{"op":"stats"}"#.to_string(),
+            r#"{"op":"persist"}"#.to_string(),
+        ];
+        let plain: Vec<String> =
+            plain.iter().map(|f| String::from_utf8(f.clone()).expect("UTF-8")).collect();
+        assert_eq!(plain, expected);
     }
 }

@@ -22,12 +22,19 @@
 //! 256-entry table (`ENDS_RUN`). The parser validates each run as UTF-8
 //! once and copies it once (a string with no escape is allocated once, at
 //! its exact length); the writer copies each run of a string with one
-//! `push_str` and escapes only the byte that ends it. Numbers are formatted
-//! straight into the output buffer. The parser checks each object for a
-//! repeated key once, at its closing `}`, by sorting its keys: O(n log n)
-//! for n members.
+//! `extend_from_slice` and escapes only the byte that ends it. Numbers are
+//! formatted straight into the output buffer. The parser checks each object
+//! for a repeated key once, at its closing `}`, by sorting its keys:
+//! O(n log n) for n members.
+//!
+//! The writer's scalar routines are also crate-level functions
+//! (`write_str`, `write_display_str`, `write_float`, `write_int`), so a
+//! reply can be streamed straight into its frame buffer, with no value
+//! tree, in exactly the bytes [`Json::to_bytes`] would write for it
+//! ([`crate::protocol::write_result`]).
 
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// Hard bound on parser recursion (arrays/objects), against hostile frames.
 const MAX_DEPTH: usize = 128;
@@ -149,82 +156,117 @@ impl Json {
 
     /// Serialize to the canonical compact text (no whitespace).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        String::from_utf8(self.to_bytes()).expect("the writer emits UTF-8 only")
     }
 
     /// Serialize to the canonical compact bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_text().into_bytes()
+        let mut out = Vec::new();
+        self.write(&mut out);
+        out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => write_display(out, i),
-            // `{}` is Rust's shortest round-trip float rendering — the same
-            // bytes for the same bits, every time.
-            Json::Float(f) if f.is_finite() => write_display(out, f),
-            // JSON has no NaN/Infinity literal; scores are finite by
-            // construction, so this is a defensive degrade, not a round trip.
-            Json::Float(_) => out.push_str("null"),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(i) => write_int(out, *i),
+            Json::Float(f) => write_float(out, *f),
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    write_escaped(key, out);
-                    out.push(':');
+                    write_str(out, key);
+                    out.push(b':');
                     value.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-/// Append `value`'s `{}` rendering to `out` without an intermediate string.
-fn write_display(out: &mut String, value: impl fmt::Display) {
-    write!(out, "{value}").expect("formatting into a String cannot fail");
+/// Append `i` exactly as [`Json::Int`] writes it.
+pub(crate) fn write_int(out: &mut Vec<u8>, i: i64) {
+    write!(out, "{i}").expect("writing into a Vec cannot fail");
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    let mut rest = s;
+/// Append `f` exactly as [`Json::Float`] writes it: `{}` is Rust's shortest
+/// round-trip float rendering (the same bytes for the same bits, every
+/// time; `-0.0` writes `-0`). JSON has no NaN/Infinity literal; scores are
+/// finite by construction, so a non-finite value writes `null`, a
+/// defensive degrade rather than a round trip.
+pub(crate) fn write_float(out: &mut Vec<u8>, f: f64) {
+    if f.is_finite() {
+        write!(out, "{f}").expect("writing into a Vec cannot fail");
+    } else {
+        out.extend_from_slice(b"null");
+    }
+}
+
+/// Append `s` as a string literal, exactly as [`Json::Str`] writes it.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    escape(out, s);
+    out.push(b'"');
+}
+
+/// Append `value`'s `{}` rendering as a string literal: the bytes of
+/// `write_str(out, &value.to_string())`, escaped piece by piece as the
+/// formatter produces them, with no intermediate `String`.
+pub(crate) fn write_display_str(out: &mut Vec<u8>, value: impl fmt::Display) {
+    out.push(b'"');
+    fmt::write(&mut Escaper(out), format_args!("{value}"))
+        .expect("escaping into a Vec cannot fail");
+    out.push(b'"');
+}
+
+/// A [`fmt::Write`] sink that escapes every piece it is given. Escaping
+/// maps each byte on its own, so escaping the pieces of a string one by one
+/// writes the same bytes as escaping it whole.
+struct Escaper<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape(self.0, s);
+        Ok(())
+    }
+}
+
+/// Append the body of `s`'s string literal (no quotes): each plain run is
+/// copied whole, and only the byte that ends it is escaped.
+fn escape(out: &mut Vec<u8>, s: &str) {
+    let mut rest = s.as_bytes();
     loop {
-        let run = run_len(rest.as_bytes());
-        out.push_str(&rest[..run]);
-        let Some(&b) = rest.as_bytes().get(run) else { break };
+        let run = run_len(rest);
+        out.extend_from_slice(&rest[..run]);
+        let Some(&b) = rest.get(run) else { break };
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            0x08 => out.push_str("\\b"),
-            0x0C => out.push_str("\\f"),
-            b => write_display(out, format_args!("\\u{b:04x}")),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            0x0C => out.extend_from_slice(b"\\f"),
+            b => write!(out, "\\u{b:04x}").expect("writing into a Vec cannot fail"),
         }
-        // The byte that ended the run is ASCII, so `run + 1` is a char
-        // boundary.
         rest = &rest[run + 1..];
     }
-    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset it went wrong at.

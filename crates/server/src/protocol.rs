@@ -10,9 +10,13 @@
 //! Encoding is deliberately canonical (see [`crate::json`]): the match-list
 //! encoder [`encode_result`] is `pub` precisely so tests can render a serial
 //! in-process [`cxm_service::MatchService`] reference through the *same*
-//! code path and compare wire bytes for equality.
+//! canonical writer and compare wire bytes for equality. The server itself
+//! streams the same bytes with [`write_result`], which builds no value
+//! tree.
 
-use crate::json::Json;
+use std::collections::BTreeSet;
+
+use crate::json::{write_display_str, write_float, write_str, Json};
 use cxm_core::ContextMatchResult;
 use cxm_matching::Match;
 use cxm_relational::{Attribute, DataType, Database, Table, TableSchema, Tuple, Value};
@@ -155,12 +159,20 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or_else(|| "missing string member `op`".to_string())?;
         match op {
-            "register" => Ok(Request::Register {
-                tenant: required_str(frame, "tenant")?,
-                tables: decode_tables(frame.get("tables"))?,
-                policy: decode_policy(frame.get("policy"))?,
-                quotas: decode_quotas(frame.get("policy"))?,
-            }),
+            "register" => {
+                let tenant = required_str(frame, "tenant")?;
+                let tables = decode_tables(frame.get("tables"))?;
+                let mut names = BTreeSet::new();
+                if let Some(table) = tables.iter().find(|t| !names.insert(t.name())) {
+                    return Err(format!("duplicate target table `{}`", table.name()));
+                }
+                Ok(Request::Register {
+                    tenant,
+                    tables,
+                    policy: decode_policy(frame.get("policy"))?,
+                    quotas: decode_quotas(frame.get("policy"))?,
+                })
+            }
             "replace" => {
                 let table = frame
                     .get("table")
@@ -375,9 +387,11 @@ fn encode_value(value: &Value) -> Json {
 
 /// Encode a match result under a tenant policy. The policy projects the
 /// `selected` list only; `standard` and `candidates` report the full
-/// deterministic pipeline output. This is the **byte-identity surface**: the
-/// concurrent-equivalence tests encode a serial in-process reference through
-/// this same function and compare bytes.
+/// deterministic pipeline output. This is the value-tree form of the
+/// **byte-identity surface**: its `to_bytes` are exactly the bytes
+/// [`write_result`] streams into every `submit` reply, and the
+/// concurrent-equivalence tests encode a serial in-process reference
+/// through it and compare bytes.
 pub fn encode_result(result: &ContextMatchResult, policy: &TenantPolicy) -> Json {
     Json::Object(vec![
         ("selected".into(), encode_matches(&policy.apply(&result.selected))),
@@ -406,6 +420,52 @@ fn encode_matches(matches: &[&Match]) -> Json {
             })
             .collect(),
     )
+}
+
+/// Append `encode_result(result, policy).to_bytes()` to `out` without
+/// building the value tree: the same members in the same order, the policy
+/// projecting `selected` only, and every string rendered by the same
+/// `to_string` / `to_sql` and escaped by the same routine as
+/// [`Json::to_bytes`].
+pub fn write_result(out: &mut Vec<u8>, result: &ContextMatchResult, policy: &TenantPolicy) {
+    out.extend_from_slice(b"{\"selected\":");
+    write_matches(out, policy.apply(&result.selected));
+    out.extend_from_slice(b",\"standard\":");
+    write_matches(out, &result.standard);
+    out.extend_from_slice(b",\"candidates\":");
+    write_matches(out, &result.candidates);
+    out.extend_from_slice(b",\"candidate_views\":[");
+    for (i, view) in result.candidate_views.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_display_str(out, view);
+    }
+    out.extend_from_slice(b"]}");
+}
+
+/// The streamed form of `encode_matches`.
+fn write_matches<'m>(out: &mut Vec<u8>, matches: impl IntoIterator<Item = &'m Match>) {
+    out.push(b'[');
+    for (i, m) in matches.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"source\":");
+        write_display_str(out, &m.source);
+        out.extend_from_slice(b",\"target\":");
+        write_display_str(out, &m.target);
+        out.extend_from_slice(b",\"base_table\":");
+        write_str(out, &m.base_table);
+        out.extend_from_slice(b",\"condition\":");
+        write_str(out, &m.condition.to_sql());
+        out.extend_from_slice(b",\"score\":");
+        write_float(out, m.score);
+        out.extend_from_slice(b",\"confidence\":");
+        write_float(out, m.confidence);
+        out.push(b'}');
+    }
+    out.push(b']');
 }
 
 /// An `{ok: true, op, …}` response skeleton.
@@ -540,6 +600,24 @@ mod tests {
         ] {
             let frame = parse(bad.as_bytes()).unwrap();
             assert!(Request::from_json(&frame).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn register_rejects_a_repeated_table_name() {
+        let book = book_table_json();
+        let other = book.replacen("\"book\"", "\"shelf\"", 1);
+        let frame = |tables: &str| {
+            parse(format!(r#"{{"op":"register","tenant":"acme","tables":[{tables}]}}"#).as_bytes())
+                .unwrap()
+        };
+        assert_eq!(
+            Request::from_json(&frame(&format!("{book},{other},{book}"))),
+            Err("duplicate target table `book`".to_string())
+        );
+        match Request::from_json(&frame(&format!("{book},{other}"))) {
+            Ok(Request::Register { tables, .. }) => assert_eq!(tables.len(), 2),
+            other => panic!("distinct names must decode: {other:?}"),
         }
     }
 

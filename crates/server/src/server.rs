@@ -44,10 +44,10 @@ use cxm_service::MutexExt;
 
 use crate::admission::{AdmissionQueue, AdmitError};
 use crate::frame::{frame_bytes, DEFAULT_MAX_FRAME_BYTES};
-use crate::json::{parse, Json};
+use crate::json::{parse, write_int, write_str, Json};
 use crate::protocol::{
-    decode_database, encode_result, encode_server_stats, encode_tenant_stats, encode_update,
-    error_frame, ok_frame, ErrorCode, Request,
+    decode_database, encode_server_stats, encode_tenant_stats, encode_update, error_frame,
+    ok_frame, ErrorCode, Request,
 };
 use crate::reactor::{Action, Completion, ConnId, Handler, Reactor, ReactorConfig, ReactorShared};
 use crate::telemetry::{
@@ -534,31 +534,37 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         let SubmitJob { conn, tenant, source, deadline } = job;
         let watch = Stopwatch::start();
+        // Encoding runs inside the unwind guard too: a panic anywhere up to
+        // the finished frame answers `internal`.
         let frame =
             catch_unwind(AssertUnwindSafe(|| process_submit(shared, &tenant, &source, deadline)))
                 .unwrap_or_else(|_| {
-                    error_frame(ErrorCode::Internal, "request panicked in the pipeline", None)
+                    let frame =
+                        error_frame(ErrorCode::Internal, "request panicked in the pipeline", None);
+                    frame_bytes(&frame.to_bytes())
                 });
         // Every dequeued job feeds the estimator — expired ones drain the
         // queue too, and the retry hint estimates drain time, not compute.
         shared.counters.service_time.record(watch.elapsed());
         tenant.counters.inflight_finished();
-        shared.reactor.complete(Completion { conn, frame: frame_bytes(&frame.to_bytes()) });
+        shared.reactor.complete(Completion { conn, frame });
     }
 }
 
 /// The worker-side pipeline: deadline gate → decode → deadline gate →
-/// match → deadline gate → encode.
+/// match → deadline gate → encode. Returns the framed reply.
 fn process_submit(
     shared: &Arc<Shared>,
     tenant: &Arc<Tenant>,
     source: &Json,
     deadline: Deadline,
-) -> Json {
+) -> Vec<u8> {
+    let error =
+        |code: ErrorCode, message: &str| frame_bytes(&error_frame(code, message, None).to_bytes());
     let expired = |stage: &str| {
         bump(&shared.counters.deadline_expiries);
         bump(&tenant.counters.deadline_expiries);
-        error_frame(ErrorCode::DeadlineExceeded, &format!("deadline expired {stage}"), None)
+        error(ErrorCode::DeadlineExceeded, &format!("deadline expired {stage}"))
     };
     if deadline.expired() {
         // Checked before any decoding or matching: an expired request does
@@ -568,30 +574,39 @@ fn process_submit(
     }
     let db = match decode_database(source) {
         Ok(db) => db,
-        Err(message) => return error_frame(ErrorCode::BadRequest, &message, None),
+        Err(message) => return error(ErrorCode::BadRequest, &message),
     };
     if deadline.expired() {
         return expired("after source decoding");
     }
     let response = match tenant.service.submit(&db) {
         Ok(response) => response,
-        Err(e) => return error_frame(ErrorCode::BadRequest, &e.to_string(), None),
+        Err(e) => return error(ErrorCode::BadRequest, &e.to_string()),
     };
     if deadline.expired() {
         return expired("during matching");
     }
-    if response.telemetry.result_cache_hit {
+    let hit = response.telemetry.result_cache_hit;
+    if hit {
         bump(&tenant.counters.result_cache_hits);
     }
     bump(&shared.counters.completed);
     let policy = tenant.policy();
-    ok_frame(
-        "submit",
-        vec![
-            ("tenant".into(), Json::str(tenant.name.clone())),
-            ("catalog_version".into(), Json::Int(response.telemetry.catalog_version as i64)),
-            ("result_cache_hit".into(), Json::Bool(response.telemetry.result_cache_hit)),
-            ("result".into(), encode_result(&response.result, &policy)),
-        ],
-    )
+    // The bytes of `frame_bytes(&ok_frame("submit", [tenant,
+    // catalog_version, result_cache_hit, result]).to_bytes())`, written
+    // straight into the frame: a length placeholder, the members, then the
+    // length patched in.
+    let mut frame = vec![0; 4];
+    frame.extend_from_slice(br#"{"ok":true,"op":"submit","tenant":"#);
+    write_str(&mut frame, &tenant.name);
+    frame.extend_from_slice(br#","catalog_version":"#);
+    write_int(&mut frame, response.telemetry.catalog_version as i64);
+    frame.extend_from_slice(br#","result_cache_hit":"#);
+    frame.extend_from_slice(if hit { b"true" } else { b"false" });
+    frame.extend_from_slice(br#","result":"#);
+    tenant.write_result(&mut frame, &response.result, &policy, hit);
+    frame.push(b'}');
+    let len = u32::try_from(frame.len() - 4).expect("frame exceeds u32 length");
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    frame
 }

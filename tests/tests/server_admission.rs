@@ -14,6 +14,7 @@ use std::thread;
 use cxm_datagen::{generate_retail, RetailConfig};
 use cxm_relational::{tuple, Attribute, Database, Table, TableSchema};
 use cxm_server::client::{error_code, is_ok};
+use cxm_server::protocol::encode_table;
 use cxm_server::{serve, Client, Json, QuotaCeilings, ServerConfig, TenantPolicy, TenantQuotas};
 
 #[test]
@@ -169,8 +170,9 @@ fn deadline_expiry_does_zero_classifier_work() {
 /// A `shutdown` frame is acknowledged, already-open connections get explicit
 /// `shutting_down` refusals for new work, and `join()` returns — the drain
 /// neither hangs nor silently drops clients. Also pins the remaining error
-/// codes (`unknown_tenant`, `unknown_table`, `bad_request`) and that quota
-/// requests above the server ceilings are clamped, not honored.
+/// codes (`unknown_tenant`, `unknown_table`, `bad_request`, including a
+/// `register` that lists one table twice and creates no tenant) and that
+/// quota requests above the server ceilings are clamped, not honored.
 fn graceful_drain_refuses_new_work() {
     let handle = serve(ServerConfig {
         quota_ceilings: QuotaCeilings { match_result_entries: 2, ..QuotaCeilings::default() },
@@ -197,6 +199,19 @@ fn graceful_drain_refuses_new_work() {
     let reply =
         alice.request(&Json::Object(vec![("op".into(), Json::str("warp"))])).expect("reply");
     assert_eq!(error_code(&reply), Some("bad_request"), "{reply:?}");
+    let book = encode_table(small_target().table("book").expect("book"));
+    let reply = alice
+        .request(&Json::Object(vec![
+            ("op".into(), Json::str("register")),
+            ("tenant".into(), Json::str("twice")),
+            ("tables".into(), Json::Array(vec![book.clone(), book])),
+        ]))
+        .expect("reply");
+    assert_eq!(error_code(&reply), Some("bad_request"), "{reply:?}");
+    let message = reply.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+    assert_eq!(message, Some("duplicate target table `book`"));
+    let reply = alice.stats(Some("twice")).expect("reply");
+    assert_eq!(error_code(&reply), Some("unknown_tenant"), "no tenant was created: {reply:?}");
     let reply = bob.submit("t", &small_source(3), None).expect("reply");
     assert!(is_ok(&reply), "{reply:?}");
     assert_eq!(

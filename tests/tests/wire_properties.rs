@@ -12,7 +12,10 @@
 //! * on streams of frames, oversized headers and arbitrary bytes, fed in
 //!   fragments of random size, `FrameDecoder` never panics and yields
 //!   exactly the payloads the blocking `read_frame` reads, failing at the
-//!   same frame.
+//!   same frame;
+//! * on arbitrary match results and policies, the streaming `write_result`
+//!   appends exactly `encode_result(..).to_bytes()`, which are the
+//!   reference writer's bytes of the same tree.
 //!
 //! Inputs are generated from a seeded LCG, as in `persist_properties.rs`:
 //! one `u64` seed fans out into trees, byte strings and mutations.
@@ -22,10 +25,14 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
+use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, RetailConfig};
+use cxm_matching::Match;
+use cxm_relational::{AttrRef, Condition, Value, ViewDef};
 use cxm_server::json::{parse, Json};
-use cxm_server::protocol::{decode_database, encode_database, encode_result, ok_frame};
+use cxm_server::protocol::{
+    decode_database, encode_database, encode_result, ok_frame, write_result,
+};
 use cxm_server::{frame_bytes, read_frame, FrameDecoder, Request, TenantPolicy};
 use cxm_service::{MatchService, ServiceConfig};
 use cxm_tests::reference::{json_parse, json_to_bytes};
@@ -116,6 +123,89 @@ impl Lcg {
     fn members(&mut self, depth: u32) -> Vec<(String, Json)> {
         let len = if self.below(4) == 0 { 10 + self.below(31) } else { self.below(6) };
         (0..len).map(|i| (format!("{}{i}", self.string()), self.value(depth))).collect()
+    }
+
+    /// A score: any finite float (signed zero, tiny and huge included),
+    /// and now and then NaN or an infinity, which the writers degrade to
+    /// `null`.
+    fn score(&mut self) -> f64 {
+        match self.below(6) {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3) as usize],
+            _ => self.float(),
+        }
+    }
+
+    fn cell(&mut self) -> Value {
+        match self.below(4) {
+            0 => Value::Null,
+            1 => Value::Int(self.int()),
+            2 => Value::Float(self.float()),
+            _ => Value::Str(self.string()),
+        }
+    }
+
+    /// A condition of every shape, its attributes and values drawn from
+    /// the escape-heavy alphabet of [`Lcg::string`].
+    fn condition(&mut self, depth: u32) -> Condition {
+        match self.below(if depth == 0 { 3 } else { 5 }) {
+            0 => Condition::True,
+            1 => Condition::Eq(self.string(), self.cell()),
+            2 => Condition::In(self.string(), (0..self.below(4)).map(|_| self.cell()).collect()),
+            3 => Condition::And((0..self.below(3)).map(|_| self.condition(depth - 1)).collect()),
+            _ => Condition::Or((0..self.below(3)).map(|_| self.condition(depth - 1)).collect()),
+        }
+    }
+
+    /// A match list: empty, short, or up to 24 matches.
+    fn matches(&mut self) -> Vec<Match> {
+        let len = match self.below(3) {
+            0 => 0,
+            1 => self.below(4),
+            _ => self.below(25),
+        };
+        (0..len)
+            .map(|_| Match {
+                source: AttrRef::new(self.string(), self.string()),
+                base_table: self.string(),
+                target: AttrRef::new(self.string(), self.string()),
+                condition: self.condition(2),
+                score: self.score(),
+                confidence: self.score(),
+            })
+            .collect()
+    }
+
+    fn result(&mut self) -> ContextMatchResult {
+        let candidate_views = (0..self.below(5))
+            .map(|_| match self.below(2) {
+                0 => ViewDef::select_only(self.string(), self.string(), self.condition(2)),
+                _ => ViewDef::select_project(
+                    self.string(),
+                    self.string(),
+                    self.condition(2),
+                    (0..self.below(3)).map(|_| self.string()).collect(),
+                ),
+            })
+            .collect();
+        ContextMatchResult {
+            selected: self.matches(),
+            standard: self.matches(),
+            candidates: self.matches(),
+            candidate_views,
+            families: Vec::new(),
+        }
+    }
+
+    /// A policy: no threshold or any score as one (NaN included), and no
+    /// `top_k`, or 0, 1, a few or `usize::MAX`.
+    fn policy(&mut self) -> TenantPolicy {
+        TenantPolicy {
+            score_threshold: (self.below(3) > 0).then(|| self.score()),
+            top_k: match self.below(5) {
+                0 => None,
+                n => Some([0, 1, 3, usize::MAX][n as usize - 1]),
+            },
+        }
     }
 
     /// Bytes drawn mostly from JSON's own alphabet, with controls and
@@ -290,6 +380,40 @@ fn real_frames_round_trip_through_the_reference() {
     }
 }
 
+/// `write_result` appends `encode_result(..).to_bytes()` to whatever the
+/// buffer already holds, and those are the reference writer's bytes.
+fn assert_streams_like_the_tree(result: &ContextMatchResult, policy: &TenantPolicy) {
+    let tree = encode_result(result, policy);
+    let mut streamed = b"frame head".to_vec();
+    write_result(&mut streamed, result, policy);
+    assert_eq!(&streamed[..10], b"frame head");
+    let streamed = &streamed[10..];
+    assert!(
+        streamed == tree.to_bytes(),
+        "policy {policy:?}: streamed {:?}, tree {:?}",
+        String::from_utf8_lossy(streamed),
+        tree.to_text()
+    );
+    assert_eq!(streamed, json_to_bytes(&tree));
+}
+
+#[test]
+fn write_result_streams_a_real_retail_result_under_every_policy() {
+    let retail =
+        generate_retail(&RetailConfig { source_items: 12, target_rows: 8, ..Default::default() });
+    let context =
+        ContextMatchConfig::default().with_inference(ViewInferenceStrategy::SrcClass).with_tau(0.4);
+    let service = MatchService::with_config(ServiceConfig { context, ..Default::default() });
+    service.register_target(&retail.target);
+    let result = service.submit(&retail.source).expect("submit").result;
+    assert!(!result.selected.is_empty() && !result.candidates.is_empty());
+    for score_threshold in [None, Some(0.05), Some(0.5), Some(f64::NAN)] {
+        for top_k in [None, Some(0), Some(1), Some(3), Some(usize::MAX)] {
+            assert_streams_like_the_tree(&result, &TenantPolicy { score_threshold, top_k });
+        }
+    }
+}
+
 /// A strict prefix of an object is never a whole document, so the
 /// reference rejects every truncation; `parse` must too, without panicking.
 #[test]
@@ -365,6 +489,19 @@ proptest! {
             }
             None | Some(io::ErrorKind::UnexpectedEof) => prop_assert_eq!(error, None),
             Some(other) => panic!("read_frame failed with {other:?}"),
+        }
+    }
+
+    /// The streaming result writer is the tree writer: on results whose
+    /// every string mixes escapes, controls, DEL and 2- to 4-byte scalars,
+    /// with signed-zero, tiny, huge and non-finite scores, empty sections,
+    /// and every shape of policy.
+    #[test]
+    fn write_result_streams_the_tree_writers_bytes(seed in any::<u64>()) {
+        let mut lcg = Lcg(seed);
+        let result = lcg.result();
+        for _ in 0..4 {
+            assert_streams_like_the_tree(&result, &lcg.policy());
         }
     }
 
