@@ -4,7 +4,8 @@
 //! service's source column-batch cache all need the same shape: a
 //! capacity-bounded map evicting oldest-inserted first, with `0` meaning
 //! "disabled", and hit/miss/eviction counters for telemetry. This is that
-//! shape, once.
+//! shape, once: the result and source caches are instances of
+//! [`BoundedCache`], and the restricted-profile cache wraps one.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;

@@ -12,11 +12,11 @@
 //!
 //! Invalidation is automatic through the key: any catalog update bumps the
 //! snapshot version, so every entry of the previous generation stops being
-//! addressable — and the new snapshot starts from
-//! [`MatchResultCache::next_generation`], which drops those dead entries
-//! instead of carrying them until the bound ages them out. Any source edit
-//! changes the source fingerprint the same way, and those entries age out
-//! through the oldest-first capacity bound. Nothing is ever served stale.
+//! addressable — and the new snapshot starts from [`BoundedCache::emptied`],
+//! which drops those dead entries instead of carrying them until the bound
+//! ages them out. Any source edit changes the source fingerprint the same
+//! way, and those entries age out through the oldest-first capacity bound.
+//! Nothing is ever served stale.
 //!
 //! Hit results are **byte-identical** to what the run they memoize produced
 //! (a clone of the stored result; every score and confidence keeps its exact
@@ -46,71 +46,9 @@ pub struct MatchResultKey {
 /// A bounded, oldest-first cache of whole [`ContextMatchResult`]s. Results
 /// are stored behind `Arc`s, so caching one costs no deep copy beyond the
 /// insert-time clone the caller makes; a long-lived match service keeps one
-/// per catalog snapshot and hands its lifetime totals to the next snapshot's
-/// ([`MatchResultCache::next_generation`]).
-#[derive(Debug, Clone, Default)]
-pub struct MatchResultCache {
-    entries: BoundedCache<MatchResultKey, Arc<ContextMatchResult>>,
-}
-
-impl MatchResultCache {
-    /// A cache retaining at most `capacity` results (oldest inserted evicted
-    /// first); `0` disables caching entirely.
-    pub fn with_capacity(capacity: usize) -> Self {
-        MatchResultCache { entries: BoundedCache::with_capacity(capacity) }
-    }
-
-    /// The cache a new catalog snapshot starts from: empty — every entry
-    /// here is keyed to a superseded catalog version and can never hit
-    /// again — with the same capacity and the lifetime hit, miss and
-    /// eviction totals. Dropping the dead entries does not count as
-    /// evictions, which report capacity pressure.
-    pub fn next_generation(&self) -> Self {
-        MatchResultCache { entries: self.entries.emptied() }
-    }
-
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    /// Number of cached results.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> usize {
-        self.entries.hits()
-    }
-
-    /// Lookups that found nothing so far.
-    pub fn misses(&self) -> usize {
-        self.entries.misses()
-    }
-
-    /// Entries evicted by the capacity bound so far.
-    pub fn evictions(&self) -> usize {
-        self.entries.evictions()
-    }
-
-    /// The result cached for `key`, recording a hit or miss.
-    pub fn get(&mut self, key: &MatchResultKey) -> Option<Arc<ContextMatchResult>> {
-        self.entries.get(key).map(Arc::clone)
-    }
-
-    /// Cache `result` under `key`, evicting oldest entries beyond the
-    /// capacity. Re-inserting an existing key replaces its result in place
-    /// (its age is unchanged).
-    pub fn insert(&mut self, key: MatchResultKey, result: Arc<ContextMatchResult>) {
-        self.entries.insert(key, result);
-    }
-}
+/// per catalog snapshot and starts the next snapshot's from
+/// [`BoundedCache::emptied`], which keeps the capacity and lifetime totals.
+pub type MatchResultCache = BoundedCache<MatchResultKey, Arc<ContextMatchResult>>;
 
 #[cfg(test)]
 mod tests {
@@ -137,7 +75,7 @@ mod tests {
         cache.insert(key(2, 1, 1), Arc::clone(&result));
         assert_eq!(cache.len(), 2);
         let hit = cache.get(&key(1, 1, 1)).unwrap();
-        assert!(Arc::ptr_eq(&hit, &result), "hits serve the stored result");
+        assert!(Arc::ptr_eq(hit, &result), "hits serve the stored result");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
         // A third key evicts the oldest entry and counts it.
@@ -152,7 +90,7 @@ mod tests {
         assert_ne!(key(1, 1, 1), key(1, 1, 2));
 
         // The next generation is empty but keeps capacity and totals.
-        let next = cache.next_generation();
+        let next = cache.emptied();
         assert!(next.is_empty());
         assert_eq!(next.capacity(), 2);
         assert_eq!((next.hits(), next.misses(), next.evictions()), (1, 2, 1));

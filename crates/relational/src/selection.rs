@@ -14,25 +14,13 @@
 //!   that evaluates conjunctive/disjunctive [`Condition`]s by intersecting /
 //!   uniting cached atom selections instead of rescanning rows.
 //!
-//! ## Representation
-//!
-//! A `RowSelection` is stored either as a **sorted index vector** (sparse
-//! selections — ideal below ~50 % selectivity, where merges touch only the
-//! selected rows) or as a **bitmap** with one bit per base row (dense
-//! selections — `intersect`/`union` become word-wise `AND`/`OR` with
-//! popcounts). Constructors that know the base table's size pick the
-//! representation automatically at the ~50 % selectivity threshold; set
-//! operations re-normalize their results. The two representations are
-//! behavior-identical: every observable API (iteration order, equality,
-//! membership, set algebra) is representation-independent.
-//!
 //! ## Invariants
 //!
 //! 1. A `RowSelection` enumerates its indices **sorted ascending and
 //!    duplicate-free**; every index is `< base.len()` for the table it was
 //!    built from. All constructors and set operations preserve this, which is
-//!    what makes intersection/union linear merges (or word-wise bit ops) and
-//!    keeps sliced iteration in base-table row order.
+//!    what makes intersection/union linear merges and keeps sliced iteration
+//!    in base-table row order.
 //! 2. A `TableSlice` yields rows in base-table order, so materializing a
 //!    slice produces byte-identical results to the legacy
 //!    `Table::filter_rows` path.
@@ -49,7 +37,6 @@
 //!    attributes select nothing, `True` selects everything, `And`/`Or`
 //!    intersect/unite member selections.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -60,42 +47,13 @@ use crate::tuple::Tuple;
 use crate::types::DataType;
 use crate::value::Value;
 
-/// Minimum base-table size for the bitmap representation to be considered:
-/// below this, the sparse vector is always at least as compact and merges are
-/// trivially cheap.
-const DENSE_MIN_UNIVERSE: usize = 64;
-
 /// A sorted, duplicate-free set of row indices selecting a subset of a base
-/// table's rows (a *selection vector*). Stored sparse (sorted `Vec<usize>`)
-/// or dense (bitmap) — see the module docs; the representations are
-/// behavior-identical.
-#[derive(Debug, Clone)]
+/// table's rows (a *selection vector*).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowSelection {
-    repr: Repr,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
     /// Sorted ascending, duplicate-free indices.
-    Sparse(Vec<usize>),
-    /// One bit per base row, for selections above the density threshold.
-    Dense(Bitmap),
+    indices: Vec<usize>,
 }
-
-impl Default for RowSelection {
-    fn default() -> Self {
-        RowSelection { repr: Repr::Sparse(Vec::new()) }
-    }
-}
-
-/// Equality is content equality, independent of representation.
-impl PartialEq for RowSelection {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for RowSelection {}
 
 impl RowSelection {
     /// The empty selection.
@@ -105,46 +63,21 @@ impl RowSelection {
 
     /// The selection covering every row of a table with `n` rows.
     pub fn full(n: usize) -> Self {
-        if n >= DENSE_MIN_UNIVERSE {
-            // Build the all-ones bitmap directly — no intermediate index
-            // vector for what is always a maximally dense selection.
-            let mut words = vec![u64::MAX; n.div_ceil(64)];
-            if !n.is_multiple_of(64) {
-                *words.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
-            }
-            RowSelection { repr: Repr::Dense(Bitmap { words, universe: n, count: n }) }
-        } else {
-            RowSelection { repr: Repr::Sparse((0..n).collect()) }
-        }
+        RowSelection { indices: (0..n).collect() }
     }
 
     /// Build from indices that are already sorted ascending and unique.
-    /// Enforced in debug builds; release builds trust the caller. Stays
-    /// sparse — without the base table's size the density is unknowable.
+    /// Enforced in debug builds; release builds trust the caller.
     pub fn from_sorted(indices: Vec<usize>) -> Self {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must be sorted/unique");
-        RowSelection { repr: Repr::Sparse(indices) }
+        RowSelection { indices }
     }
 
     /// Build from arbitrary indices: sorts and deduplicates.
     pub fn from_unsorted(mut indices: Vec<usize>) -> Self {
         indices.sort_unstable();
         indices.dedup();
-        RowSelection { repr: Repr::Sparse(indices) }
-    }
-
-    /// Select the rows of `table` satisfying `predicate` (single scan).
-    pub fn from_predicate<F>(table: &Table, mut predicate: F) -> Self
-    where
-        F: FnMut(&Tuple) -> bool,
-    {
-        let indices = table
-            .rows()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, row)| predicate(row).then_some(i))
-            .collect();
-        RowSelection::from_parts(indices, Some(table.len()))
+        RowSelection { indices }
     }
 
     /// Evaluate `condition` over `table` in a single scan, resolving attribute
@@ -160,216 +93,92 @@ impl RowSelection {
                     .enumerate()
                     .filter_map(|(i, row)| compiled.matches(row).then_some(i))
                     .collect();
-                RowSelection::from_parts(indices, Some(table.len()))
+                RowSelection { indices }
             }
-        }
-    }
-
-    /// Normalize a sorted index vector into the representation the density
-    /// rule picks: dense when the base size is known, large enough, and the
-    /// selection covers at least half of it.
-    fn from_parts(indices: Vec<usize>, universe: Option<usize>) -> Self {
-        match universe {
-            Some(u) if u >= DENSE_MIN_UNIVERSE && indices.len() * 2 >= u => {
-                RowSelection { repr: Repr::Dense(Bitmap::from_sorted(&indices, u)) }
-            }
-            _ => RowSelection { repr: Repr::Sparse(indices) },
-        }
-    }
-
-    /// Re-apply the density rule to a bitmap result (set operations can leave
-    /// a bitmap far below the threshold, where the sparse form is cheaper).
-    fn normalized(bitmap: Bitmap) -> Self {
-        if bitmap.universe >= DENSE_MIN_UNIVERSE && bitmap.count * 2 >= bitmap.universe {
-            RowSelection { repr: Repr::Dense(bitmap) }
-        } else {
-            RowSelection { repr: Repr::Sparse(bitmap.to_sorted()) }
         }
     }
 
     /// Number of selected rows.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(v) => v.len(),
-            Repr::Dense(b) => b.count,
-        }
+        self.indices.len()
     }
 
     /// True when no rows are selected.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.indices.is_empty()
     }
 
-    /// True when the selection is held in the dense (bitmap) representation.
-    /// Representation is an implementation detail — exposed for tests and
-    /// diagnostics only; behavior never depends on it.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense(_))
-    }
-
-    /// The selected row indices, sorted ascending. Borrowed straight from a
-    /// sparse selection; materialized on the fly from a dense one.
-    pub fn indices(&self) -> Cow<'_, [usize]> {
-        match &self.repr {
-            Repr::Sparse(v) => Cow::Borrowed(v.as_slice()),
-            Repr::Dense(b) => Cow::Owned(b.to_sorted()),
-        }
+    /// The selected row indices, sorted ascending.
+    pub fn indices(&self) -> &[usize] {
+        &self.indices
     }
 
     /// Iterate over the selected row indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let (sparse, dense) = match &self.repr {
-            Repr::Sparse(v) => (Some(v.iter().copied()), None),
-            Repr::Dense(b) => (None, Some(b.iter())),
-        };
-        sparse.into_iter().flatten().chain(dense.into_iter().flatten())
+        self.indices.iter().copied()
     }
 
-    /// The `k`-th selected row index in ascending order, if `k < len`.
-    pub fn nth_index(&self, k: usize) -> Option<usize> {
-        match &self.repr {
-            Repr::Sparse(v) => v.get(k).copied(),
-            Repr::Dense(b) => b.iter().nth(k),
-        }
-    }
-
-    /// The largest selected row index.
-    pub fn max_index(&self) -> Option<usize> {
-        match &self.repr {
-            Repr::Sparse(v) => v.last().copied(),
-            Repr::Dense(b) => b.max_bit(),
-        }
-    }
-
-    /// Membership test (binary search over the sorted vector, or a bit probe).
+    /// Membership test (binary search over the sorted indices).
     pub fn contains(&self, row: usize) -> bool {
-        match &self.repr {
-            Repr::Sparse(v) => v.binary_search(&row).is_ok(),
-            Repr::Dense(b) => b.contains(row),
-        }
+        self.indices.binary_search(&row).is_ok()
     }
 
-    /// Set intersection. Dense × dense is a word-wise `AND` with popcounts;
-    /// sparse × sparse a linear merge; mixed pairs probe the bitmap per
-    /// sparse index.
+    /// Set intersection: a linear merge of the two sorted index vectors.
     pub fn intersect(&self, other: &RowSelection) -> RowSelection {
-        match (&self.repr, &other.repr) {
-            (Repr::Dense(a), Repr::Dense(b)) => {
-                let universe = a.universe.min(b.universe);
-                let n_words = a.words.len().min(b.words.len());
-                let mut words = Vec::with_capacity(n_words);
-                let mut count = 0usize;
-                for k in 0..n_words {
-                    let w = a.words[k] & b.words[k];
-                    count += w.count_ones() as usize;
-                    words.push(w);
+        let (a, b) = (&self.indices, &other.indices);
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
                 }
-                RowSelection::normalized(Bitmap { words, universe, count })
-            }
-            (Repr::Sparse(a), Repr::Sparse(b)) => {
-                let mut out = Vec::with_capacity(a.len().min(b.len()));
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                RowSelection { repr: Repr::Sparse(out) }
-            }
-            (Repr::Sparse(v), Repr::Dense(b)) | (Repr::Dense(b), Repr::Sparse(v)) => {
-                let out: Vec<usize> = v.iter().copied().filter(|&i| b.contains(i)).collect();
-                RowSelection { repr: Repr::Sparse(out) }
             }
         }
+        RowSelection { indices: out }
     }
 
-    /// Set union. Dense × dense is a word-wise `OR` with popcounts; sparse ×
-    /// sparse a linear merge; mixed pairs set the sparse indices into a copy
-    /// of the bitmap.
+    /// Set union: a linear merge of the two sorted index vectors.
     pub fn union(&self, other: &RowSelection) -> RowSelection {
-        match (&self.repr, &other.repr) {
-            (Repr::Dense(a), Repr::Dense(b)) => {
-                let universe = a.universe.max(b.universe);
-                let n_words = a.words.len().max(b.words.len());
-                let mut words = Vec::with_capacity(n_words);
-                let mut count = 0usize;
-                for k in 0..n_words {
-                    let w =
-                        a.words.get(k).copied().unwrap_or(0) | b.words.get(k).copied().unwrap_or(0);
-                    count += w.count_ones() as usize;
-                    words.push(w);
+        let (a, b) = (&self.indices, &other.indices);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
                 }
-                RowSelection::normalized(Bitmap { words, universe, count })
-            }
-            (Repr::Sparse(a), Repr::Sparse(b)) => {
-                let mut out = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => {
-                            out.push(a[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            out.push(b[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
                 }
-                out.extend_from_slice(&a[i..]);
-                out.extend_from_slice(&b[j..]);
-                RowSelection { repr: Repr::Sparse(out) }
-            }
-            (Repr::Sparse(v), Repr::Dense(b)) | (Repr::Dense(b), Repr::Sparse(v)) => {
-                let mut out = b.clone();
-                for &i in v {
-                    out.insert(i);
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
                 }
-                RowSelection::normalized(out)
             }
         }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        RowSelection { indices: out }
     }
 
     /// The complement with respect to a base of `n` rows.
     pub fn complement(&self, n: usize) -> RowSelection {
-        match &self.repr {
-            Repr::Sparse(v) => {
-                let mut out = Vec::with_capacity(n - self.len().min(n));
-                let mut next = 0;
-                for &idx in v {
-                    out.extend(next..idx.min(n));
-                    next = idx + 1;
-                }
-                out.extend(next..n);
-                RowSelection::from_parts(out, Some(n))
-            }
-            Repr::Dense(b) => {
-                let mut words = vec![0u64; n.div_ceil(64)];
-                let mut count = 0usize;
-                for (k, w) in words.iter_mut().enumerate() {
-                    let mut inv = !b.words.get(k).copied().unwrap_or(0);
-                    // Mask off bits at or beyond n in the trailing word.
-                    let base = k * 64;
-                    if base + 64 > n {
-                        inv &= (1u64 << (n - base)) - 1;
-                    }
-                    count += inv.count_ones() as usize;
-                    *w = inv;
-                }
-                RowSelection::normalized(Bitmap { words, universe: n, count })
-            }
+        let mut out = Vec::with_capacity(n - self.len().min(n));
+        let mut next = 0;
+        for &idx in &self.indices {
+            out.extend(next..idx.min(n));
+            next = idx + 1;
         }
+        out.extend(next..n);
+        RowSelection { indices: out }
     }
 
     /// Fraction of the base's rows selected (`len / base_rows`; 0 for an
@@ -379,95 +188,6 @@ impl RowSelection {
             0.0
         } else {
             self.len() as f64 / base_rows as f64
-        }
-    }
-}
-
-/// The dense representation: one bit per base row, with the popcount and the
-/// base size (`universe`) carried alongside. No bit at index `>= universe` is
-/// ever set.
-#[derive(Debug, Clone)]
-struct Bitmap {
-    words: Vec<u64>,
-    universe: usize,
-    count: usize,
-}
-
-impl Bitmap {
-    fn from_sorted(indices: &[usize], universe: usize) -> Bitmap {
-        let mut words = vec![0u64; universe.div_ceil(64)];
-        for &i in indices {
-            debug_assert!(i < universe, "selection index {i} out of universe {universe}");
-            words[i / 64] |= 1u64 << (i % 64);
-        }
-        Bitmap { words, universe, count: indices.len() }
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        i < self.universe && (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Set bit `i`, growing the universe when needed (mixed-representation
-    /// unions can introduce indices past this bitmap's base size).
-    fn insert(&mut self, i: usize) {
-        if i >= self.universe {
-            self.universe = i + 1;
-            if self.words.len() < self.universe.div_ceil(64) {
-                self.words.resize(self.universe.div_ceil(64), 0);
-            }
-        }
-        let mask = 1u64 << (i % 64);
-        if self.words[i / 64] & mask == 0 {
-            self.words[i / 64] |= mask;
-            self.count += 1;
-        }
-    }
-
-    fn to_sorted(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count);
-        out.extend(self.iter());
-        out
-    }
-
-    fn iter(&self) -> BitmapIter<'_> {
-        BitmapIter { words: &self.words, word_idx: 0, base: 0, current: 0 }
-    }
-
-    fn max_bit(&self) -> Option<usize> {
-        for (k, &w) in self.words.iter().enumerate().rev() {
-            if w != 0 {
-                return Some(k * 64 + 63 - w.leading_zeros() as usize);
-            }
-        }
-        None
-    }
-}
-
-/// Ascending iterator over a bitmap's set bits (one `trailing_zeros` per
-/// yielded index).
-struct BitmapIter<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    base: usize,
-    current: u64,
-}
-
-impl Iterator for BitmapIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let tz = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.base + tz);
-            }
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-            self.base = self.word_idx * 64;
-            self.word_idx += 1;
         }
     }
 }
@@ -554,7 +274,7 @@ impl<'a> TableSlice<'a> {
     /// Borrow `base` restricted by `selection`. The selection must have been
     /// built over `base` (or a table of at least the same length).
     pub fn new(base: &'a Table, selection: &'a RowSelection) -> Self {
-        debug_assert!(selection.max_index().is_none_or(|i| i < base.len()));
+        debug_assert!(selection.indices().last().is_none_or(|&i| i < base.len()));
         TableSlice { base, selection }
     }
 
@@ -591,7 +311,7 @@ impl<'a> TableSlice<'a> {
     /// The value of attribute `name` in the `k`-th *selected* row.
     pub fn value_at(&self, k: usize, name: &str) -> crate::error::Result<&'a Value> {
         let col = self.base.schema().require_index(name)?;
-        let row = self.selection.nth_index(k).expect("slice row index within selection");
+        let row = self.selection.indices()[k];
         Ok(self.base.rows()[row].at(col))
     }
 
@@ -875,7 +595,7 @@ mod tests {
     }
 
     /// A wide table whose `type` column splits rows ~evenly, so conditions on
-    /// it produce dense selections.
+    /// it produce dense selections (half of the rows or more).
     fn wide_table(n: usize) -> Table {
         let schema = TableSchema::new("wide", vec![Attribute::int("id"), Attribute::int("type")]);
         let rows = (0..n).map(|i| tuple![i as i64, (i % 2) as i64]).collect();
@@ -901,7 +621,7 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, row)| cond.eval(t.schema(), row).then_some(i))
                 .collect();
-            assert_eq!(&*sel.indices(), expected.as_slice(), "condition {cond}");
+            assert_eq!(sel.indices(), expected.as_slice(), "condition {cond}");
         }
     }
 
@@ -909,12 +629,12 @@ mod tests {
     fn set_operations_merge_sorted_vectors() {
         let a = RowSelection::from_sorted(vec![0, 2, 3, 5]);
         let b = RowSelection::from_sorted(vec![1, 2, 5]);
-        assert_eq!(&*a.intersect(&b).indices(), &[2, 5]);
-        assert_eq!(&*a.union(&b).indices(), &[0, 1, 2, 3, 5]);
-        assert_eq!(&*a.complement(6).indices(), &[1, 4]);
+        assert_eq!(a.intersect(&b).indices(), &[2, 5]);
+        assert_eq!(a.union(&b).indices(), &[0, 1, 2, 3, 5]);
+        assert_eq!(a.complement(6).indices(), &[1, 4]);
         assert!(a.contains(3));
         assert!(!a.contains(4));
-        assert_eq!(&*RowSelection::from_unsorted(vec![3, 1, 3, 0]).indices(), &[0, 1, 3]);
+        assert_eq!(RowSelection::from_unsorted(vec![3, 1, 3, 0]).indices(), &[0, 1, 3]);
     }
 
     #[test]
@@ -924,28 +644,12 @@ mod tests {
         assert_eq!(RowSelection::empty().selectivity(0), 0.0);
     }
 
-    #[test]
-    fn density_threshold_picks_the_representation() {
-        let t = wide_table(200);
-        // 50 % selectivity on a 200-row base: dense.
-        let half = RowSelection::of_condition(&t, &Condition::eq("type", 0));
-        assert!(half.is_dense());
-        assert_eq!(half.len(), 100);
-        // A tiny subset stays sparse.
-        let one = RowSelection::of_condition(&t, &Condition::eq("id", 7));
-        assert!(!one.is_dense());
-        // Small bases always stay sparse, even at 100 % selectivity.
-        assert!(!RowSelection::full(8).is_dense());
-        assert!(RowSelection::full(64).is_dense());
-    }
-
+    /// Selections of the same rows are equal whichever constructor built them.
     #[test]
     fn equality_is_representation_independent() {
         let t = wide_table(100);
         let dense = RowSelection::of_condition(&t, &Condition::eq("type", 0));
-        assert!(dense.is_dense());
         let sparse = RowSelection::from_sorted(dense.iter().collect());
-        assert!(!sparse.is_dense());
         assert_eq!(dense, sparse);
         assert_eq!(sparse, dense);
         assert_ne!(dense, RowSelection::full(100));
@@ -955,55 +659,50 @@ mod tests {
     fn dense_iteration_membership_and_indexing() {
         let t = wide_table(130);
         let sel = RowSelection::of_condition(&t, &Condition::eq("type", 1));
-        assert!(sel.is_dense());
         let expected: Vec<usize> = (0..130).filter(|i| i % 2 == 1).collect();
         assert_eq!(sel.iter().collect::<Vec<_>>(), expected);
-        assert_eq!(&*sel.indices(), expected.as_slice());
-        assert_eq!(sel.max_index(), Some(129));
-        assert_eq!(sel.nth_index(0), Some(1));
-        assert_eq!(sel.nth_index(64), Some(129));
-        assert_eq!(sel.nth_index(65), None);
+        assert_eq!(sel.indices(), expected.as_slice());
+        assert_eq!(sel.indices().last(), Some(&129));
+        assert_eq!(sel.indices().first(), Some(&1));
+        assert_eq!(sel.indices().get(64), Some(&129));
+        assert_eq!(sel.indices().get(65), None);
         assert!(sel.contains(1));
         assert!(!sel.contains(0));
         assert!(!sel.contains(1000));
     }
 
     #[test]
-    fn dense_set_operations_match_sparse_semantics() {
+    fn set_operations_on_complementary_halves() {
         let t = wide_table(150);
         let evens = RowSelection::of_condition(&t, &Condition::eq("type", 0));
         let odds = RowSelection::of_condition(&t, &Condition::eq("type", 1));
-        assert!(evens.is_dense() && odds.is_dense());
-        // Disjoint dense selections: empty intersection (renormalized to
-        // sparse), full union.
+        // Disjoint dense selections: empty intersection, full union.
         let inter = evens.intersect(&odds);
         assert!(inter.is_empty());
-        assert!(!inter.is_dense(), "empty result must renormalize to sparse");
         let uni = evens.union(&odds);
         assert_eq!(uni, RowSelection::full(150));
         // Complement flips between them.
         assert_eq!(evens.complement(150), odds);
         assert_eq!(odds.complement(150), evens);
 
-        // Mixed representation: sparse ∩ dense probes the bitmap; sparse ∪
-        // dense stays content-correct.
+        // A few scattered rows against a dense selection.
         let sparse = RowSelection::from_sorted(vec![0, 1, 2, 149]);
-        assert_eq!(&*sparse.intersect(&evens).indices(), &[0, 2]);
-        assert_eq!(&*evens.intersect(&sparse).indices(), &[0, 2]);
+        assert_eq!(sparse.intersect(&evens).indices(), &[0, 2]);
+        assert_eq!(evens.intersect(&sparse).indices(), &[0, 2]);
         let merged = sparse.union(&odds);
         assert_eq!(merged.len(), odds.len() + 2);
         assert!(merged.contains(0) && merged.contains(2) && merged.contains(149));
     }
 
     #[test]
-    fn mixed_union_grows_past_the_bitmap_universe() {
+    fn union_grows_past_the_base_table() {
         let t = wide_table(100);
         let dense = RowSelection::of_condition(&t, &Condition::eq("type", 0));
         let sparse = RowSelection::from_sorted(vec![250]);
         let grown = dense.union(&sparse);
         assert_eq!(grown.len(), dense.len() + 1);
         assert!(grown.contains(250));
-        assert_eq!(grown.max_index(), Some(250));
+        assert_eq!(grown.indices().last(), Some(&250));
     }
 
     #[test]
@@ -1032,10 +731,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_slices_behave_like_sparse_ones() {
+    fn slices_of_half_selections_index_and_materialize() {
         let t = wide_table(96);
         let sel = RowSelection::of_condition(&t, &Condition::eq("type", 0));
-        assert!(sel.is_dense());
         let slice = TableSlice::new(&t, &sel);
         assert_eq!(slice.len(), 48);
         assert_eq!(slice.value_at(3, "id").unwrap(), &Value::Int(6));
@@ -1086,8 +784,8 @@ mod tests {
             cache.select(&t, &Condition::eq("type", 1).and(Condition::eq("descr", "paperback")));
         assert_eq!(cache.misses(), 2, "only the new descr atom is scanned");
         assert_eq!(cache.hits(), 2);
-        assert_eq!(&*a.indices(), &[0, 2, 3]);
-        assert_eq!(&*b.indices(), &[2, 3]);
+        assert_eq!(a.indices(), &[0, 2, 3]);
+        assert_eq!(b.indices(), &[2, 3]);
         // Disjunctions merge cached atoms too.
         let c = cache.select(&t, &Condition::eq("type", 1).or(Condition::eq("type", 2)));
         assert_eq!(c.len(), 5);
@@ -1129,7 +827,7 @@ mod tests {
         let mut cache = SelectionCache::new();
         assert!(!cache.validate_fingerprint("inv", t1.fingerprint()), "first sight misses");
         let a = cache.select(&t1, &Condition::eq("type", 1));
-        assert_eq!(&*a.indices(), &[0, 2, 3]);
+        assert_eq!(a.indices(), &[0, 2, 3]);
         // Revalidating the same content keeps the bucket.
         assert!(cache.validate_fingerprint("inv", t1.fingerprint()));
         assert_eq!(cache.cached_atoms(), 1);
@@ -1138,7 +836,7 @@ mod tests {
         assert_eq!(cache.cached_atoms(), 0);
         let b = cache.select(&t2, &Condition::eq("type", 1));
         assert_eq!(b.len(), 3);
-        assert_ne!(&*a.indices(), &*b.indices(), "reversed rows select different indices");
+        assert_ne!(a.indices(), b.indices(), "reversed rows select different indices");
     }
 
     #[test]

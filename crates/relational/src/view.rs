@@ -291,7 +291,7 @@ mod tests {
         let base = db.table("inv").unwrap();
         let v = ViewDef::select_only("V1", "inv", Condition::eq("type", 1));
         let sel = v.select(base).unwrap();
-        assert_eq!(&*sel.indices(), &[0, 2, 3]);
+        assert_eq!(sel.indices(), &[0, 2, 3]);
         // Materializing the selection equals the legacy evaluate path.
         assert_eq!(v.materialize_selection(base, &sel).unwrap(), v.evaluate(&db).unwrap());
         // Projection views materialize through the same path.

@@ -124,11 +124,10 @@ fn register_request(
     policy: &TenantPolicy,
     quotas: &TenantQuotas,
 ) -> Json {
-    let tables = encode_database(target).get("tables").cloned().unwrap_or(Json::Array(Vec::new()));
     let mut members = vec![
         ("op".into(), Json::str("register")),
         ("tenant".into(), Json::str(tenant)),
-        ("tables".into(), tables),
+        ("tables".into(), Json::Array(target.tables().map(encode_table).collect())),
     ];
     let policy_members = encode_policy(policy, quotas);
     if !policy_members.is_empty() {

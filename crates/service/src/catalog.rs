@@ -292,7 +292,7 @@ impl CatalogSnapshot {
             // from here on. Carrying them would only keep dead results
             // resident until the bound aged them out; the capacity and
             // lifetime totals carry.
-            match_results: Mutex::new(prev.match_results.lock_or_recover().next_generation()),
+            match_results: Mutex::new(prev.match_results.lock_or_recover().emptied()),
             interner: Arc::clone(&prev.interner),
             gram_index: OnceLock::new(),
             prev_gram_index,

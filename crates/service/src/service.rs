@@ -466,7 +466,7 @@ impl MatchService {
         let cached = {
             let mut cache = snapshot.match_results().lock_or_recover();
             if cache.capacity() > 0 {
-                cache.get(&result_key)
+                cache.get(&result_key).cloned()
             } else {
                 None
             }

@@ -15,6 +15,58 @@ fn int_table(values: &[i64]) -> Table {
         .expect("arity matches")
 }
 
+/// Build a table of `rows` rows over 2–3 small-domain columns with NULLs:
+/// `a` int and `b` text, plus `c` int when `three_columns`. Cell `k` of the
+/// row-major `codes` picks a domain value, or NULL for code 3.
+fn small_domain_table(codes: &[u32], rows: usize, three_columns: bool) -> Table {
+    let mut attributes = vec![Attribute::int("a"), Attribute::text("b")];
+    if three_columns {
+        attributes.push(Attribute::int("c"));
+    }
+    let width = attributes.len();
+    let cell = |column: usize, code: u32| match (column, code % 4) {
+        (_, 3) => Value::Null,
+        (1, k) => Value::str(["x", "y", "z"][k as usize]),
+        (_, k) => Value::Int(k as i64),
+    };
+    let tuples = (0..rows)
+        .map(|r| Tuple::new((0..width).map(|col| cell(col, codes[r * width + col])).collect()))
+        .collect();
+    Table::with_rows(TableSchema::new("t", attributes), tuples).expect("arity matches")
+}
+
+/// Decode one condition from the front of `codes`. Atoms are `True`, `Eq`
+/// and `In` (over a possibly empty set) on `a`, `b`, `c` (unknown on a
+/// two-column table) or the always-unknown `zz`. Below `depth` 3 a code may
+/// instead open an `And` / `Or` of 0–3 decoded members. Exhausted codes
+/// decode as `True`.
+fn decode_condition(codes: &mut impl Iterator<Item = u32>, depth: usize) -> Condition {
+    let Some(code) = codes.next() else { return Condition::True };
+    let attr = ["a", "b", "c", "zz"][(code >> 3) as usize % 4];
+    let value = |k: u32| match (attr, k % 4) {
+        (_, 3) => Value::Null,
+        ("b", k) => Value::str(["x", "y", "z"][k as usize]),
+        (_, k) => Value::Int(k as i64),
+    };
+    match code % 8 {
+        0 => Condition::True,
+        3 => Condition::In(
+            attr.to_string(),
+            (0..4).filter(|k| (code >> 5) & (1 << k) != 0).map(value).collect(),
+        ),
+        4..=7 if depth < 3 => {
+            let members =
+                (0..(code >> 5) % 4).map(|_| decode_condition(codes, depth + 1)).collect();
+            if code % 8 < 6 {
+                Condition::And(members)
+            } else {
+                Condition::Or(members)
+            }
+        }
+        _ => Condition::Eq(attr.to_string(), value(code >> 5)),
+    }
+}
+
 proptest! {
     /// A view family built from the distinct values of an attribute always
     /// partitions the table: member views are disjoint and cover every row.
@@ -69,15 +121,13 @@ proptest! {
         prop_assert_eq!(combined, original);
     }
 
-    /// The bitmap-backed (dense) `RowSelection` representation is
-    /// behavior-identical to the sorted-vector one: over random selections,
-    /// every set operation agrees with reference set semantics, and a sparse
-    /// twin built from the same indices is equal and operates identically.
-    /// Binary values over a large base push conditions past the ~50 %
-    /// density threshold, so both representations (and the mixed-pair ops)
-    /// are exercised.
+    /// Over random selections, every `RowSelection` set operation agrees
+    /// with reference set semantics, and a twin built from the same indices
+    /// is equal and operates identically. Binary values over a large base
+    /// give selections of about half the rows; a strided subset adds sparse
+    /// ones.
     #[test]
-    fn dense_and_sparse_selections_agree(
+    fn selections_agree_with_set_semantics(
         values in prop::collection::vec(0i64..2, 1..300),
         pivot in 0i64..2,
         stride in 1usize..7,
@@ -101,16 +151,14 @@ proptest! {
         prop_assert_eq!(a.complement(n).iter().collect::<Vec<_>>(), comp);
         prop_assert_eq!(a.union(&b).len(), n, "binary column: union covers the base");
 
-        // A sparse twin of the same content is equal and ops identically,
-        // regardless of which representation `a` picked.
+        // A twin of the same content is equal and operates identically.
         let twin = RowSelection::from_sorted(a.iter().collect());
-        prop_assert!(!twin.is_dense());
         prop_assert_eq!(&twin, &a);
         prop_assert_eq!(twin.intersect(&b), a.intersect(&b));
         prop_assert_eq!(twin.union(&b), a.union(&b));
         prop_assert_eq!(twin.complement(n), a.complement(n));
 
-        // Mixed-representation pairs (strided sparse subset vs `a`).
+        // A strided sparse subset against `a`.
         let strided = RowSelection::from_sorted((0..n).step_by(stride).collect());
         let ss: BTreeSet<usize> = strided.iter().collect();
         let mixed_inter: Vec<usize> = ss.intersection(&sa).copied().collect();
@@ -120,14 +168,71 @@ proptest! {
         prop_assert_eq!(strided.union(&a).iter().collect::<Vec<_>>(), mixed_uni.clone());
         prop_assert_eq!(a.union(&strided).iter().collect::<Vec<_>>(), mixed_uni);
 
-        // Membership, indexing and length agree with the index list.
+        // Membership and length agree with the index list.
         let listed: Vec<usize> = a.indices().to_vec();
         prop_assert_eq!(listed.len(), a.len());
-        for (k, &i) in listed.iter().enumerate() {
+        for &i in &listed {
             prop_assert!(a.contains(i));
-            prop_assert_eq!(a.nth_index(k), Some(i));
         }
-        prop_assert_eq!(a.max_index(), listed.last().copied());
+    }
+
+    /// The selection layer agrees with `Condition::eval` on arbitrary
+    /// composite conditions: a direct scan, a cold cache and the same cache
+    /// warm all select exactly the rows the condition holds on, and set
+    /// algebra over two conditions' selections is set algebra over those
+    /// rows. Bases of 1–300 rows put selections on both sides of any
+    /// size- or selectivity-based choice.
+    #[test]
+    fn selections_match_eval_on_composite_conditions(
+        cells in prop::collection::vec(0u32..4, 900..901),
+        rows in 1usize..301,
+        tiny in 0u32..4,
+        three_columns in any::<bool>(),
+        codes_a in prop::collection::vec(0u32..512, 1..24),
+        codes_b in prop::collection::vec(0u32..512, 1..24),
+    ) {
+        use std::collections::BTreeSet;
+        use cxm_relational::{RowSelection, SelectionCache};
+
+        // A quarter of the cases use 1–8 rows, where single-row
+        // intermediate selections are common.
+        let rows = if tiny == 0 { rows % 8 + 1 } else { rows };
+        let table = small_domain_table(&cells, rows, three_columns);
+        let a_cond = decode_condition(&mut codes_a.into_iter(), 1);
+        let b_cond = decode_condition(&mut codes_b.into_iter(), 1);
+        let holds = |cond: &Condition| -> Vec<usize> {
+            (0..rows).filter(|&i| cond.eval(table.schema(), &table.rows()[i])).collect()
+        };
+
+        for cond in [&a_cond, &b_cond] {
+            let expected = holds(cond);
+            let direct = RowSelection::of_condition(&table, cond);
+            prop_assert_eq!(direct.iter().collect::<Vec<_>>(), expected.clone(), "{}", cond);
+            let mut cache = SelectionCache::new();
+            let cold = cache.select(&table, cond);
+            prop_assert_eq!(cold.iter().collect::<Vec<_>>(), expected.clone(), "{}", cond);
+            let scans = cache.misses();
+            let warm = cache.select(&table, cond);
+            prop_assert_eq!(warm.iter().collect::<Vec<_>>(), expected, "{}", cond);
+            prop_assert_eq!(cache.misses(), scans, "a warm select scans nothing: {}", cond);
+        }
+
+        let a = RowSelection::of_condition(&table, &a_cond);
+        let b = RowSelection::of_condition(&table, &b_cond);
+        let sa: BTreeSet<usize> = holds(&a_cond).into_iter().collect();
+        let sb: BTreeSet<usize> = holds(&b_cond).into_iter().collect();
+        prop_assert_eq!(
+            a.intersect(&b).iter().collect::<Vec<_>>(),
+            sa.intersection(&sb).copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            a.union(&b).iter().collect::<Vec<_>>(),
+            sa.union(&sb).copied().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            a.complement(rows).iter().collect::<Vec<_>>(),
+            (0..rows).filter(|i| !sa.contains(i)).collect::<Vec<_>>()
+        );
     }
 
     /// Conditions: `and`/`or` composition never mentions attributes that the
