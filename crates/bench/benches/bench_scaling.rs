@@ -21,7 +21,9 @@
 //! build cost) on the catalog-scale `wide_catalog` datagen scenario, and
 //! times the match service on the default wide catalog: a cold
 //! register+submit (which pays the lazy index build), a warm repeat, and a
-//! single-column replace whose next request derives the index incrementally.
+//! single-column replace whose next request derives the index incrementally;
+//! `index_update_sixth` times the incremental index update alone at the
+//! repository benchmark's `wide_refresh` scale.
 
 use std::sync::Arc;
 
@@ -413,31 +415,53 @@ struct WideBenchInput {
 fn wide_bench_input(config: &WideCatalogConfig) -> WideBenchInput {
     let dataset = generate_wide_catalog(config);
     let interner = Arc::new(GramInterner::new());
-    let columns_of = |db: &Database| -> Vec<ColumnData<'static>> {
-        db.tables()
-            .flat_map(|t| {
-                t.schema()
-                    .attributes()
-                    .iter()
-                    .map(|a| {
-                        let fp = t.column_fingerprint(&a.name).expect("attribute exists");
-                        ColumnData::shared_from_table(t, &a.name)
-                            .expect("attribute comes from the table's own schema")
-                            .with_interner(Arc::clone(&interner))
-                            .with_fingerprint(fp)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    let source_cols = columns_of(&dataset.source);
-    let target_cols = columns_of(&dataset.target);
-    for col in source_cols.iter().chain(&target_cols) {
+    let source_cols = warm_columns(&dataset.source, &interner);
+    let target_cols = warm_columns(&dataset.target, &interner);
+    let matcher = StandardMatcher::new(ContextMatchConfig::default().matching);
+    WideBenchInput { matcher, source_cols, target_cols }
+}
+
+/// Every column of `db`, in table order, bound to `interner` and carrying
+/// its content fingerprint, with its profile and value set memoized.
+fn warm_columns(db: &Database, interner: &Arc<GramInterner>) -> Vec<ColumnData<'static>> {
+    let columns: Vec<ColumnData<'static>> = db
+        .tables()
+        .flat_map(|t| {
+            t.schema()
+                .attributes()
+                .iter()
+                .map(|a| {
+                    let fp = t.column_fingerprint(&a.name).expect("attribute exists");
+                    ColumnData::shared_from_table(t, &a.name)
+                        .expect("attribute comes from the table's own schema")
+                        .with_interner(Arc::clone(interner))
+                        .with_fingerprint(fp)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    for col in &columns {
         let _ = col.qgram3_ids();
         let _ = col.value_ids();
     }
-    let matcher = StandardMatcher::new(ContextMatchConfig::default().matching);
-    WideBenchInput { matcher, source_cols, target_cols }
+    columns
+}
+
+/// The two states of `target` a wide refresh alternates between: every
+/// sixth table of the second holds the rows of the table one round of
+/// `families` further on (same family, same shape), as in the repository
+/// benchmark's `wide_refresh`.
+fn wide_refresh_states(target: &Database, families: usize) -> [Database; 2] {
+    let tables = target.len();
+    let mut second = target.clone();
+    for i in (0..tables).step_by(6) {
+        let table = target.table(&format!("wide_{i}")).expect("generated table");
+        let donor = target.table(&format!("wide_{}", (i + families) % tables)).expect("generated");
+        second.replace_table(
+            Table::with_rows(table.schema().clone(), donor.rows().to_vec()).expect("same shape"),
+        );
+    }
+    [target.clone(), second]
 }
 
 /// Brute-force vs index-pruned candidate generation on the wide catalog:
@@ -446,6 +470,12 @@ fn wide_bench_input(config: &WideCatalogConfig) -> WideBenchInput {
 /// index proves most pairs share nothing before any kernel runs). The
 /// `index_build_warm` series prices the artifact itself — posting-list
 /// assembly over memoized profiles.
+///
+/// `index_update_sixth` times one incremental index update at the
+/// repository benchmark's `wide_refresh` scale (60 tables × 8 columns × 40
+/// rows): every sixth table flips between two contents, and each iteration
+/// derives the next generation with `GramIndex::update_from` and drops the
+/// generation it replaces.
 ///
 /// The `service_*` benches run the match service on the default wide catalog
 /// (≥ 1000 target columns, result memoization off): a cold register+submit
@@ -474,6 +504,23 @@ fn bench_wide_catalog(c: &mut Criterion) {
             b.iter(|| GramIndex::build(&input.target_cols))
         });
     }
+
+    let refresh = WideCatalogConfig { tables: 60, ..WideCatalogConfig::default() };
+    let interner = Arc::new(GramInterner::new());
+    let batches = wide_refresh_states(&generate_wide_catalog(&refresh).target, refresh.families)
+        .map(|db| warm_columns(&db, &interner));
+    let mut current = GramIndex::build(&batches[0]);
+    let next = GramIndex::update_from(&current, &batches[1]);
+    assert!(next.postings_rebuilt() > 0, "the flipped tables' lists must re-merge");
+    assert_eq!(next.postings_reused() + next.postings_rebuilt(), next.posting_lists());
+    let mut state = 0;
+    group.bench_function("index_update_sixth", |b| {
+        b.iter(|| {
+            state = 1 - state;
+            current = GramIndex::update_from(&current, &batches[state]);
+            current.posting_lists()
+        })
+    });
 
     let dataset = generate_wide_catalog(&WideCatalogConfig::default());
     let total_columns: usize = dataset.target.tables().map(|t| t.schema().arity()).sum();

@@ -22,7 +22,7 @@
 //!   qualifying view is kept, which amounts to disjuncting over the selected
 //!   views.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cxm_matching::{Match, MatchList};
 
@@ -62,109 +62,91 @@ fn qual_table(
     candidates: &MatchList,
     config: &ContextMatchConfig,
 ) -> MatchList {
+    // Both lists grouped once by target table, each group in list order so
+    // every float sum below adds in the order of the lists.
+    let mut by_target_table: BTreeMap<&str, (Vec<&Match>, Vec<&Match>)> = BTreeMap::new();
+    for m in standard {
+        by_target_table.entry(&m.target.table).or_default().0.push(m);
+    }
+    for c in candidates {
+        by_target_table.entry(&c.target.table).or_default().1.push(c);
+    }
+
     let mut selected = MatchList::new();
-    let target_tables: BTreeSet<String> =
-        standard.iter().chain(candidates.iter()).map(|m| m.target.table.clone()).collect();
-
-    // Base confidence of each prototype match, for computing per-match deltas.
-    let base_confidence: BTreeMap<(String, String, String, String), f64> = standard
-        .iter()
-        .map(|m| {
-            (
-                (
-                    m.base_table.clone(),
-                    m.source.attribute.clone(),
-                    m.target.table.clone(),
-                    m.target.attribute.clone(),
-                ),
-                m.confidence,
-            )
-        })
-        .collect();
-
-    for target_table in target_tables {
+    for (standard, candidates) in by_target_table.into_values() {
         // 1. Pick the source table with the highest total match confidence
         //    against this target table.
-        let mut base_conf_totals: BTreeMap<String, f64> = BTreeMap::new();
-        for m in standard.iter().filter(|m| m.target.table == target_table) {
-            *base_conf_totals.entry(m.base_table.clone()).or_insert(0.0) += m.confidence;
+        let mut base_conf_totals: BTreeMap<&str, f64> = BTreeMap::new();
+        for m in &standard {
+            *base_conf_totals.entry(&m.base_table).or_insert(0.0) += m.confidence;
         }
         let Some(best_source) = base_conf_totals
             .iter()
             .max_by(|a, b| {
                 a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| b.0.cmp(a.0))
             })
-            .map(|(s, _)| s.clone())
+            .map(|(&s, _)| s)
         else {
             continue;
         };
 
+        // Base confidence of each of the table's prototype matches, for
+        // computing per-match deltas (a later duplicate wins).
+        let base_confidence: BTreeMap<(&str, &str, &str), f64> = standard
+            .iter()
+            .map(|m| {
+                (
+                    (
+                        m.base_table.as_str(),
+                        m.source.attribute.as_str(),
+                        m.target.attribute.as_str(),
+                    ),
+                    m.confidence,
+                )
+            })
+            .collect();
+
         // 2. Total confidence improvement of each candidate view of that source
         //    table: the sum, over the prototype matches, of the confidence gain
         //    the view produces (in percentage points).
-        let mut view_improvements: BTreeMap<String, f64> = BTreeMap::new();
-        for c in candidates
-            .iter()
-            .filter(|c| c.base_table == best_source && c.target.table == target_table)
-        {
-            let key = (
-                c.base_table.clone(),
-                c.source.attribute.clone(),
-                c.target.table.clone(),
-                c.target.attribute.clone(),
-            );
+        let mut view_improvements: BTreeMap<&str, f64> = BTreeMap::new();
+        for c in candidates.iter().filter(|c| c.base_table == best_source) {
+            let key =
+                (c.base_table.as_str(), c.source.attribute.as_str(), c.target.attribute.as_str());
             let base = base_confidence.get(&key).copied().unwrap_or(0.0);
             let delta = (c.confidence - base) * 100.0;
             // Per-match noise floor: tiny gains are indistinguishable from
             // random fluctuation and must not accumulate into a spurious
             // table-level improvement.
+            let improvement = view_improvements.entry(&c.source.table).or_insert(0.0);
             if delta >= config.min_match_improvement {
-                *view_improvements.entry(c.source.table.clone()).or_insert(0.0) += delta;
-            } else {
-                view_improvements.entry(c.source.table.clone()).or_insert(0.0);
+                *improvement += delta;
             }
         }
 
         // 3. Views whose total improvement clears ω.
-        let mut passing: Vec<(String, f64)> = view_improvements
-            .iter()
-            .filter(|(_, &imp)| imp >= config.omega)
-            .map(|(v, &imp)| (v.clone(), imp))
-            .collect();
+        let mut passing: Vec<(&str, f64)> =
+            view_improvements.into_iter().filter(|&(_, imp)| imp >= config.omega).collect();
         passing.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(b.0))
         });
 
         if passing.is_empty() {
             // No view qualifies: fall back to the standard matches of the best
             // source table.
-            selected.extend(
-                standard
-                    .iter()
-                    .filter(|m| m.base_table == best_source && m.target.table == target_table)
-                    .cloned(),
-            );
+            selected.extend(standard.into_iter().filter(|m| m.base_table == best_source).cloned());
             continue;
         }
 
-        let chosen_views: Vec<String> = if config.early_disjuncts {
-            // Disjunctive conditions were already formed during inference, so a
-            // single view suffices.
-            vec![passing[0].0.clone()]
-        } else {
-            passing.into_iter().map(|(v, _)| v).collect()
-        };
-
-        for view in chosen_views {
+        // Under early disjuncts the disjunctive conditions were already
+        // formed during inference, so a single view suffices.
+        let chosen_views = if config.early_disjuncts { &passing[..1] } else { &passing[..] };
+        for &(view, _) in chosen_views {
             selected.extend(
                 candidates
                     .iter()
-                    .filter(|c| {
-                        c.source.table == view
-                            && c.base_table == best_source
-                            && c.target.table == target_table
-                    })
-                    .cloned(),
+                    .filter(|c| c.source.table == view && c.base_table == best_source)
+                    .map(|&c| c.clone()),
             );
         }
     }
@@ -173,6 +155,8 @@ fn qual_table(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::config::{ContextMatchConfig, SelectionStrategy};
     use cxm_relational::{AttrRef, Condition};

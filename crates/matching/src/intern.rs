@@ -42,7 +42,7 @@
 //! integers).
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Process-wide instrumentation of the kernels: counts the q-gram cosine /
@@ -98,7 +98,7 @@ pub mod telemetry {
 /// `by_text`.
 #[derive(Debug, Default)]
 struct Vocabulary {
-    by_code: HashMap<u64, u32, BuildHasherDefault<CodeHasher>>,
+    by_code: HashMap<u64, u32, CodeKey>,
     by_text: HashMap<Arc<str>, u32>,
     by_id: Vec<Arc<str>>,
 }
@@ -126,14 +126,38 @@ impl Vocabulary {
     }
 }
 
-/// Hashes a packed code with one widening multiply, folding the product's
-/// two halves together so every code bit reaches the low bits the map
-/// indexes by. A known 3-gram therefore costs one integer hash and one
-/// probe — no string rendering, byte hashing or string compare. Unlike the
-/// text map's default hasher it is not keyed per process, so 3-grams
-/// crafted to collide can lengthen probes.
-#[derive(Debug, Default)]
-struct CodeHasher(u64);
+/// The per-interner key of the packed-code map: an odd multiplier drawn
+/// once per interner from std's randomly keyed [`RandomState`], so which
+/// codes share probe sequences differs between interners and processes and
+/// cannot be chosen by a client. Ids follow first-intern order, never the
+/// map's layout, so the key changes no id.
+#[derive(Debug)]
+struct CodeKey(u64);
+
+impl Default for CodeKey {
+    fn default() -> Self {
+        CodeKey(RandomState::new().build_hasher().finish() | 1)
+    }
+}
+
+impl BuildHasher for CodeKey {
+    type Hasher = CodeHasher;
+
+    fn build_hasher(&self) -> CodeHasher {
+        CodeHasher { multiplier: self.0, code: 0 }
+    }
+}
+
+/// Hashes a packed code with one widening multiply by the interner's
+/// [`CodeKey`], folding the product's two halves together so every code bit
+/// reaches the low bits the map indexes by. A known 3-gram therefore costs
+/// one integer hash and one probe — no string rendering, byte hashing or
+/// string compare.
+#[derive(Debug)]
+struct CodeHasher {
+    multiplier: u64,
+    code: u64,
+}
 
 impl Hasher for CodeHasher {
     fn write(&mut self, _: &[u8]) {
@@ -141,11 +165,11 @@ impl Hasher for CodeHasher {
     }
 
     fn write_u64(&mut self, code: u64) {
-        self.0 = code;
+        self.code = code;
     }
 
     fn finish(&self) -> u64 {
-        let product = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        let product = u128::from(self.code) * u128::from(self.multiplier);
         (product as u64) ^ ((product >> 64) as u64)
     }
 }
@@ -699,6 +723,35 @@ mod tests {
             assert_eq!(interner.resolve(id).as_deref(), Some(text.as_str()));
         }
         assert_eq!(interner.lookup("cd#"), Some(value));
+    }
+
+    #[test]
+    fn differently_keyed_interners_issue_identical_ids() {
+        // Each interner draws its own code-map key; ids follow first-intern
+        // order, so the same strings in the same order get the same ids.
+        let (a, b) = (GramInterner::new(), GramInterner::new());
+        assert_eq!(a.read().by_code.hasher().0 % 2, 1, "the multiplier is odd");
+        let texts: Vec<String> = (0..2000u32)
+            .map(|i| match i % 4 {
+                0 => char::from_u32(0x4E00 + i).into_iter().chain("x#".chars()).collect(),
+                1 => format!("v{i}"),
+                2 => format!("{:03}", i % 1000),
+                _ => format!("#{}", char::from_u32(0x100 + i).unwrap()),
+            })
+            .collect();
+        let values = ["hardcover first edition", "cd"];
+        for interner in [&a, &b] {
+            interner.preload(texts.clone());
+            interner.qgram_profile(values.iter().copied());
+        }
+        assert_eq!(a.len(), b.len());
+        for id in 0..a.len() as u32 {
+            let text = a.resolve(id).expect("dense ids");
+            assert_eq!(b.resolve(id), Some(Arc::clone(&text)));
+            assert_eq!(b.lookup(&text), Some(id));
+        }
+        let profile = |interner: &GramInterner| interner.qgram_profile(values.iter().copied());
+        assert_eq!(profile(&a).entries(), profile(&b).entries());
     }
 
     #[test]

@@ -106,9 +106,8 @@ pub struct RequestTelemetry {
     /// build (cold or incremental). At most one request per snapshot pays
     /// this; every later request reuses the artifact for free.
     pub index_built: bool,
-    /// Posting lists the forced index build carried forward `Arc`-shared
-    /// from the previous generation (`0` unless
-    /// [`RequestTelemetry::index_built`]).
+    /// Posting lists the forced index build copied unchanged from the
+    /// previous generation (`0` unless [`RequestTelemetry::index_built`]).
     pub index_postings_reused: usize,
     /// Posting lists the forced index build had to (re)build (`0` unless
     /// [`RequestTelemetry::index_built`]).
@@ -910,7 +909,7 @@ mod tests {
         service.replace_table(replacement.head(replacement.len() - 1)).unwrap();
         let after = service.submit(&source).unwrap();
         assert!(after.telemetry.index_built);
-        assert!(after.telemetry.index_postings_reused > 0, "incremental build shares lists");
+        assert!(after.telemetry.index_postings_reused > 0, "incremental build copies lists");
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   hoisted target batch;
 //! * [`score_candidates_materializing`] — `ScoreMatch` over views evaluated
 //!   into owned tables, every target column extracted per view × match;
+//! * [`qual_table`] — `SelectContextualMatches` under `QualTable`, rescanning
+//!   both match lists for every target table and keying base confidences by
+//!   owned strings;
 //! * [`StringQGramMatcher`] / [`StringOverlapMatcher`] — the q-gram cosine
 //!   and value-overlap Jaccard over string-keyed `BTreeMap` profiles and
 //!   `BTreeSet` value sets, rebuilt on every call; [`string_kernel_matcher`]
@@ -25,7 +28,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cxm_core::candidate_views::{flatten_views, infer_candidate_views};
 use cxm_core::{
-    score_candidates_prepared, select_contextual_matches, ContextMatchResult, ContextualMatcher,
+    score_candidates_prepared, select_contextual_matches, ContextMatchConfig, ContextMatchResult,
+    ContextualMatcher,
 };
 use cxm_matching::instance::{QGramMatcher, ValueOverlapMatcher};
 use cxm_matching::name::NameMatcher;
@@ -131,6 +135,112 @@ pub fn score_candidates_materializing(
         }
     }
     Ok(candidates)
+}
+
+/// `SelectContextualMatches` under `QualTable` as one rescan of both lists
+/// per target table: per table, the source table with the highest total
+/// standard confidence, then each of its candidate views' summed
+/// per-match confidence gain (in percentage points, gains below
+/// `min_match_improvement` counting zero) against ω; the best passing view
+/// under early disjuncts, every passing view under late ones, or the best
+/// source's standard matches when none passes. Reads only public fields,
+/// whatever `config.selection` says.
+pub fn qual_table(
+    standard: &MatchList,
+    candidates: &MatchList,
+    config: &ContextMatchConfig,
+) -> MatchList {
+    let mut selected = MatchList::new();
+    let target_tables: BTreeSet<String> =
+        standard.iter().chain(candidates.iter()).map(|m| m.target.table.clone()).collect();
+    let base_confidence: BTreeMap<(String, String, String, String), f64> = standard
+        .iter()
+        .map(|m| {
+            (
+                (
+                    m.base_table.clone(),
+                    m.source.attribute.clone(),
+                    m.target.table.clone(),
+                    m.target.attribute.clone(),
+                ),
+                m.confidence,
+            )
+        })
+        .collect();
+
+    for target_table in target_tables {
+        let mut base_conf_totals: BTreeMap<String, f64> = BTreeMap::new();
+        for m in standard.iter().filter(|m| m.target.table == target_table) {
+            *base_conf_totals.entry(m.base_table.clone()).or_insert(0.0) += m.confidence;
+        }
+        let Some(best_source) = base_conf_totals
+            .iter()
+            .max_by(|a, b| {
+                a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| b.0.cmp(a.0))
+            })
+            .map(|(s, _)| s.clone())
+        else {
+            continue;
+        };
+
+        let mut view_improvements: BTreeMap<String, f64> = BTreeMap::new();
+        for c in candidates
+            .iter()
+            .filter(|c| c.base_table == best_source && c.target.table == target_table)
+        {
+            let key = (
+                c.base_table.clone(),
+                c.source.attribute.clone(),
+                c.target.table.clone(),
+                c.target.attribute.clone(),
+            );
+            let base = base_confidence.get(&key).copied().unwrap_or(0.0);
+            let delta = (c.confidence - base) * 100.0;
+            if delta >= config.min_match_improvement {
+                *view_improvements.entry(c.source.table.clone()).or_insert(0.0) += delta;
+            } else {
+                view_improvements.entry(c.source.table.clone()).or_insert(0.0);
+            }
+        }
+
+        let mut passing: Vec<(String, f64)> = view_improvements
+            .iter()
+            .filter(|(_, &imp)| imp >= config.omega)
+            .map(|(v, &imp)| (v.clone(), imp))
+            .collect();
+        passing.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
+        });
+
+        if passing.is_empty() {
+            selected.extend(
+                standard
+                    .iter()
+                    .filter(|m| m.base_table == best_source && m.target.table == target_table)
+                    .cloned(),
+            );
+            continue;
+        }
+
+        let chosen_views: Vec<String> = if config.early_disjuncts {
+            vec![passing[0].0.clone()]
+        } else {
+            passing.into_iter().map(|(v, _)| v).collect()
+        };
+        for view in chosen_views {
+            selected.extend(
+                candidates
+                    .iter()
+                    .filter(|c| {
+                        c.source.table == view
+                            && c.base_table == best_source
+                            && c.target.table == target_table
+                    })
+                    .cloned(),
+            );
+        }
+    }
+    selected
 }
 
 /// The L2-normalized 3-gram frequency profile of a column, keyed by gram

@@ -704,6 +704,7 @@ mod result_cache {
 }
 
 mod index_pruning {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use proptest::prelude::*;
@@ -748,6 +749,40 @@ mod index_pruning {
             prop::collection::vec(prop::collection::vec(0usize..6, 0..10), 0..20),
             1..6,
         )
+    }
+
+    /// Letters no target value uses: the grams and values they spell are
+    /// interned but never posted.
+    const UNPOSTED: &[char] = &['d', 'e', 'f', 'g'];
+    /// Letters interned only after every index is built.
+    const NOVEL: &[char] = &['h', 'i', 'j', 'k'];
+
+    /// Strategy for 1–5 non-empty strings over a `letters`-letter alphabet.
+    fn strings_over(letters: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
+        prop::collection::vec(prop::collection::vec(0..letters, 1..8), 1..6)
+    }
+
+    fn texts_over(alphabet: &[char], raw: Vec<Vec<usize>>) -> Vec<String> {
+        raw.into_iter().map(|word| word.into_iter().map(|i| alphabet[i]).collect()).collect()
+    }
+
+    /// Gram id → `(slot, count)` entries, and value id → slots.
+    type Inverted = (BTreeMap<u32, Vec<(u32, f64)>>, BTreeMap<u32, Vec<u32>>);
+
+    /// The posting lists of `columns`, inverted independently of the index
+    /// over every non-empty column's profile and value set, in slot order.
+    fn inverted(columns: &[ColumnData]) -> Inverted {
+        let (mut grams, mut values) = (BTreeMap::new(), BTreeMap::new());
+        for (slot, column) in columns.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+            let slot = slot as u32;
+            for &(g, count) in column.qgram3_ids().entries() {
+                grams.entry(g).or_insert_with(Vec::new).push((slot, count));
+            }
+            for &v in column.value_ids().ids() {
+                values.entry(v).or_insert_with(Vec::new).push(slot);
+            }
+        }
+        (grams, values)
     }
 
     proptest! {
@@ -802,9 +837,12 @@ mod index_pruning {
         /// An incremental update is indistinguishable from a fresh build:
         /// for any batch and any set of changed slots (new content, new
         /// fingerprint — possibly emptied), `update_from(prev, next)` holds
-        /// exactly `build(next)`'s posting lists, list for list, and shares
-        /// every list no changed slot touches with `prev`. Chained updates
-        /// exercise updates of updated indexes.
+        /// exactly `build(next)`'s posting lists, list for list, and each
+        /// list equals a `BTreeMap` inversion of the columns' own profiles
+        /// and value sets. The reuse counters count exactly the non-empty
+        /// lists no changed slot appears in, before or after (copied), and
+        /// the rest (re-merged). Chained updates exercise updates of updated
+        /// indexes.
         #[test]
         fn update_from_equals_build_list_for_list(
             initial in batch_values(),
@@ -841,30 +879,95 @@ mod index_pruning {
                 let fresh = GramIndex::build(&next);
                 prop_assert_eq!(updated.len(), width);
                 prop_assert_eq!(updated.posting_lists(), fresh.posting_lists());
-                prop_assert_eq!(
-                    updated.postings_reused() + updated.postings_rebuilt(),
-                    updated.posting_lists()
-                );
+                let (gram_lists, value_lists) = inverted(&next);
                 let slot_changed = |slot: u32| bits & (1 << slot) != 0;
+                let (mut copied, mut merged) = (0, 0);
                 for id in 0..interner.len() as u32 {
                     let (grams, expected) = (updated.gram_posting(id), fresh.gram_posting(id));
-                    prop_assert_eq!(grams.map(|l| &**l), expected.map(|l| &**l), "gram {}", id);
+                    prop_assert_eq!(grams, expected, "gram {}", id);
+                    prop_assert_eq!(grams, gram_lists.get(&id).map(Vec::as_slice), "gram {}", id);
                     let (values, expected) = (updated.value_posting(id), fresh.value_posting(id));
-                    prop_assert_eq!(values.map(|l| &**l), expected.map(|l| &**l), "value {}", id);
-                    // A list no changed slot appears in, before or after,
-                    // is carried as the same allocation.
-                    if let (Some(old), Some(new)) = (index.gram_posting(id), grams) {
-                        let touched = old.iter().chain(new.iter()).any(|&(s, _)| slot_changed(s));
-                        prop_assert_eq!(Arc::ptr_eq(old, new), !touched, "gram {} sharing", id);
+                    prop_assert_eq!(values, expected, "value {}", id);
+                    prop_assert_eq!(values, value_lists.get(&id).map(Vec::as_slice), "value {}", id);
+                    let before = index.gram_posting(id).unwrap_or_default().iter().map(|e| e.0);
+                    let after = grams.unwrap_or_default().iter().map(|e| e.0);
+                    let touched = before.chain(after).any(slot_changed);
+                    if grams.is_some() {
+                        *if touched { &mut merged } else { &mut copied } += 1;
                     }
-                    if let (Some(old), Some(new)) = (index.value_posting(id), values) {
-                        let touched = old.iter().chain(new.iter()).any(|&s| slot_changed(s));
-                        prop_assert_eq!(Arc::ptr_eq(old, new), !touched, "value {} sharing", id);
+                    let before = index.value_posting(id).unwrap_or_default();
+                    let after = values.unwrap_or_default();
+                    let touched = before.iter().chain(after).any(|&s| slot_changed(s));
+                    if values.is_some() {
+                        *if touched { &mut merged } else { &mut copied } += 1;
                     }
                 }
+                prop_assert_eq!(updated.postings_reused(), copied);
+                prop_assert_eq!(updated.postings_rebuilt(), merged);
+                prop_assert_eq!(updated.posting_lists(), copied + merged);
                 index = updated;
                 columns = next;
             }
+        }
+
+        /// A scan over an updated index is bit-identical to a scan over a
+        /// fresh build of the same batch, for sources whose grams and values
+        /// include ids past the index's range (interned after every target),
+        /// ids inside it whose lists are empty (interned before the targets
+        /// from an alphabet no target uses, or dropped by the edit), and ids
+        /// the targets share.
+        #[test]
+        fn update_from_scans_equal_fresh_build_scans(
+            initial in batch_values(),
+            edit in batch_values(),
+            changed_bits in 0usize..32,
+            shared in column_values(),
+            unposted in strings_over(4),
+            novel in strings_over(4),
+        ) {
+            let interner = Arc::new(GramInterner::new());
+            // Interned first: ids below every target id, posted by no target.
+            let unposted = texts_over(UNPOSTED, unposted);
+            let decoy = column("d", "decoy", unposted.clone(), &interner);
+            let _ = (decoy.qgram3_ids(), decoy.value_ids());
+            let fingerprinted = |slot: usize, generation: u64, vals: Vec<Vec<usize>>| {
+                column("t", &format!("c{slot}"), texts(vals), &interner)
+                    .with_fingerprint((generation << 32) | slot as u64)
+            };
+            let columns: Vec<ColumnData> = initial
+                .into_iter()
+                .enumerate()
+                .map(|(slot, vals)| fingerprinted(slot, 0, vals))
+                .collect();
+            let index = GramIndex::build(&columns);
+            let mut edit = edit.into_iter().cycle();
+            let next: Vec<ColumnData> = columns
+                .iter()
+                .enumerate()
+                .map(|(slot, column)| {
+                    if changed_bits & (1 << slot) != 0 {
+                        fingerprinted(slot, 1, edit.next().unwrap_or_default())
+                    } else {
+                        column.clone()
+                    }
+                })
+                .collect();
+            let updated = GramIndex::update_from(&index, &next);
+            let fresh = GramIndex::build(&next);
+            // Interned last: ids past every posted id.
+            let values: Vec<String> =
+                texts(shared).into_iter().chain(unposted).chain(texts_over(NOVEL, novel)).collect();
+            let source = column("s", "probe", values, &interner);
+            let (profile, value_set) = (source.qgram3_ids(), source.value_ids());
+            // `Debug` prints every dot and overlap count exactly.
+            prop_assert_eq!(
+                format!("{:?}", updated.scan(&profile, &value_set)),
+                format!("{:?}", fresh.scan(&profile, &value_set))
+            );
+            let bits = |index: &GramIndex| -> Vec<u64> {
+                index.cosine_upper_bounds(&profile).iter().map(|b| b.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&updated), bits(&fresh));
         }
 
         /// Pruned and unpruned matching are **byte-identical** on arbitrary
@@ -950,6 +1053,126 @@ mod par_shim {
                 covered = (s + len).min(n);
             }
             prop_assert_eq!(covered, n);
+        }
+    }
+}
+
+mod qual_table_selection {
+    use proptest::prelude::*;
+
+    use cxm_core::{select_contextual_matches, ContextMatchConfig, SelectionStrategy};
+    use cxm_matching::{Match, MatchList};
+    use cxm_relational::{AttrRef, Condition};
+    use cxm_tests::reference;
+
+    const BASES: &[&str] = &["inv", "price", "stock"];
+    const TARGETS: &[&str] = &["book", "music", "film", "game"];
+    const ATTRS: &[&str] = &["a", "b", "c", "d"];
+
+    /// One of five exact quarters (so totals tie exactly and the
+    /// tie-breaks run), a tenth (inexact, so equal multisets summed in
+    /// different orders differ in the last bits) or an arbitrary fraction.
+    fn confidence(code: usize, fraction: f64) -> f64 {
+        match code % 3 {
+            0 => (code / 3 % 5) as f64 / 4.0,
+            1 => (code / 3 % 10) as f64 / 10.0,
+            _ => fraction,
+        }
+    }
+
+    /// A standard match decoded from `(base, source attribute, target table,
+    /// target attribute, confidence)` codes.
+    fn standard_match(code: &[usize], fraction: f64) -> Match {
+        let conf = confidence(code[4], fraction);
+        Match::standard(
+            AttrRef::new(BASES[code[0] % BASES.len()], ATTRS[code[1] % ATTRS.len()]),
+            AttrRef::new(TARGETS[code[2] % TARGETS.len()], ATTRS[code[3] % ATTRS.len()]),
+            conf / 2.0,
+            conf,
+        )
+    }
+
+    /// A candidate on one of three views of its base table: usually a
+    /// re-scored standard match (so its base confidence is found), otherwise
+    /// a match of its own (base confidence 0).
+    fn candidate(code: &[usize], fraction: f64, standard: &MatchList) -> Match {
+        let prototype = match code[1] % 4 {
+            0 => standard_match(code, fraction),
+            _ if standard.is_empty() => standard_match(code, fraction),
+            _ => standard[code[0] % standard.len()].clone(),
+        };
+        let view = code[5] % 3;
+        let name = format!("{}[v{view}]", prototype.base_table);
+        let conf = confidence(code[4] / 3, fraction);
+        prototype.with_context(name, Condition::eq("v", view as i64), conf / 2.0, conf)
+    }
+
+    /// Every field of every match, floats as bits.
+    fn exact(list: &MatchList) -> Vec<(String, String, String, String, u64, u64)> {
+        list.iter()
+            .map(|m| {
+                (
+                    m.source.to_string(),
+                    m.base_table.clone(),
+                    m.target.to_string(),
+                    format!("{:?}", m.condition),
+                    m.score.to_bits(),
+                    m.confidence.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// `QualTable` selection equals the reference that rescans both
+        /// lists per target table, bit for bit, over several base tables,
+        /// views and target tables, with ω below and above the views'
+        /// improvements, under early and late disjuncts, and with base
+        /// tables whose totals differ only by summation order.
+        #[test]
+        fn qual_table_equals_the_rescanning_reference(
+            standard_codes in prop::collection::vec(prop::collection::vec(0usize..1000, 5..6), 0..40),
+            candidate_codes in prop::collection::vec(prop::collection::vec(0usize..1000, 6..7), 0..60),
+            fractions in prop::collection::vec(0.0f64..1.0, 100..101),
+            omega in 0.0f64..150.0,
+            min_match_improvement in 0.0f64..5.0,
+            early in any::<bool>(),
+            mirror in any::<bool>(),
+        ) {
+            let mut standard: MatchList = standard_codes
+                .iter()
+                .zip(&fractions)
+                .map(|(code, &fraction)| standard_match(code, fraction))
+                .collect();
+            if mirror {
+                // The second base table gets the first one's matches in
+                // reverse order: per target table the totals are equal up
+                // to rounding, so which base wins turns on summation order.
+                standard.retain(|m| m.base_table != BASES[1]);
+                let mirrored: MatchList = standard
+                    .iter()
+                    .rev()
+                    .filter(|m| m.base_table == BASES[0])
+                    .map(|m| {
+                        let source = AttrRef::new(BASES[1], m.source.attribute.clone());
+                        Match::standard(source, m.target.clone(), m.score, m.confidence)
+                    })
+                    .collect();
+                standard.extend(mirrored);
+            }
+            let candidates: MatchList = candidate_codes
+                .iter()
+                .zip(fractions.iter().rev())
+                .map(|(code, &fraction)| candidate(code, fraction, &standard))
+                .collect();
+            let mut config = ContextMatchConfig::default()
+                .with_selection(SelectionStrategy::QualTable)
+                .with_omega(omega)
+                .with_early_disjuncts(early);
+            config.min_match_improvement = min_match_improvement;
+            let selected = select_contextual_matches(&standard, &candidates, &config);
+            let expected = reference::qual_table(&standard, &candidates, &config);
+            prop_assert_eq!(exact(&selected), exact(&expected));
         }
     }
 }
