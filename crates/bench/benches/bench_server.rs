@@ -13,6 +13,17 @@
 //! result, on the retail reply and on the wide catalog's probe reply: the
 //! server's streaming `write_result` (`write_result_*`) against building
 //! and writing the `encode_result` tree (`encode_result_*`).
+//!
+//! The `register_refresh` group times a wide re-register over the wire, a
+//! loopback `Client::request` alternating the two states of the
+//! `wide_refresh` catalog (60 tables × 8 columns × 40 rows, every sixth
+//! table changed). `warm_memo` sends both states in one table order, so the
+//! tenant's register memo meets 50 unchanged elements at their remembered
+//! positions; `cold_memo` reverses the second state's order, so no element
+//! ever does, while the catalog sees the same transitions. Before timing it
+//! asserts that both sides' acks are equal and that every re-register
+//! reuses 50 tables and decodes 10 on the warm side, and decodes all 60 on
+//! the cold one.
 
 use std::sync::Arc;
 
@@ -22,7 +33,7 @@ use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_server::client::is_ok;
 use cxm_server::json::parse;
-use cxm_server::protocol::{encode_database, ok_frame, write_result};
+use cxm_server::protocol::{encode_database, encode_table, ok_frame, write_result};
 use cxm_server::{
     encode_result, serve, Client, Json, ServerConfig, ServerHandle, TenantPolicy, TenantQuotas,
 };
@@ -216,5 +227,96 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_server_throughput, bench_connection_scaling, bench_wire_codec);
+/// The two states of the `wide_refresh` catalog: the wide catalog, and a
+/// copy in which every sixth table holds the rows of the table 15 places
+/// on, of the same value family.
+fn refresh_states() -> [cxm_relational::Database; 2] {
+    let wide = wide_dataset().target;
+    let mut second = wide.clone();
+    for i in (0..60).step_by(6) {
+        let table = wide.table(&format!("wide_{i}")).expect("generated table");
+        let donor = wide.table(&format!("wide_{}", (i + 15) % 60)).expect("generated table");
+        let rows = donor.rows().to_vec();
+        second.replace_table(
+            cxm_relational::Table::with_rows(table.schema().clone(), rows)
+                .expect("same-shaped wide tables"),
+        );
+    }
+    [wide, second]
+}
+
+/// The `register` request `Client::register` sends for `target` under the
+/// default policy, its tables in name order or reversed.
+fn register_request(target: &cxm_relational::Database, reversed: bool) -> Json {
+    let mut tables: Vec<Json> = target.tables().map(encode_table).collect();
+    if reversed {
+        tables.reverse();
+    }
+    Json::Object(vec![
+        ("op".into(), Json::str("register")),
+        ("tenant".into(), Json::str("bench")),
+        ("tables".into(), Json::Array(tables)),
+    ])
+}
+
+/// The bench tenant's lifetime `(register_tables_reused,
+/// register_tables_decoded)`.
+fn register_counts(client: &mut Client) -> (u64, u64) {
+    let stats = client.stats(Some("bench")).expect("stats");
+    let tenant = &stats.get("tenants").and_then(Json::as_array).expect("tenant stats")[0];
+    let count = |key| tenant.get(key).and_then(Json::as_u64).expect("a count member");
+    (count("register_tables_reused"), count("register_tables_decoded"))
+}
+
+fn bench_register_refresh(c: &mut Criterion) {
+    let mut group = c.benchmark_group("register_refresh");
+    group.sample_size(30);
+    let states = refresh_states();
+    let mut sides = Vec::new();
+    for (name, reversed, per_refresh) in
+        [("warm_memo", false, (50, 10)), ("cold_memo", true, (0, 60))]
+    {
+        let frames = [register_request(&states[0], false), register_request(&states[1], reversed)];
+        let handle = serve(ServerConfig { context: bench_config(), ..ServerConfig::default() })
+            .expect("bind a loopback port");
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        let mut acks = Vec::new();
+        let mut before = (0, 0);
+        for i in 0..5 {
+            let ack = client.request(&frames[i % 2]).expect("register");
+            assert!(is_ok(&ack), "{ack:?}");
+            let after = register_counts(&mut client);
+            let expected = if i == 0 { (0, 60) } else { per_refresh };
+            assert_eq!((after.0 - before.0, after.1 - before.1), expected, "{name}: register {i}");
+            if i > 0 {
+                assert_eq!(ack.get("columns_rebuilt"), Some(&Json::Int(80)), "{name}: {ack:?}");
+            }
+            before = after;
+            acks.push(ack);
+        }
+        sides.push((name, frames, handle, client, acks));
+    }
+    assert_eq!(sides[0].4, sides[1].4, "warm and cold registers must be acknowledged alike");
+    for (name, frames, handle, mut client, acks) in sides {
+        let mut sent = acks.len();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let ack = client.request(&frames[sent % 2]).expect("register");
+                sent += 1;
+                ack
+            })
+        });
+        client.shutdown().expect("shutdown");
+        handle.join();
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_server_throughput,
+    bench_connection_scaling,
+    bench_wire_codec,
+    bench_register_refresh
+);
 criterion_main!(benches);

@@ -76,16 +76,22 @@
 //!
 //! *Cost.* An update reads the previous generation's arrays once, front to
 //! back, and writes the next generation's once: traffic proportional to the
-//! size of the index (16 bytes per entry, 4 per id) plus the length of every
+//! size of the index (8 bytes per entry, 4 per id) plus the length of every
 //! touched list, and two passes over the changed columns' entries for the
-//! counting sort — no hashing and no per-list allocation. On
+//! counting sort — no hashing and no per-list allocation. A gram entry is
+//! `(slot, count)` as two `u32`s: profile counts are exact small integers,
+//! so the scan's `f64::from(count)` is the very `f64` the profile holds. On
 //! `wide_refresh`'s catalog (480 columns, ~1.08 M gram postings in ~101 k
 //! lists plus ~19 k value lists, a sixth of the columns flipped; memoized
 //! profiles, 2-core host) an update takes 10–24 ms where per-list `Arc`s in
 //! a hash map took 36–43 ms, and freeing the generation it replaces takes
 //! 0.1–2.7 ms instead of 16–22 ms. The spread is page faults: whenever the
-//! allocator maps fresh pages for the ~17 MB entries vector, its first
-//! writes cost ~4,000–5,000 minor faults, about 10 ms. A cold build takes
+//! allocator maps fresh pages for the entries vector, its first writes
+//! fault. With 16-byte entries (`(u32, f64)`) that vector was ~17 MB and
+//! cost ~4,000–5,000 minor faults, about 10 ms; 8-byte entries halve it to
+//! ~8.6 MB. `bench_scaling -- index_update_sixth` (one update plus dropping
+//! the generation it replaces) went from 11.5–11.9 ms to 8.9–9.7 ms
+//! (means of 10 samples, three alternating runs each). A cold build takes
 //! 32–38 ms (was ~92 ms).
 //!
 //! *Reuse counters.* [`GramIndex::postings_reused`] counts the non-empty
@@ -194,7 +200,7 @@ pub struct GramIndex {
     /// positional).
     slot_by_attr: Arc<HashMap<AttrRef, usize>>,
     /// 3-gram id → `(slot, raw count)` entries, ascending by slot.
-    grams: Postings<(u32, f64)>,
+    grams: Postings<(u32, u32)>,
     /// Distinct-value id → slots containing the value, ascending.
     values: Postings<u32>,
     /// Non-empty lists copied unchanged from the previous generation (0 for
@@ -283,7 +289,7 @@ impl GramIndex {
                 .flat_map(|(_, s)| s.gram_entries().iter().map(|&(g, _)| g)),
             || {
                 changed_slots(&slots, &changed).flat_map(|(i, s)| {
-                    s.gram_entries().iter().map(move |&(g, count)| (g, (i, count)))
+                    s.gram_entries().iter().map(move |&(g, count)| (g, (i, posted_count(count))))
                 })
             },
             &changed,
@@ -347,7 +353,7 @@ impl GramIndex {
     }
 
     /// One gram's posting list, `None` when empty (test hook).
-    pub fn gram_posting(&self, gram: u32) -> Option<&[(u32, f64)]> {
+    pub fn gram_posting(&self, gram: u32) -> Option<&[(u32, u32)]> {
         Some(self.grams.list(gram)).filter(|list| !list.is_empty())
     }
 
@@ -405,7 +411,7 @@ impl GramIndex {
         let mut qgram_dots = vec![0.0; self.slots.len()];
         for &(g, count) in profile.entries() {
             for &(slot, target_count) in self.grams.list(g) {
-                qgram_dots[slot as usize] += count * target_count;
+                qgram_dots[slot as usize] += count * f64::from(target_count);
             }
         }
         let mut value_overlaps = vec![0usize; self.slots.len()];
@@ -439,6 +445,16 @@ impl GramIndex {
             })
             .collect()
     }
+}
+
+/// A profile's raw gram count as its posting stores it. Profile counts are
+/// exact small integers held in `f64`s, so the `u32` is the count itself
+/// and `f64::from` gives back the very same `f64`: a scan's dot products
+/// are bit-identical to the merge-join's.
+fn posted_count(count: f64) -> u32 {
+    let posted = count as u32;
+    assert!(f64::from(posted) == count, "gram counts outgrow u32 postings");
+    posted
 }
 
 /// One kind of posting list of one generation, in compressed sparse row
@@ -773,7 +789,7 @@ mod tests {
             assert_eq!(updated.value_posting(id), fresh.value_posting(id), "value {id}");
         }
         let pap = interner.lookup("pap").expect("'pap' was interned by column a");
-        assert_eq!(updated.gram_posting(pap), Some(&[(0, 1.0)][..]));
+        assert_eq!(updated.gram_posting(pap), Some(&[(0, 1)][..]));
         assert_eq!(index.gram_posting(pap), updated.gram_posting(pap));
         // Scans over the updated index see the new content.
         let probe = ColumnData::owned(

@@ -32,6 +32,12 @@
 //! reply can be streamed straight into its frame buffer, with no value
 //! tree, in exactly the bytes [`Json::to_bytes`] would write for it
 //! ([`crate::protocol::write_result`]).
+//!
+//! The parser is crate-visible too, for the one reader that walks a frame's
+//! layout itself: the `register` decode in [`crate::protocol`] matches the
+//! frame's fixed bytes with `Parser::eat` and reads each value it needs with
+//! `Parser::value` at the depth a whole-document [`parse`] reads it at, so
+//! every value it accepts is the value [`parse`] would have produced.
 
 use std::fmt;
 use std::io::Write as _;
@@ -288,7 +294,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &[u8]) -> Result<Json, ParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -298,12 +304,39 @@ pub fn parse(input: &[u8]) -> Result<Json, ParseError> {
     Ok(value)
 }
 
-struct Parser<'a> {
+/// A cursor over one document. [`parse`] reads the whole document from
+/// it; a caller that knows the frame's layout consumes the fixed bytes with
+/// [`Parser::eat`] and reads each value with [`Parser::value`].
+pub(crate) struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A cursor at the start of `input`.
+    pub(crate) fn new(input: &'a [u8]) -> Self {
+        Parser { input, pos: 0 }
+    }
+
+    /// Byte offset of the cursor.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether the cursor is past the last byte.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.input.len()
+    }
+
+    /// Consume `bytes` if the input continues with exactly them.
+    pub(crate) fn eat(&mut self, bytes: &[u8]) -> bool {
+        let found = self.input[self.pos..].starts_with(bytes);
+        if found {
+            self.pos += bytes.len();
+        }
+        found
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError { message: message.to_string(), offset: self.pos }
     }
@@ -342,7 +375,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// The value at the cursor, read as a value nested `depth` levels deep
+    /// (the root is depth 0). No whitespace is skipped before or after it.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -407,7 +442,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// The string literal at the cursor.
+    pub(crate) fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         // The first run is copied at its exact length; an escape-free
         // string needs no other allocation.

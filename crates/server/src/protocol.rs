@@ -13,10 +13,26 @@
 //! canonical writer and compare wire bytes for equality. The server itself
 //! streams the same bytes with [`write_result`], which builds no value
 //! tree.
+//!
+//! Member types are checked, not guessed: an optional member that is present
+//! and not `null` must have its documented type (`policy` an object, an
+//! attribute's `type` and a source's `name` strings, counts non-negative
+//! integers), or the request is rejected with `bad_request`. An omitted or
+//! `null` member takes its default.
+//!
+//! A `register` usually re-sends a catalog whose tables mostly did not
+//! change, so the server first offers every payload to `decode_register`,
+//! which reads the clients' compact register layout element by element and
+//! reuses each table whose exact bytes the tenant sent at the same position
+//! last time (`RememberedTable`), parsing and decoding only the others. It
+//! declines every frame it does not fully accept, and a declined frame goes
+//! through [`crate::json::parse`] and [`Request::from_json`], the only
+//! producers of `bad_request` replies.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use crate::json::{write_display_str, write_float, write_str, Json};
+use crate::json::{write_display_str, write_float, write_str, Json, Parser};
 use cxm_core::ContextMatchResult;
 use cxm_matching::Match;
 use cxm_relational::{Attribute, DataType, Database, Table, TableSchema, Tuple, Value};
@@ -214,6 +230,98 @@ impl Request {
     }
 }
 
+/// One element of a tenant's last accepted `register`: its exact bytes in
+/// the frame and the catalog's instance of the table they decode to.
+#[derive(Debug)]
+pub(crate) struct RememberedTable {
+    pub(crate) text: Arc<[u8]>,
+    pub(crate) table: Arc<Table>,
+}
+
+/// A `register` request as the server applies it: the members of
+/// [`Request::Register`] with shared table instances, plus the exact text
+/// of each element of `tables` when [`decode_register`] read the frame.
+pub(crate) struct RegisterFrame {
+    pub(crate) tenant: String,
+    pub(crate) tables: Vec<Arc<Table>>,
+    /// Element texts in frame order, one per table; empty for a frame
+    /// decoded by [`Request::from_json`].
+    pub(crate) texts: Vec<Arc<[u8]>>,
+    /// Tables taken from the tenant's memo rather than decoded.
+    pub(crate) reused: usize,
+    pub(crate) policy: TenantPolicy,
+    pub(crate) quotas: TenantQuotas,
+}
+
+/// Decode `payload` as a `register` in the clients' compact layout,
+/// `{"op":"register","tenant":…,"tables":[…]}` with an optional
+/// `"policy":{…}` member last. `remembered(tenant)` is the tenant's memo:
+/// an element whose bytes equal the text remembered at its position is that
+/// remembered table, and is neither parsed nor decoded again. Every other
+/// element is read by the value parser at the depth a whole-frame
+/// [`crate::json::parse`] reads it at (2), then by [`decode_table`].
+///
+/// Reuse is sound because a remembered text is a whole JSON object that
+/// once parsed and decoded at that same depth: the same bytes parse to the
+/// same value, end at the same `}`, and decode to the same table.
+///
+/// Returns `None` to decline: any other member layout or whitespace, a
+/// parse or decode failure, a repeated table name. A declined frame takes
+/// the [`crate::json::parse`] + [`Request::from_json`] path, which accepts
+/// exactly what this decode accepts and produces every error reply.
+pub(crate) fn decode_register(
+    payload: &[u8],
+    remembered: impl FnOnce(&str) -> Arc<[RememberedTable]>,
+) -> Option<RegisterFrame> {
+    let mut cursor = Parser::new(payload);
+    if !cursor.eat(br#"{"op":"register","tenant":"#) {
+        return None;
+    }
+    let tenant = cursor.string().ok()?;
+    if !cursor.eat(br#","tables":["#) {
+        return None;
+    }
+    let memo = remembered(&tenant);
+    let (mut tables, mut texts, mut reused) = (Vec::new(), Vec::new(), 0);
+    if !cursor.eat(b"]") {
+        loop {
+            match memo.get(tables.len()).filter(|m| cursor.eat(&m.text)) {
+                Some(m) => {
+                    tables.push(Arc::clone(&m.table));
+                    texts.push(Arc::clone(&m.text));
+                    reused += 1;
+                }
+                None => {
+                    let start = cursor.pos();
+                    let table = decode_table(&cursor.value(2).ok()?).ok()?;
+                    tables.push(Arc::new(table));
+                    texts.push(Arc::from(&payload[start..cursor.pos()]));
+                }
+            }
+            if cursor.eat(b"]") {
+                break;
+            }
+            if !cursor.eat(b",") {
+                return None;
+            }
+        }
+    }
+    let (policy, quotas) = if cursor.eat(br#","policy":"#) {
+        let policy = cursor.value(1).ok()?;
+        (decode_policy(Some(&policy)).ok()?, decode_quotas(Some(&policy)).ok()?)
+    } else {
+        Default::default()
+    };
+    if !cursor.eat(b"}") || !cursor.at_end() {
+        return None;
+    }
+    let mut names = BTreeSet::new();
+    if !tables.iter().all(|t| names.insert(t.name())) {
+        return None;
+    }
+    Some(RegisterFrame { tenant, tables, texts, reused, policy, quotas })
+}
+
 fn required_str(frame: &Json, key: &str) -> Result<String, String> {
     frame
         .get(key)
@@ -222,8 +330,18 @@ fn required_str(frame: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string member `{key}`"))
 }
 
+/// The `policy` member: `None` when omitted or `null`, an error when it
+/// holds anything but an object.
+fn policy_object(policy: Option<&Json>) -> Result<Option<&Json>, String> {
+    match policy {
+        None | Some(Json::Null) => Ok(None),
+        Some(object @ Json::Object(_)) => Ok(Some(object)),
+        Some(_) => Err("`policy` must be an object".to_string()),
+    }
+}
+
 fn decode_policy(policy: Option<&Json>) -> Result<TenantPolicy, String> {
-    let Some(policy) = policy else { return Ok(TenantPolicy::default()) };
+    let Some(policy) = policy_object(policy)? else { return Ok(TenantPolicy::default()) };
     let score_threshold = match policy.get("score_threshold") {
         None | Some(Json::Null) => None,
         Some(v) => {
@@ -239,7 +357,7 @@ fn decode_policy(policy: Option<&Json>) -> Result<TenantPolicy, String> {
 
 fn decode_quotas(policy: Option<&Json>) -> Result<TenantQuotas, String> {
     let mut quotas = TenantQuotas::default();
-    let Some(policy) = policy else { return Ok(quotas) };
+    let Some(policy) = policy_object(policy)? else { return Ok(quotas) };
     for (key, slot) in [
         ("source_cache_capacity", &mut quotas.source_cache_capacity),
         ("selection_cache_tables", &mut quotas.selection_cache_tables),
@@ -273,14 +391,15 @@ pub fn decode_table(table: &Json) -> Result<Table, String> {
         .map(|a| {
             let attr_name =
                 a.get("name").and_then(Json::as_str).ok_or("attribute is missing `name`")?;
-            let data_type = match a.get("type").and_then(Json::as_str) {
-                None => DataType::Text,
+            let data_type = match a.get("type") {
+                None | Some(Json::Null) => DataType::Text,
                 // `unknown` is a legal schema state ([`DataType::Unknown`])
                 // but not a `FromStr` spelling; accept it for round trips.
-                Some("unknown") => DataType::Unknown,
-                Some(text) => text
+                Some(Json::Str(text)) if text == "unknown" => DataType::Unknown,
+                Some(Json::Str(text)) => text
                     .parse::<DataType>()
                     .map_err(|_| format!("unknown attribute type `{text}`"))?,
+                Some(_) => return Err("attribute `type` must be a string".to_string()),
             };
             Ok(Attribute::new(attr_name, data_type))
         })
@@ -330,7 +449,11 @@ fn decode_value(cell: &Json, data_type: DataType) -> Result<Value, String> {
 /// Decode a `{name?, tables}` source-database object (a `submit`'s
 /// `source` member).
 pub fn decode_database(source: &Json) -> Result<Database, String> {
-    let name = source.get("name").and_then(Json::as_str).unwrap_or("source");
+    let name = match source.get("name") {
+        None | Some(Json::Null) => "source",
+        Some(Json::Str(name)) => name,
+        Some(_) => return Err("source `name` must be a string".to_string()),
+    };
     let mut db = Database::new(name);
     for table in decode_tables(source.get("tables"))? {
         if db.table(table.name()).is_some() {
@@ -533,6 +656,8 @@ pub fn encode_tenant_stats(stats: &TenantStats) -> Json {
         ("inflight".into(), Json::Int(stats.inflight as i64)),
         ("inflight_peak".into(), Json::Int(stats.inflight_peak as i64)),
         ("quota_evictions".into(), Json::Int(stats.quota_evictions() as i64)),
+        ("register_tables_reused".into(), Json::Int(stats.register_tables_reused as i64)),
+        ("register_tables_decoded".into(), Json::Int(stats.register_tables_decoded as i64)),
         ("catalog_version".into(), Json::Int(warm.catalog_version as i64)),
         ("catalog_tables".into(), Json::Int(warm.catalog_tables as i64)),
         ("result_cache_len".into(), Json::Int(warm.result_len as i64)),
@@ -600,6 +725,127 @@ mod tests {
         ] {
             let frame = parse(bad.as_bytes()).unwrap();
             assert!(Request::from_json(&frame).is_err(), "{bad}");
+        }
+
+        // A member of the wrong type is rejected, never read as its default.
+        let attribute = |ty: &str| {
+            format!(r#"{{"name":"b","attributes":[{{"name":"x","type":{ty}}}],"rows":[[1]]}}"#)
+        };
+        let decode = |text: &str| Request::from_json(&parse(text.as_bytes()).unwrap());
+        for (bad, message) in [
+            (r#"{"op":"register","tenant":"t","tables":[],"policy":7}"#.to_string(), "`policy`"),
+            (r#"{"op":"register","tenant":"t","tables":[],"policy":"x"}"#.to_string(), "`policy`"),
+            (r#"{"op":"register","tenant":"t","tables":[],"policy":[]}"#.to_string(), "`policy`"),
+            (
+                format!(r#"{{"op":"register","tenant":"t","tables":[{}]}}"#, attribute("5")),
+                "attribute `type`",
+            ),
+            (
+                format!(r#"{{"op":"replace","tenant":"t","table":{}}}"#, attribute("true")),
+                "attribute `type`",
+            ),
+        ] {
+            let err = decode(&bad).expect_err(&bad);
+            assert!(err.starts_with(message), "{bad}: {err}");
+        }
+        let source = |name: &str| parse(format!(r#"{{"name":{name},"tables":[]}}"#).as_bytes());
+        let err = decode_database(&source("5").unwrap()).unwrap_err();
+        assert_eq!(err, "source `name` must be a string");
+        // Omitted or `null` members keep their defaults.
+        assert_eq!(decode_database(&source("null").unwrap()).unwrap().name(), "source");
+        match decode(&format!(
+            r#"{{"op":"register","tenant":"t","tables":[{}],"policy":null}}"#,
+            attribute("null")
+        )) {
+            Ok(Request::Register { tables, policy, quotas, .. }) => {
+                assert_eq!(tables[0].schema().attributes()[0].data_type, DataType::Text);
+                assert_eq!((policy, quotas), Default::default());
+            }
+            other => panic!("null members must decode to their defaults: {other:?}"),
+        }
+    }
+
+    /// The memo a register decoded by `decode_register` leaves behind (the
+    /// server pairs each text with the catalog's instance instead).
+    fn memo_of(frame: &RegisterFrame) -> Arc<[RememberedTable]> {
+        frame
+            .texts
+            .iter()
+            .zip(&frame.tables)
+            .map(|(text, table)| RememberedTable {
+                text: Arc::clone(text),
+                table: Arc::clone(table),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn register_decode_reuses_remembered_bytes_and_matches_from_json() {
+        let book = book_table_json();
+        let shelf = book.replacen("\"book\"", "\"shelf\"", 1);
+        let frame = |tables: &str, tail: &str| {
+            format!(r#"{{"op":"register","tenant":"acme","tables":[{tables}]{tail}}}"#)
+        };
+        // With an empty memo every element is decoded, to exactly what the
+        // whole-frame path decodes.
+        let first =
+            frame(&format!("{book},{shelf}"), r#","policy":{"top_k":3,"source_cache_capacity":2}"#);
+        let decoded = decode_register(first.as_bytes(), |_| Arc::default()).expect("compact");
+        match Request::from_json(&parse(first.as_bytes()).unwrap()) {
+            Ok(Request::Register { tenant, tables, policy, quotas }) => {
+                assert_eq!(decoded.tenant, tenant);
+                let ours: Vec<Table> = decoded.tables.iter().map(|t| Table::clone(t)).collect();
+                assert_eq!(ours, tables);
+                assert_eq!((decoded.policy, decoded.quotas), (policy, quotas));
+            }
+            other => panic!("the frame must decode: {other:?}"),
+        }
+        assert_eq!(decoded.reused, 0);
+        let texts: Vec<&[u8]> = decoded.texts.iter().map(|t| &t[..]).collect();
+        assert_eq!(texts, [book.as_bytes(), shelf.as_bytes()]);
+
+        // Equal bytes at the same position are the remembered table; an
+        // edited element is decoded.
+        let memo = memo_of(&decoded);
+        let edited = shelf.replacen("12.5", "13.5", 1);
+        let again = decode_register(frame(&format!("{book},{edited}"), "").as_bytes(), |tenant| {
+            assert_eq!(tenant, "acme");
+            Arc::clone(&memo)
+        })
+        .expect("compact");
+        assert_eq!((again.reused, again.tables.len()), (1, 2));
+        assert!(Arc::ptr_eq(&again.tables[0], &memo[0].table));
+        assert!(Arc::ptr_eq(&again.texts[0], &memo[0].text));
+        assert_ne!(again.tables[1].fingerprint(), memo[1].table.fingerprint());
+        assert_eq!((again.policy, again.quotas), Default::default());
+        // Reuse is by position, never by name: swapped elements are decoded.
+        let swapped = decode_register(frame(&format!("{shelf},{book}"), "").as_bytes(), |_| {
+            Arc::clone(&memo)
+        })
+        .expect("compact");
+        assert_eq!(swapped.reused, 0);
+        assert_eq!(swapped.tables[1].fingerprint(), memo[0].table.fingerprint());
+
+        // Everything else is declined, to the whole-frame path.
+        let one = frame(book, "");
+        for declined in [
+            frame(&format!("{book}, {shelf}"), ""),
+            frame(&format!("{book}x"), ""),
+            frame(&format!("{book},{book}"), ""),
+            frame(&book[..book.len() - 1], ""),
+            frame("[1]", ""),
+            frame(book, r#","policy":7"#),
+            frame(book, r#","policy":{},"policy":{}"#),
+            frame(book, r#","extra":1"#),
+            format!(r#"{{"tenant":"acme","op":"register","tables":[{book}]}}"#),
+            format!(r#"{{"op":"register","tables":[{book}],"tenant":"acme"}}"#),
+            format!(r#"{{"op":"register","tenant":7,"tables":[{book}]}}"#),
+            format!("{one} "),
+            format!(" {one}"),
+            one[..one.len() - 1].to_string(),
+        ] {
+            let memo = Arc::clone(&memo);
+            assert!(decode_register(declined.as_bytes(), |_| memo).is_none(), "{declined}");
         }
     }
 

@@ -46,8 +46,8 @@ use crate::admission::{AdmissionQueue, AdmitError};
 use crate::frame::{frame_bytes, DEFAULT_MAX_FRAME_BYTES};
 use crate::json::{parse, write_int, write_str, Json};
 use crate::protocol::{
-    decode_database, encode_server_stats, encode_tenant_stats, encode_update, error_frame,
-    ok_frame, ErrorCode, Request,
+    decode_database, decode_register, encode_server_stats, encode_tenant_stats, encode_update,
+    error_frame, ok_frame, ErrorCode, RegisterFrame, Request,
 };
 use crate::reactor::{Action, Completion, ConnId, Handler, Reactor, ReactorConfig, ReactorShared};
 use crate::telemetry::{
@@ -294,6 +294,12 @@ impl ServerHandle {
         self.shared.registry.stats(None)
     }
 
+    /// The registered tenant of that name: its service (and through it the
+    /// catalog), policy and counters.
+    pub fn tenant(&self, name: &str) -> Option<Arc<Tenant>> {
+        self.shared.registry.get(name)
+    }
+
     /// Begin the graceful drain (same effect as a `shutdown` frame).
     pub fn shutdown(&self) {
         self.shared.begin_drain();
@@ -358,7 +364,19 @@ impl Shared {
     /// Produce the outcome for one request payload, on the reactor thread.
     /// For `shutdown` the drain only closes *admission*, so the reply below
     /// is still delivered — in-flight responses are never cut off.
+    ///
+    /// A `register` is first offered to [`decode_register`], which reuses
+    /// every table whose element bytes equal the tenant's remembered text
+    /// at the same position; a frame it declines is parsed and decoded
+    /// whole, like every other request.
     fn dispatch(&self, conn: ConnId, payload: &[u8]) -> Dispatch {
+        let remembered = |tenant: &str| {
+            self.registry.get(tenant).map(|t| t.remembered_tables()).unwrap_or_default()
+        };
+        if let Some(register) = decode_register(payload, remembered) {
+            bump(&self.counters.requests);
+            return Dispatch::Reply(self.register(register));
+        }
         let frame = match parse(payload) {
             Ok(frame) => frame,
             Err(e) => {
@@ -378,28 +396,19 @@ impl Shared {
         bump(&self.counters.requests);
         let draining = self.draining.load(Ordering::SeqCst);
         let reply = match request {
-            Request::Register { tenant, tables, policy, quotas } => {
-                if draining {
-                    return Dispatch::Reply(error_frame(
-                        ErrorCode::ShuttingDown,
-                        "server is draining",
-                        None,
-                    ));
-                }
-                let tenant = self.registry.register(&tenant, policy, &quotas);
-                let mut target = cxm_relational::Database::new("target");
-                for table in tables {
-                    target.replace_table(table);
-                }
-                let update = tenant.service.register_target(&target);
-                let mut members = vec![("tenant".into(), Json::str(tenant.name.clone()))];
-                members.extend(encode_update(&update));
-                ok_frame("register", members)
-            }
+            Request::Register { tenant, tables, policy, quotas } => self.register(RegisterFrame {
+                tenant,
+                tables: tables.into_iter().map(Arc::new).collect(),
+                texts: Vec::new(),
+                reused: 0,
+                policy,
+                quotas,
+            }),
             Request::Replace { tenant, table } => {
                 let Some(tenant) = self.registry.get(&tenant) else {
                     return Dispatch::Reply(error_frame(ErrorCode::UnknownTenant, &tenant, None));
                 };
+                tenant.forget_register();
                 match tenant.service.replace_table(table) {
                     Ok(update) => {
                         let mut members = vec![("tenant".into(), Json::str(tenant.name.clone()))];
@@ -413,6 +422,7 @@ impl Shared {
                 let Some(tenant) = self.registry.get(&tenant) else {
                     return Dispatch::Reply(error_frame(ErrorCode::UnknownTenant, &tenant, None));
                 };
+                tenant.forget_register();
                 match tenant.service.drop_table(&table) {
                     Some(update) => {
                         let mut members = vec![("tenant".into(), Json::str(tenant.name.clone()))];
@@ -464,6 +474,26 @@ impl Shared {
             }
         };
         Dispatch::Reply(reply)
+    }
+
+    /// Apply a decoded `register`: create the tenant on first use, swap its
+    /// policy and its whole catalog, and remember the frame's element texts
+    /// for the next `register`.
+    fn register(&self, register: RegisterFrame) -> Json {
+        if self.draining.load(Ordering::SeqCst) {
+            return error_frame(ErrorCode::ShuttingDown, "server is draining", None);
+        }
+        let RegisterFrame { tenant, tables, texts, reused, policy, quotas } = register;
+        let tenant = self.registry.register(&tenant, policy, &quotas);
+        let mut target = cxm_relational::Database::new("target");
+        for table in &tables {
+            target.replace_shared_table(Arc::clone(table));
+        }
+        let update = tenant.service.register_target(&target);
+        tenant.remember_register(&tables, texts, reused, update.version);
+        let mut members = vec![("tenant".into(), Json::str(tenant.name.clone()))];
+        members.extend(encode_update(&update));
+        ok_frame("register", members)
     }
 
     /// Admission, on the reactor thread: per-tenant in-flight cap, then the

@@ -198,6 +198,12 @@ pub struct TenantCounters {
     pub inflight: AtomicUsize,
     /// High-water mark of [`TenantCounters::inflight`].
     pub inflight_peak: AtomicUsize,
+    /// Tables of accepted `register`s taken from the tenant's register
+    /// memo: their bytes equalled the element the tenant sent at the same
+    /// position last time, so they were neither parsed nor decoded.
+    pub register_tables_reused: AtomicUsize,
+    /// Tables of accepted `register`s that were parsed and decoded.
+    pub register_tables_decoded: AtomicUsize,
 }
 
 impl TenantCounters {
@@ -324,6 +330,10 @@ pub struct TenantStats {
     pub inflight: usize,
     /// Most requests ever in flight at once for this tenant.
     pub inflight_peak: usize,
+    /// Tables of accepted `register`s reused from the register memo.
+    pub register_tables_reused: usize,
+    /// Tables of accepted `register`s parsed and decoded.
+    pub register_tables_decoded: usize,
     /// Warm-artifact store totals ([`cxm_service::MatchService::warm_stats`]).
     pub warm: WarmStats,
 }
@@ -342,7 +352,7 @@ impl fmt::Display for TenantStats {
             f,
             "tenant {}: {} submits ({} result-cache hits), {} deadline expiries, \
              {} admission rejects ({} in-flight cap), {} in flight ({} peak), \
-             {} quota evictions; {}",
+             {} quota evictions, {} register tables reused ({} decoded); {}",
             self.tenant,
             self.submits,
             self.result_cache_hits,
@@ -352,6 +362,8 @@ impl fmt::Display for TenantStats {
             self.inflight,
             self.inflight_peak,
             self.quota_evictions(),
+            self.register_tables_reused,
+            self.register_tables_decoded,
             self.warm,
         )
     }
@@ -407,6 +419,8 @@ mod tests {
             inflight_rejects: 1,
             inflight: 1,
             inflight_peak: 3,
+            register_tables_reused: 50,
+            register_tables_decoded: 70,
             warm: WarmStats { source_evictions: 1, result_evictions: 2, ..WarmStats::default() },
         };
         let text = t.to_string();
@@ -415,6 +429,7 @@ mod tests {
         assert!(text.contains("2 admission rejects (1 in-flight cap)"), "{text}");
         assert!(text.contains("1 in flight (3 peak)"), "{text}");
         assert!(text.contains("3 quota evictions"), "{text}");
+        assert!(text.contains("50 register tables reused (70 decoded)"), "{text}");
     }
 
     #[test]

@@ -12,6 +12,16 @@
 //! Each tenant also memoizes the encoded `result` member of its recent
 //! result-cache hits (`ReplyMemo`), so a repeat hit on the same result
 //! under the same policy costs one copy instead of an encode.
+//!
+//! And each tenant keeps a **register memo**: the exact bytes of every
+//! element of the `tables` array of its last accepted `register`, by
+//! position, each with the catalog's instance of its table. The server's
+//! register decode reuses an element whose bytes equal the remembered text
+//! at its position, so a re-sent catalog costs a byte comparison per
+//! unchanged table instead of a parse, a decode and a fingerprint. The memo
+//! holds one register's tables at most, and only tables the catalog holds:
+//! every accepted register replaces it, and a `replace` or `drop` empties
+//! it. It is not persisted; a restarted server starts with it empty.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -20,9 +30,10 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use cxm_core::{ContextMatchConfig, ContextMatchResult};
 use cxm_matching::GramInterner;
+use cxm_relational::Table;
 use cxm_service::{MatchService, MutexExt, RwLockExt, ServiceConfig};
 
-use crate::protocol::{write_result, TenantPolicy, TenantQuotas};
+use crate::protocol::{write_result, RememberedTable, TenantPolicy, TenantQuotas};
 use crate::telemetry::{TenantCounters, TenantStats};
 
 /// Server-wide **ceilings** on per-tenant warm-state quotas. A tenant's
@@ -172,6 +183,9 @@ pub struct Tenant {
     pub counters: TenantCounters,
     /// Encoded `result` members of recent result-cache hits.
     replies: ReplyMemo,
+    /// The register memo (see the module docs). Read and replaced only by
+    /// the thread that dispatches control requests.
+    register_memo: Mutex<Arc<[RememberedTable]>>,
 }
 
 impl Tenant {
@@ -189,6 +203,7 @@ impl Tenant {
             quotas,
             counters: TenantCounters::default(),
             replies: ReplyMemo::new(match_result_entries),
+            register_memo: Mutex::default(),
         }
     }
 
@@ -236,6 +251,49 @@ impl Tenant {
         self.replies.insert(result, *policy, Arc::from(&out[start..]));
     }
 
+    /// The register memo: each element of the last accepted `register`, in
+    /// frame order.
+    pub(crate) fn remembered_tables(&self) -> Arc<[RememberedTable]> {
+        Arc::clone(&self.register_memo.lock_or_recover())
+    }
+
+    /// Account an accepted `register` whose catalog update produced
+    /// snapshot `version`, and remember its element `texts` (one per table,
+    /// in frame order), each with the catalog's instance of its table. No
+    /// texts (a frame the memo-aware decode declined), or a catalog that
+    /// moved past `version`, leave the memo empty.
+    pub(crate) fn remember_register(
+        &self,
+        tables: &[Arc<Table>],
+        texts: Vec<Arc<[u8]>>,
+        reused: usize,
+        version: u64,
+    ) {
+        let counters = &self.counters;
+        counters.register_tables_reused.fetch_add(reused, Ordering::Relaxed);
+        counters.register_tables_decoded.fetch_add(tables.len() - reused, Ordering::Relaxed);
+        let snapshot = self.service.catalog().snapshot();
+        let memo = if texts.len() == tables.len() && snapshot.version() == version {
+            texts
+                .into_iter()
+                .zip(tables)
+                .map(|(text, table)| {
+                    let table = Arc::clone(snapshot.database().shared_table(table.name())?);
+                    Some(RememberedTable { text, table })
+                })
+                .collect::<Option<Arc<[_]>>>()
+        } else {
+            None
+        };
+        *self.register_memo.lock_or_recover() = memo.unwrap_or_default();
+    }
+
+    /// Empty the register memo, ahead of a `replace` or `drop`, which may
+    /// change the catalog outside a `register`.
+    pub(crate) fn forget_register(&self) {
+        *self.register_memo.lock_or_recover() = Arc::default();
+    }
+
     /// This tenant's stats snapshot.
     pub fn stats(&self) -> TenantStats {
         TenantStats {
@@ -247,6 +305,8 @@ impl Tenant {
             inflight_rejects: self.counters.inflight_rejects.load(Ordering::Relaxed),
             inflight: self.counters.inflight.load(Ordering::Relaxed),
             inflight_peak: self.counters.inflight_peak.load(Ordering::Relaxed),
+            register_tables_reused: self.counters.register_tables_reused.load(Ordering::Relaxed),
+            register_tables_decoded: self.counters.register_tables_decoded.load(Ordering::Relaxed),
             warm: self.service.warm_stats(),
         }
     }

@@ -767,7 +767,7 @@ mod index_pruning {
     }
 
     /// Gram id → `(slot, count)` entries, and value id → slots.
-    type Inverted = (BTreeMap<u32, Vec<(u32, f64)>>, BTreeMap<u32, Vec<u32>>);
+    type Inverted = (BTreeMap<u32, Vec<(u32, u32)>>, BTreeMap<u32, Vec<u32>>);
 
     /// The posting lists of `columns`, inverted independently of the index
     /// over every non-empty column's profile and value set, in slot order.
@@ -776,7 +776,8 @@ mod index_pruning {
         for (slot, column) in columns.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
             let slot = slot as u32;
             for &(g, count) in column.qgram3_ids().entries() {
-                grams.entry(g).or_insert_with(Vec::new).push((slot, count));
+                // Profile counts are exact small integers.
+                grams.entry(g).or_insert_with(Vec::new).push((slot, count as u32));
             }
             for &v in column.value_ids().ids() {
                 values.entry(v).or_insert_with(Vec::new).push(slot);

@@ -15,25 +15,35 @@
 //!   same frame;
 //! * on arbitrary match results and policies, the streaming `write_result`
 //!   appends exactly `encode_result(..).to_bytes()`, which are the
-//!   reference writer's bytes of the same tree.
+//!   reference writer's bytes of the same tree;
+//! * on random sequences of `register`, `replace`, `drop` and `submit`
+//!   frames for one or two tenants, a server whose register memo reuses
+//!   remembered tables sends exactly the reply bytes of a server whose memo
+//!   is empty at every frame, and ends with equal catalogs; a re-register
+//!   decodes only the tables whose bytes changed.
 //!
 //! Inputs are generated from a seeded LCG, as in `persist_properties.rs`:
 //! one `u64` seed fans out into trees, byte strings and mutations.
 
 use std::io::{self, Cursor};
+use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
-use cxm_datagen::{generate_retail, RetailConfig};
+use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_matching::Match;
-use cxm_relational::{AttrRef, Condition, Value, ViewDef};
+use cxm_relational::{AttrRef, Condition, Database, Table, Value, ViewDef};
+use cxm_server::client::is_ok;
 use cxm_server::json::{parse, Json};
 use cxm_server::protocol::{
     decode_database, encode_database, encode_result, ok_frame, write_result,
 };
-use cxm_server::{frame_bytes, read_frame, FrameDecoder, Request, TenantPolicy};
+use cxm_server::{
+    frame_bytes, read_frame, serve, write_frame, Client, FrameDecoder, Request, ServerConfig,
+    ServerHandle, TenantPolicy, TenantQuotas, DEFAULT_MAX_FRAME_BYTES,
+};
 use cxm_service::{MatchService, ServiceConfig};
 use cxm_tests::reference::{json_parse, json_to_bytes};
 
@@ -218,6 +228,141 @@ impl Lcg {
 
     fn bytes(&mut self, len: u64) -> Vec<u8> {
         (0..len).map(|_| self.below(256) as u8).collect()
+    }
+
+    /// One of `items`.
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len() as u64) as usize]
+    }
+
+    /// A target table named `name`, encoded as clients encode it: one to
+    /// three columns of text, integers or floats (or of no declared type),
+    /// and up to three rows of words, escape-heavy strings, numbers and
+    /// nulls.
+    fn table_text(&mut self, name: &str) -> Vec<u8> {
+        let types: Vec<Option<&str>> = (0..1 + self.below(3))
+            .map(|_| self.pick(&[Some("text"), Some("int"), Some("float"), None]))
+            .collect();
+        let attributes = types
+            .iter()
+            .enumerate()
+            .map(|(i, ty)| {
+                let mut members = vec![("name".into(), Json::str(format!("c{i}")))];
+                members.extend(ty.map(|ty| ("type".into(), Json::str(ty))));
+                Json::Object(members)
+            })
+            .collect();
+        let rows = (0..self.below(4))
+            .map(|_| Json::Array(types.iter().map(|&ty| self.typed_cell(ty)).collect()))
+            .collect();
+        Json::Object(vec![
+            ("name".into(), Json::str(name)),
+            ("attributes".into(), Json::Array(attributes)),
+            ("rows".into(), Json::Array(rows)),
+        ])
+        .to_bytes()
+    }
+
+    fn typed_cell(&mut self, ty: Option<&str>) -> Json {
+        const WORDS: &[&str] = &["war and peace", "middlemarch", "paperback", "hardcover", "cd"];
+        match (self.below(6), ty) {
+            (0, _) => Json::Null,
+            (_, Some("int")) => Json::Int(self.below(100) as i64),
+            (_, Some("float")) => Json::Float(self.below(1000) as f64 / 8.0),
+            (1 | 2, _) => Json::str(self.string()),
+            _ => Json::str(self.pick(WORDS)),
+        }
+    }
+
+    /// The table list a tenant sends next: the last one kept, or one
+    /// element edited by one byte, replaced by a fresh table, reordered,
+    /// removed, cut short, re-spaced (other bytes, the same table) or
+    /// inserted (possibly under a name already present).
+    fn next_tables(&mut self, tables: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        const EDITS: &[u8] = b"\"\\{}[],:09-.eE ax\x00\x1f\x80\xc3\xff";
+        let mut next = tables.to_vec();
+        let i = self.below(next.len() as u64) as usize;
+        match self.below(9) {
+            0 | 1 => {}
+            2 if !next.is_empty() => {
+                let at = self.below(next[i].len() as u64) as usize;
+                next[i][at] = self.pick(EDITS);
+            }
+            3 if !next.is_empty() => {
+                let name = format!("t{}", self.below(6));
+                next[i] = self.table_text(&name);
+            }
+            4 if next.len() > 1 => match self.below(2) {
+                0 => next.reverse(),
+                _ => {
+                    let j = self.below(next.len() as u64) as usize;
+                    next.swap(i, j);
+                }
+            },
+            5 if !next.is_empty() => {
+                next.remove(i);
+            }
+            6 if !next.is_empty() => {
+                let cut = self.below(next[i].len() as u64) as usize;
+                next[i].truncate(cut);
+            }
+            7 if !next.is_empty() => {
+                if let Some(colon) = next[i].iter().position(|&b| b == b':') {
+                    next[i].insert(colon + 1, b' ');
+                }
+            }
+            _ => {
+                let name = format!("t{}", self.below(6));
+                let at = self.below(next.len() as u64 + 1) as usize;
+                next.insert(at, self.table_text(&name));
+            }
+        }
+        next
+    }
+
+    /// A `register` frame over the element texts `tables`: mostly in the
+    /// clients' compact layout, otherwise with whitespace between members
+    /// or elements, `tenant` after `tables`, `op` not first, or a repeated
+    /// member; its `policy` absent, `null`, an object or not an object; now
+    /// and then cut short.
+    fn register_frame(&mut self, tenant: &str, tables: &[Vec<u8>]) -> Vec<u8> {
+        let elements = |separator: &[u8]| [&b"["[..], &tables.join(separator), b"]"].concat();
+        let mut members: Vec<(&str, Vec<u8>)> = vec![
+            ("op", b"\"register\"".to_vec()),
+            ("tenant", format!("\"{tenant}\"").into_bytes()),
+            ("tables", elements(b",")),
+        ];
+        match self.below(8) {
+            0 => members.push(("policy", b"null".to_vec())),
+            1 => members.push(("policy", br#"{"top_k":2,"match_result_entries":4}"#.to_vec())),
+            2 => {
+                let policy = self.pick(&[&b"7"[..], b"\"strict\"", b"[]", b"{}"]);
+                members.push(("policy", policy.to_vec()));
+            }
+            _ => {}
+        }
+        let mut separator = &b","[..];
+        match self.below(12) {
+            0 => separator = b", ",
+            1 => members[2].1 = elements(b", "),
+            2 => members.swap(1, 2),
+            3 => members.rotate_left(1),
+            4 => {
+                let repeated = members[self.below(members.len() as u64) as usize].clone();
+                members.push(repeated);
+            }
+            _ => {}
+        }
+        let members: Vec<Vec<u8>> = members
+            .iter()
+            .map(|(key, value)| [format!("\"{key}\":").as_bytes(), value].concat())
+            .collect();
+        let mut frame = [&b"{"[..], &members.join(separator), b"}"].concat();
+        if self.below(16) == 0 {
+            let cut = self.below(frame.len() as u64) as usize;
+            frame.truncate(cut);
+        }
+        frame
     }
 
     /// A wire stream for the frame layer: whole frames with empty, small
@@ -523,4 +668,216 @@ proptest! {
             }
         }
     }
+}
+
+/// A connection that sends raw payloads, malformed ones included, and
+/// returns the raw reply payloads.
+struct RawConn(TcpStream);
+
+impl RawConn {
+    fn connect(server: &ServerHandle) -> RawConn {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        RawConn(stream)
+    }
+
+    fn send(&mut self, payload: &[u8]) -> Vec<u8> {
+        write_frame(&mut self.0, payload).expect("send a frame");
+        read_frame(&mut self.0, DEFAULT_MAX_FRAME_BYTES).expect("read a reply").expect("a reply")
+    }
+}
+
+fn memo_test_server() -> ServerHandle {
+    serve(ServerConfig {
+        workers: 1,
+        context: ContextMatchConfig::default()
+            .with_inference(ViewInferenceStrategy::Naive)
+            .with_tau(0.4),
+        ..ServerConfig::default()
+    })
+    .expect("bind a loopback port")
+}
+
+/// One random step's frame for `tenant`, whose last accepted table list is
+/// `tables`: mostly a `register` of the next list, otherwise a `replace`, a
+/// `drop` or a `submit`. Returns the frame and the list it registers.
+fn step_frame(lcg: &mut Lcg, tenant: &str, tables: &[Vec<u8>]) -> (Vec<u8>, Option<Vec<Vec<u8>>>) {
+    let name = format!("t{}", lcg.below(6));
+    match lcg.below(20) {
+        0..=2 => {
+            let table = String::from_utf8(lcg.table_text(&name)).expect("encoded UTF-8");
+            let frame = format!(r#"{{"op":"replace","tenant":"{tenant}","table":{table}}}"#);
+            (frame.into_bytes(), None)
+        }
+        3..=5 => {
+            let frame = format!(r#"{{"op":"drop","tenant":"{tenant}","table":"{name}"}}"#);
+            (frame.into_bytes(), None)
+        }
+        6..=7 => {
+            let table = String::from_utf8(lcg.table_text("src")).expect("encoded UTF-8");
+            let frame = format!(
+                r#"{{"op":"submit","tenant":"{tenant}","source":{{"name":"s","tables":[{table}]}}}}"#
+            );
+            (frame.into_bytes(), None)
+        }
+        _ => {
+            let next = lcg.next_tables(tables);
+            (lcg.register_frame(tenant, &next), Some(next))
+        }
+    }
+}
+
+/// Whether `tenant` has the same catalog on both servers: the same
+/// version, table fingerprints and tables (or no tenant on either).
+fn same_catalog(a: &ServerHandle, b: &ServerHandle, tenant: &str) -> bool {
+    let snapshot =
+        |server: &ServerHandle| server.tenant(tenant).map(|t| t.service.catalog().snapshot());
+    match (snapshot(a), snapshot(b)) {
+        (None, None) => true,
+        (Some(a), Some(b)) => {
+            a.version() == b.version()
+                && a.fingerprints() == b.fingerprints()
+                && a.database() == b.database()
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    /// The register memo changes no reply byte and no catalog: a server
+    /// runs a random sequence of frames for one or two tenants, and a
+    /// reference server runs the same frames with its memo emptied before
+    /// each one (a `drop` of a never-registered table empties it). Every
+    /// reply — acks with their versions and column reuse counts, errors,
+    /// match results — is byte-identical, and each tenant ends with the
+    /// same catalog version, table fingerprints and tables. The reference
+    /// reused nothing; the memo server reused every table of the opening
+    /// re-register at least.
+    #[test]
+    fn register_memo_replies_like_an_empty_memo(seed in any::<u64>()) {
+        let mut lcg = Lcg(seed);
+        let tenants: &[&str] = if lcg.below(3) == 0 { &["a"] } else { &["a", "b"] };
+        let (memo, reference) = (memo_test_server(), memo_test_server());
+        let (mut with_memo, mut without) = (RawConn::connect(&memo), RawConn::connect(&reference));
+        let mut frames = Vec::new();
+        let mut lists = Vec::new();
+        for (i, &tenant) in tenants.iter().enumerate() {
+            let count = 1 + lcg.below(4) as usize;
+            let tables: Vec<Vec<u8>> =
+                (0..count).map(|k| lcg.table_text(&format!("t{}", (i + k) % 6))).collect();
+            let frame = [
+                br#"{"op":"register","tenant":""#,
+                tenant.as_bytes(),
+                br#"","tables":["#,
+                &tables.join(&b","[..]),
+                b"]}",
+            ]
+            .concat();
+            // Sent twice: the second register meets a warm memo.
+            frames.push((i, frame.clone(), Some(tables.clone())));
+            frames.push((i, frame, Some(tables.clone())));
+            lists.push(tables);
+        }
+        let mut sent = 0;
+        while sent < frames.len() + 12 {
+            let (t, frame, next) = match frames.get(sent) {
+                Some(step) => step.clone(),
+                None => {
+                    let t = lcg.below(tenants.len() as u64) as usize;
+                    let (frame, next) = step_frame(&mut lcg, tenants[t], &lists[t]);
+                    (t, frame, next)
+                }
+            };
+            sent += 1;
+            for tenant in tenants {
+                let forget = format!(r#"{{"op":"drop","tenant":"{tenant}","table":""}}"#);
+                without.send(forget.as_bytes());
+            }
+            let (ours, theirs) = (with_memo.send(&frame), without.send(&frame));
+            prop_assert!(
+                ours == theirs,
+                "seed {seed}, frame {:?}: reply {:?}, reference {:?}",
+                String::from_utf8_lossy(&frame),
+                String::from_utf8_lossy(&ours),
+                String::from_utf8_lossy(&theirs)
+            );
+            if let (Some(next), Ok(reply)) = (next, parse(&ours)) {
+                if is_ok(&reply) {
+                    lists[t] = next;
+                }
+            }
+        }
+        for tenant in tenants {
+            prop_assert!(
+                same_catalog(&memo, &reference, tenant),
+                "seed {seed}: tenant {tenant} ends with another catalog"
+            );
+            let reused = |server: &ServerHandle| {
+                server.tenant(tenant).map_or(0, |t| t.stats().register_tables_reused)
+            };
+            prop_assert_eq!(reused(&reference), 0, "the reference must run with an empty memo");
+            prop_assert!(reused(&memo) > 0, "seed {seed}: the opening re-register reused nothing");
+        }
+        for server in [memo, reference] {
+            server.shutdown();
+            server.join();
+        }
+    }
+}
+
+/// The benchmark's wide catalog at a twelfth of its width (12 tables × 4
+/// columns × 10 rows) in two states that differ in every sixth table, as
+/// `wide_refresh` builds them.
+fn wide_states() -> [Database; 2] {
+    let wide = generate_wide_catalog(&WideCatalogConfig {
+        tables: 12,
+        columns_per_table: 4,
+        rows_per_table: 10,
+        families: 3,
+        ..WideCatalogConfig::default()
+    });
+    let mut second = wide.target.clone();
+    for i in (0..12).step_by(6) {
+        let table = wide.target.table(&format!("wide_{i}")).expect("generated table");
+        let donor = wide.target.table(&format!("wide_{}", (i + 3) % 12)).expect("generated");
+        let rows = donor.rows().to_vec();
+        second.replace_table(Table::with_rows(table.schema().clone(), rows).expect("same shape"));
+    }
+    [wide.target, second]
+}
+
+#[test]
+fn a_re_register_decodes_only_the_tables_whose_bytes_changed() {
+    let server = memo_test_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let states = wide_states();
+    let none = (TenantPolicy::default(), TenantQuotas::default());
+    let counts = |client: &mut Client| {
+        let stats = client.stats(Some("w")).expect("stats");
+        let tenant = &stats.get("tenants").and_then(Json::as_array).expect("tenants")[0];
+        let count = |key| tenant.get(key).and_then(Json::as_u64).expect("a count");
+        (count("register_tables_reused"), count("register_tables_decoded"))
+    };
+    let register = |client: &mut Client, state: usize| {
+        let ack = client.register("w", &states[state], &none.0, &none.1).expect("register");
+        assert!(is_ok(&ack), "{ack:?}");
+        ack.get("columns_rebuilt").and_then(Json::as_u64).expect("columns_rebuilt")
+    };
+    assert_eq!(register(&mut client, 0), 48);
+    assert_eq!(counts(&mut client), (0, 12));
+    // Each refresh decodes the two changed tables and rebuilds their
+    // columns; the ten others are reused as remembered.
+    for (round, state) in [1, 0, 1].into_iter().enumerate() {
+        assert_eq!(register(&mut client, state), 8);
+        let round = round as u64 + 1;
+        assert_eq!(counts(&mut client), (10 * round, 12 + 2 * round));
+    }
+    // A `replace` empties the memo: the next register decodes everything,
+    // and changes nothing the catalog holds.
+    let table = states[1].table("wide_1").expect("table").clone();
+    assert!(is_ok(&client.replace_table("w", &table).expect("replace")));
+    assert_eq!(register(&mut client, 1), 0);
+    assert_eq!(counts(&mut client), (30, 30));
+    client.shutdown().expect("shutdown");
+    server.join();
 }
