@@ -14,7 +14,9 @@
 //! `service_warm_vs_cold` group measuring the match service's warm-artifact
 //! reuse (cold register+match vs warm repeat — with and without the
 //! cross-request restricted-profile cache — vs partial rebuild after a
-//! single-table replace).
+//! single-table replace). `service_tgtclass` times the service's
+//! result-cache misses under the default TgtClass inference and under
+//! SrcClass, one never-seen retail source per iteration.
 //!
 //! The `wide_catalog` group compares brute-force `match_columns` against the
 //! inverted-gram-index-pruned `match_columns_indexed` (plus the index's own
@@ -403,6 +405,52 @@ fn bench_service_warm_vs_cold(c: &mut Criterion) {
     group.finish();
 }
 
+/// The library's default inference on the service's miss path: a warm
+/// 600-row retail target (loadbench's retail size) is sent never-seen
+/// 100-item retail sources under `ContextMatchConfig::default()` (TgtClass,
+/// as `MatchService::with_defaults()` and `ServerConfig::default()` run it)
+/// and under its SrcClass sibling. Every iteration submits a source the
+/// service has not seen, so each is a result-cache miss that re-runs view
+/// inference. Before timing, a miss is asserted equal to a cold
+/// `ContextualMatcher::run`.
+fn bench_service_tgtclass(c: &mut Criterion) {
+    const SAMPLES: usize = 20;
+    let mut group = c.benchmark_group("service_tgtclass");
+    group.sample_size(SAMPLES);
+    let retail = |seed, target_rows| {
+        generate_retail(&RetailConfig {
+            seed,
+            source_items: 100,
+            target_rows,
+            ..RetailConfig::default()
+        })
+    };
+    let target = retail(RetailConfig::default().seed, 600).target;
+    // The probe, then one source for the warm-up and each timed iteration.
+    let sources: Vec<Database> =
+        (0..SAMPLES as u64 + 2).map(|i| retail(1000 + i, 1).source).collect();
+    for strategy in [ViewInferenceStrategy::TgtClass, ViewInferenceStrategy::SrcClass] {
+        let config = ContextMatchConfig::default().with_inference(strategy);
+        let service = MatchService::new(config);
+        service.register_target(&target);
+        let (probe, fresh) = sources.split_first().expect("sources were generated");
+        let response = service.submit(probe).expect("well-formed dataset");
+        assert!(!response.telemetry.result_cache_hit, "a never-seen source misses");
+        let cold = ContextualMatcher::new(config).run(probe, &target).expect("well-formed dataset");
+        assert_eq!(format!("{:?}", response.result), format!("{cold:?}"), "miss equals cold");
+        let mut fresh = fresh.iter();
+        group.bench_function(format!("{}_miss", strategy.name().to_lowercase()), |b| {
+            b.iter(|| {
+                let source = fresh.next().expect("one never-seen source per iteration");
+                let response = service.submit(source).expect("well-formed dataset");
+                assert!(!response.telemetry.result_cache_hit, "a never-seen source misses");
+                response
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The wide-catalog matching unit of work: the probe source's columns and
 /// the full warm target batch, interned against one shared interner (as the
 /// service arranges), with every profile memoized outside the measured loop.
@@ -579,6 +627,7 @@ criterion_group!(
     bench_interned_kernels,
     bench_sharded_standard_match,
     bench_service_warm_vs_cold,
+    bench_service_tgtclass,
     bench_wide_catalog
 );
 criterion_main!(benches);

@@ -48,7 +48,7 @@ impl ValueClassifier {
     pub fn text() -> Self {
         ValueClassifier {
             numeric_mode: false,
-            text: NaiveBayesClassifier::with_qgrams(3),
+            text: NaiveBayesClassifier::new(),
             numeric: GaussianClassifier::new(),
         }
     }

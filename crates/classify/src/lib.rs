@@ -18,18 +18,17 @@
 //!
 //! This crate provides exactly those pieces:
 //!
-//! * [`tokenize`] — 3-gram (q-gram) and word tokenizers,
-//! * [`naive_bayes`] — a multinomial Naive Bayes text classifier over q-grams,
+//! * [`tokenize`] — the 3-gram tokenizer [`for_each_qgram`],
+//! * [`naive_bayes`] — a multinomial Naive Bayes text classifier over 3-grams,
 //! * [`numeric`] — a per-class Gaussian classifier for numeric values,
 //! * [`majority`] — the naive majority-label classifier `C_Naive`,
 //! * [`classifier`] — the common [`classifier::Classifier`] trait
 //!   and a [`classifier::ValueClassifier`] that dispatches
 //!   between the text and numeric classifiers based on the training data,
-//! * [`eval`] — train/test evaluation producing a
-//!   [`ConfusionMatrix`](cxm_stats::ConfusionMatrix).
+//! * [`telemetry`] — the work-unit counter that stands in for classifier
+//!   runtime.
 
 pub mod classifier;
-pub mod eval;
 pub mod majority;
 pub mod naive_bayes;
 pub mod numeric;
@@ -37,8 +36,7 @@ pub mod telemetry;
 pub mod tokenize;
 
 pub use classifier::{Classifier, ValueClassifier};
-pub use eval::{evaluate, train_and_evaluate};
 pub use majority::MajorityClassifier;
 pub use naive_bayes::NaiveBayesClassifier;
 pub use numeric::GaussianClassifier;
-pub use tokenize::{for_each_qgram, qgrams, words, TokenizerKind};
+pub use tokenize::for_each_qgram;

@@ -1,15 +1,26 @@
-//! Multinomial Naive Bayes over token (3-gram) features.
+//! Multinomial Naive Bayes over 3-gram features.
 //!
 //! This is the "standard Naive Bayesian classifier … with the values tokenized
 //! into 3-grams" of §3.2.3, also used by `TgtClassInfer`'s per-domain target
-//! classifiers for string attributes. Laplace (add-one) smoothing keeps unseen
-//! tokens from zeroing out a class, and all probability work happens in log
-//! space.
+//! classifiers for string attributes. Tokens are the `[char; 3]` windows
+//! [`for_each_qgram`] visits, so no `String` is built per gram. Laplace
+//! (add-one) smoothing keeps unseen tokens from zeroing out a class, and all
+//! probability work happens in log space.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::classifier::Classifier;
-use crate::tokenize::TokenizerKind;
+use crate::tokenize::for_each_qgram;
+
+/// One 3-gram token.
+type Gram = [char; 3];
+
+/// The grams of `document`, in order.
+fn grams(document: &str) -> Vec<Gram> {
+    let mut grams = Vec::new();
+    for_each_qgram(document, |g| grams.push(g));
+    grams
+}
 
 /// Per-class token counts.
 #[derive(Debug, Clone, Default)]
@@ -17,48 +28,24 @@ struct ClassStats {
     /// Number of documents taught with this label (for the prior).
     doc_count: usize,
     /// Token → occurrence count.
-    token_counts: BTreeMap<String, usize>,
+    token_counts: BTreeMap<Gram, usize>,
     /// Total tokens taught for this label.
     total_tokens: usize,
 }
 
-/// A multinomial Naive Bayes classifier.
-#[derive(Debug, Clone)]
+/// A multinomial Naive Bayes classifier over 3-grams with add-one smoothing.
+#[derive(Debug, Clone, Default)]
 pub struct NaiveBayesClassifier {
-    tokenizer: TokenizerKind,
     classes: BTreeMap<String, ClassStats>,
-    vocabulary: BTreeMap<String, usize>,
+    /// Every token taught under any label.
+    vocabulary: BTreeSet<Gram>,
     total_docs: usize,
-    /// Laplace smoothing constant (add-α).
-    alpha: f64,
 }
 
 impl NaiveBayesClassifier {
-    /// Create a classifier using character q-grams of width `q`.
-    pub fn with_qgrams(q: usize) -> Self {
-        NaiveBayesClassifier::with_tokenizer(TokenizerKind::QGrams(q))
-    }
-
-    /// Create a classifier using word tokens.
-    pub fn with_words() -> Self {
-        NaiveBayesClassifier::with_tokenizer(TokenizerKind::Words)
-    }
-
-    /// Create a classifier with an explicit tokenizer.
-    pub fn with_tokenizer(tokenizer: TokenizerKind) -> Self {
-        NaiveBayesClassifier {
-            tokenizer,
-            classes: BTreeMap::new(),
-            vocabulary: BTreeMap::new(),
-            total_docs: 0,
-            alpha: 1.0,
-        }
-    }
-
-    /// Override the Laplace smoothing constant (default 1.0).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.max(1e-9);
-        self
+    /// Create an untrained classifier.
+    pub fn new() -> Self {
+        NaiveBayesClassifier::default()
     }
 
     /// Log-probability scores for every known label, sorted by descending
@@ -67,7 +54,7 @@ impl NaiveBayesClassifier {
         if self.total_docs == 0 {
             return Vec::new();
         }
-        let tokens = self.tokenizer.tokenize(document);
+        let tokens = grams(document);
         crate::telemetry::record_work(self.classes.len() * tokens.len().max(1));
         let vocab_size = self.vocabulary.len().max(1) as f64;
         let mut out: Vec<(String, f64)> = self
@@ -75,14 +62,14 @@ impl NaiveBayesClassifier {
             .iter()
             .map(|(label, stats)| {
                 // Prior.
-                let mut log_p = ((stats.doc_count as f64 + self.alpha)
-                    / (self.total_docs as f64 + self.alpha * self.classes.len() as f64))
+                let mut log_p = ((stats.doc_count as f64 + 1.0)
+                    / (self.total_docs as f64 + self.classes.len() as f64))
                     .ln();
                 // Likelihood of each token under this class.
-                let denom = stats.total_tokens as f64 + self.alpha * vocab_size;
+                let denom = stats.total_tokens as f64 + vocab_size;
                 for t in &tokens {
                     let count = stats.token_counts.get(t).copied().unwrap_or(0) as f64;
-                    log_p += ((count + self.alpha) / denom).ln();
+                    log_p += ((count + 1.0) / denom).ln();
                 }
                 (label.clone(), log_p)
             })
@@ -96,15 +83,16 @@ impl NaiveBayesClassifier {
 
 impl Classifier for NaiveBayesClassifier {
     fn teach(&mut self, document: &str, label: &str) {
-        let tokens = self.tokenizer.tokenize(document);
-        crate::telemetry::record_work(tokens.len().max(1));
         let stats = self.classes.entry(label.to_string()).or_default();
+        let mut tokens = 0;
+        for_each_qgram(document, |t| {
+            *stats.token_counts.entry(t).or_insert(0) += 1;
+            self.vocabulary.insert(t);
+            tokens += 1;
+        });
+        crate::telemetry::record_work(tokens.max(1));
         stats.doc_count += 1;
-        stats.total_tokens += tokens.len();
-        for t in tokens {
-            *stats.token_counts.entry(t.clone()).or_insert(0) += 1;
-            *self.vocabulary.entry(t).or_insert(0) += 1;
-        }
+        stats.total_tokens += tokens;
         self.total_docs += 1;
     }
 
@@ -127,7 +115,7 @@ mod tests {
 
     /// Train a small book-vs-CD classifier resembling the paper's inventory data.
     fn trained() -> NaiveBayesClassifier {
-        let mut nb = NaiveBayesClassifier::with_qgrams(3);
+        let mut nb = NaiveBayesClassifier::new();
         for (doc, label) in [
             ("hardcover", "book"),
             ("paperback", "book"),
@@ -159,14 +147,14 @@ mod tests {
 
     #[test]
     fn untrained_classifier_returns_none() {
-        let nb = NaiveBayesClassifier::with_qgrams(3);
+        let nb = NaiveBayesClassifier::new();
         assert_eq!(nb.classify("x"), None);
         assert!(nb.scores("x").is_empty());
     }
 
     #[test]
     fn unseen_tokens_still_yield_a_known_label() {
-        let mut nb = NaiveBayesClassifier::with_words();
+        let mut nb = NaiveBayesClassifier::new();
         nb.teach("alpha", "a");
         nb.teach("alpha", "a");
         nb.teach("alpha", "a");
@@ -175,11 +163,12 @@ mod tests {
         // every class's likelihood finite) and the answer is a trained label.
         let label = nb.classify("zzzz totally unseen").unwrap();
         assert!(nb.labels().contains(&label));
-        // With balanced per-class token mass, the prior decides unseen input.
-        let mut nb = NaiveBayesClassifier::with_words();
+        // With balanced per-class token mass (14 grams each), the prior
+        // decides unseen input.
+        let mut nb = NaiveBayesClassifier::new();
         nb.teach("alpha", "a");
         nb.teach("gamma", "a");
-        nb.teach("beta", "b");
+        nb.teach("betabetabeta", "b");
         assert_eq!(nb.classify("zzzz").as_deref(), Some("a"));
     }
 
@@ -200,28 +189,8 @@ mod tests {
     }
 
     #[test]
-    fn word_tokenizer_variant_works() {
-        let mut nb = NaiveBayesClassifier::with_words();
-        nb.teach("the quick brown fox", "animal");
-        nb.teach("stock market crash", "finance");
-        assert_eq!(nb.classify("brown fox jumps").as_deref(), Some("animal"));
-        assert_eq!(nb.classify("market prices").as_deref(), Some("finance"));
-    }
-
-    #[test]
-    fn alpha_smoothing_is_configurable() {
-        let mut nb = NaiveBayesClassifier::with_qgrams(3).with_alpha(0.1);
-        nb.teach("aaa", "x");
-        nb.teach("bbb", "y");
-        assert_eq!(nb.classify("aaa").as_deref(), Some("x"));
-        // Alpha never goes to zero (guard against log(0)).
-        let nb0 = NaiveBayesClassifier::with_qgrams(3).with_alpha(0.0);
-        assert!(nb0.alpha > 0.0);
-    }
-
-    #[test]
     fn tie_breaking_is_deterministic() {
-        let mut nb = NaiveBayesClassifier::with_words();
+        let mut nb = NaiveBayesClassifier::new();
         nb.teach("same", "a");
         nb.teach("same", "b");
         // Both classes identical → the lexicographically first label wins.

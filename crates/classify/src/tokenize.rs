@@ -2,36 +2,11 @@
 //!
 //! The paper tokenizes text values into 3-grams ("the values tokenized into
 //! 3-grams", §3.2.3; the target classifiers "one might think of a Naive Bayes
-//! classifier on tokens or Q-grams", §3.2.2). Both a character q-gram tokenizer
-//! and a word tokenizer are provided; the q-gram tokenizer is the default used
-//! by the matching and view-inference code.
+//! classifier on tokens or Q-grams", §3.2.2). [`for_each_qgram`] is the one
+//! tokenizer: the Naive Bayes classifier and the interned profile builder in
+//! `cxm-matching` both walk its grams.
 
 use std::sync::OnceLock;
-
-/// Which tokenizer a classifier or matcher should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenizerKind {
-    /// Character q-grams of the given width (the paper uses 3).
-    QGrams(usize),
-    /// Whitespace/punctuation-delimited, lower-cased words.
-    Words,
-}
-
-impl Default for TokenizerKind {
-    fn default() -> Self {
-        TokenizerKind::QGrams(3)
-    }
-}
-
-impl TokenizerKind {
-    /// Tokenize `text` with this tokenizer.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        match self {
-            TokenizerKind::QGrams(q) => qgrams(text, *q),
-            TokenizerKind::Words => words(text),
-        }
-    }
-}
 
 /// [`char::is_alphanumeric`], memoized per 256-scalar block of the Basic
 /// Multilingual Plane. The std predicate walks Unicode property tables,
@@ -59,17 +34,11 @@ fn is_alphanumeric(ch: char) -> bool {
     (bits[((code >> 6) & 3) as usize] >> (code & 63)) & 1 == 1
 }
 
-/// Normalize text before tokenization: lower-case and collapse runs of
-/// non-alphanumeric characters into single spaces.
-fn normalize(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for_each_normalized(text, |c| out.push(c));
-    out
-}
-
-/// Stream the scalars of `normalize(text)` without building it: a separator
-/// is held back until the next alphanumeric character, so leading and
-/// trailing separators vanish. Returns whether anything was emitted.
+/// Stream the normalized text: every alphanumeric character lower-cased, and
+/// each run of other characters between two of them collapsed into one
+/// space. A separator is held back until the next alphanumeric character, so
+/// leading and trailing separators vanish. Returns whether anything was
+/// emitted.
 fn for_each_normalized(text: &str, mut emit: impl FnMut(char)) -> bool {
     let mut started = false;
     let mut pending_space = false;
@@ -90,31 +59,13 @@ fn for_each_normalized(text: &str, mut emit: impl FnMut(char)) -> bool {
     started
 }
 
-/// Character q-grams of the normalized text, padded with `q - 1` boundary
-/// markers (`#`) on each side so that prefixes and suffixes are represented.
-/// Text shorter than `q` yields the padded-window grams it has, never nothing
-/// (unless the text normalizes to empty).
-pub fn qgrams(text: &str, q: usize) -> Vec<String> {
-    let q = q.max(1);
-    let norm = normalize(text);
-    if norm.is_empty() {
-        return Vec::new();
-    }
-    let pad = "#".repeat(q - 1);
-    let padded: Vec<char> = format!("{pad}{norm}{pad}").chars().collect();
-    if padded.len() < q {
-        return vec![padded.iter().collect()];
-    }
-    padded.windows(q).map(|w| w.iter().collect()).collect()
-}
-
-/// Visit the character 3-grams of `text` — the same grams, in the same
-/// order, as `qgrams(text, 3)` — as arrays of three Unicode scalars, without
-/// rendering a `String` per gram or materializing the normalized text.
-/// This is the path the interned profile builder in `cxm-matching` walks:
-/// three scalars pack into one integer key, so a known gram is looked up
-/// without any string work. [`qgrams`] remains the convenient collected
-/// form (and the only one for other widths).
+/// Visit the character 3-grams of `text`, in order, as arrays of three
+/// Unicode scalars: the windows of the normalized text padded with two
+/// boundary markers (`#`) on each side, so that prefixes and suffixes are
+/// represented. Text that normalizes to empty has no grams. No `String` is
+/// rendered per gram and the normalized text is never materialized; the
+/// interned profile builder in `cxm-matching` packs the three scalars into
+/// one integer key, so a known gram is looked up without any string work.
 pub fn for_each_qgram(text: &str, mut visit: impl FnMut([char; 3])) {
     // Slide a 3-scalar window, primed with the two leading `#` pads, over
     // the normalized stream; the trailing pads follow only a non-empty
@@ -130,14 +81,23 @@ pub fn for_each_qgram(text: &str, mut visit: impl FnMut([char; 3])) {
     }
 }
 
-/// Lower-cased word tokens of the text (alphanumeric runs).
-pub fn words(text: &str) -> Vec<String> {
-    normalize(text).split(' ').filter(|w| !w.is_empty()).map(|w| w.to_string()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The normalized text [`for_each_normalized`] streams, collected.
+    fn normalize(text: &str) -> String {
+        let mut out = String::new();
+        for_each_normalized(text, |c| out.push(c));
+        out
+    }
+
+    /// The grams [`for_each_qgram`] visits, rendered.
+    fn grams(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_qgram(text, |g| out.push(g.iter().collect()));
+        out
+    }
 
     #[test]
     fn normalization_lowercases_and_strips_punctuation() {
@@ -155,18 +115,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn word_tokenizer() {
-        assert_eq!(words("Heart of Darkness"), vec!["heart", "of", "darkness"]);
-        assert_eq!(words("B0006L16N8"), vec!["b0006l16n8"]);
-        assert!(words("  --  ").is_empty());
-    }
-
-    #[test]
-    fn qgram_padding_and_windows() {
-        let grams = qgrams("cd", 3);
-        // "##cd##" → ##c, #cd, cd#, d##
-        assert_eq!(grams, vec!["##c", "#cd", "cd#", "d##"]);
+    /// The 3-grams of `text` the collected way: normalize it whole, pad it
+    /// with `##` on each side, and take every 3-scalar window.
+    fn collected_qgrams(text: &str) -> Vec<String> {
+        let norm = normalize(text);
+        if norm.is_empty() {
+            return Vec::new();
+        }
+        let padded: Vec<char> = format!("##{norm}##").chars().collect();
+        padded.windows(3).map(|w| w.iter().collect()).collect()
     }
 
     #[test]
@@ -184,49 +141,36 @@ mod tests {
             "𝔘𝔫𝔦 #code",
             "a#b",
         ] {
-            let mut visited = Vec::new();
-            for_each_qgram(text, |g| visited.push(g.iter().collect::<String>()));
-            assert_eq!(visited, qgrams(text, 3), "text {text:?}");
+            assert_eq!(grams(text), collected_qgrams(text), "text {text:?}");
         }
     }
 
     #[test]
+    fn qgram_padding_and_windows() {
+        // "##cd##" → ##c, #cd, cd#, d##
+        assert_eq!(grams("cd"), vec!["##c", "#cd", "cd#", "d##"]);
+    }
+
+    #[test]
     fn qgram_counts_scale_with_length() {
-        let short = qgrams("abc", 3);
-        let long = qgrams("abcdefgh", 3);
+        let short = grams("abc");
+        let long = grams("abcdefgh");
         assert!(long.len() > short.len());
-        // n characters with q=3 and 2-char padding on both sides → n + 2 grams.
+        // n characters with 2-char padding on both sides → n + 2 grams.
         assert_eq!(long.len(), 8 + 2);
     }
 
     #[test]
     fn empty_and_punctuation_only_text() {
-        assert!(qgrams("", 3).is_empty());
-        assert!(qgrams("!!!", 3).is_empty());
-    }
-
-    #[test]
-    fn unigrams_are_characters() {
-        assert_eq!(qgrams("ab", 1), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn q_zero_is_clamped() {
-        assert_eq!(qgrams("ab", 0), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn tokenizer_kind_dispatch() {
-        assert_eq!(TokenizerKind::Words.tokenize("A b"), vec!["a", "b"]);
-        assert_eq!(TokenizerKind::QGrams(2).tokenize("ab"), vec!["#a", "ab", "b#"]);
-        assert_eq!(TokenizerKind::default(), TokenizerKind::QGrams(3));
+        assert!(grams("").is_empty());
+        assert!(grams("!!!").is_empty());
     }
 
     #[test]
     fn similar_strings_share_many_grams() {
-        let a: std::collections::BTreeSet<_> = qgrams("hardcover", 3).into_iter().collect();
-        let b: std::collections::BTreeSet<_> = qgrams("hardcovers", 3).into_iter().collect();
-        let c: std::collections::BTreeSet<_> = qgrams("audio cd", 3).into_iter().collect();
+        let a: std::collections::BTreeSet<_> = grams("hardcover").into_iter().collect();
+        let b: std::collections::BTreeSet<_> = grams("hardcovers").into_iter().collect();
+        let c: std::collections::BTreeSet<_> = grams("audio cd").into_iter().collect();
         let ab = a.intersection(&b).count();
         let ac = a.intersection(&c).count();
         assert!(ab > ac, "near-duplicates should overlap more than unrelated strings");

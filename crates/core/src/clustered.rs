@@ -75,9 +75,22 @@ impl LabelGroups {
         self.assignment.get(value_text).map(|gid| self.group_label(*gid))
     }
 
+    /// The members' texts joined with `|`, each `\` and `|` inside a text
+    /// escaped by a `\`, so no merged group shares a label with a value.
     fn group_label(&self, gid: usize) -> String {
-        let members = &self.groups[&gid];
-        members.iter().map(|v| v.as_text()).collect::<Vec<_>>().join("|")
+        let mut label = String::new();
+        for (i, member) in self.groups[&gid].iter().enumerate() {
+            if i > 0 {
+                label.push('|');
+            }
+            for c in member.as_text().chars() {
+                if matches!(c, '\\' | '|') {
+                    label.push('\\');
+                }
+                label.push(c);
+            }
+        }
+        label
     }
 
     /// Merge the groups containing the two group labels; returns false when the
@@ -381,5 +394,23 @@ mod tests {
         // Remaining groups still cover all values.
         let total: usize = g.value_groups().iter().map(|v| v.len()).sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn merged_group_labels_never_equal_a_value_label() {
+        let values = vec![Value::str("a"), Value::str("b"), Value::str("a|b"), Value::str("c\\")];
+        let mut g = LabelGroups::initial(&values);
+        assert_eq!(g.label_of("a|b"), Some("a\\|b".to_string()));
+        assert_eq!(g.label_of("c\\"), Some("c\\\\".to_string()));
+        assert!(g.merge("a", "b"));
+        let merged = g.label_of("a").unwrap();
+        assert_eq!(merged, "a|b");
+        assert_eq!(g.label_of("b").as_ref(), Some(&merged));
+        assert_ne!(g.label_of("a|b").as_ref(), Some(&merged));
+        // The literal value's group is still addressable by its own label.
+        let literal = g.label_of("a|b").unwrap();
+        assert!(g.merge(&literal, &merged));
+        assert_eq!(g.group_count(), 2);
+        assert_eq!(g.label_of("a|b").unwrap(), "a|b|a\\|b");
     }
 }

@@ -6,13 +6,15 @@
 //! * **`SrcClassInfer`** (§3.2.3) trains `C_h` directly on the *source* values:
 //!   `C_h` is taught `t.h → t.l` for every training tuple — Naive Bayes over
 //!   3-grams for text attributes, a statistical (Gaussian) classifier for
-//!   numeric ones.
+//!   numeric ones. The fitted predictor owns that classifier.
 //! * **`TgtClassInfer`** (§3.2.4, Figure 7) first builds one classifier
 //!   `C_D^T` per basic type domain `D`, trained on every compatible *target*
 //!   column (value → "Table.attr" tag). During `doTraining` it collects
 //!   `TBag(h, l)` — the bag of `(tag, l-value)` pairs — and computes
 //!   `bestCAT(tag) = argmax_v acc(tag,v)·prec(tag,v)`; during `doTesting` the
-//!   prediction for a value is `bestCAT(C_D^T.classify(value))`.
+//!   prediction for a value is `bestCAT(C_D^T.classify(value))`. The target
+//!   classifiers depend on the target alone, so every fitted predictor
+//!   borrows them from the one [`TgtLabeler`].
 //!
 //! Both are exposed through the [`LabelPredictor`] trait so the clustering
 //! algorithm itself stays agnostic.
@@ -20,27 +22,27 @@
 use std::collections::BTreeMap;
 
 use cxm_classify::{Classifier, MajorityClassifier, ValueClassifier};
-use cxm_relational::{DataType, Database};
+use cxm_relational::Database;
 
 /// A fitted prediction function from attribute values (as text) to categorical
 /// labels, plus bookkeeping about the training label distribution that the
-/// significance test needs.
-pub struct FittedPredictor {
-    predict: Box<dyn Fn(&str) -> String>,
+/// significance test needs. It may borrow from the labeler that fitted it.
+pub struct FittedPredictor<'a> {
+    predict: Box<dyn Fn(&str) -> String + 'a>,
     /// Count of the most common training label, `|v*|`.
     pub majority_count: usize,
     /// Number of training examples, `n_train`.
     pub n_train: usize,
 }
 
-impl FittedPredictor {
+impl FittedPredictor<'_> {
     /// Predict the label of one value.
     pub fn predict(&self, value: &str) -> String {
         (self.predict)(value)
     }
 }
 
-impl std::fmt::Debug for FittedPredictor {
+impl std::fmt::Debug for FittedPredictor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FittedPredictor")
             .field("majority_count", &self.majority_count)
@@ -55,7 +57,7 @@ impl std::fmt::Debug for FittedPredictor {
 /// the statistical classifier instead of the 3-gram Naive Bayes one.
 pub trait LabelPredictor {
     /// Fit a predictor on `(h value, l label)` training pairs.
-    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor;
+    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor<'_>;
 
     /// Short name for diagnostics.
     fn name(&self) -> &'static str;
@@ -84,7 +86,7 @@ impl SrcLabeler {
 }
 
 impl LabelPredictor for SrcLabeler {
-    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor {
+    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor<'_> {
         let (majority, majority_count, n_train) = label_stats(train);
         let mut classifier = ValueClassifier::for_kind(numeric);
         for (doc, label) in train {
@@ -109,18 +111,17 @@ impl LabelPredictor for SrcLabeler {
 /// target column they most resemble, then associate tags with labels.
 pub struct TgtLabeler {
     /// Per-domain target classifiers `C_D^T` (here: one for textual domains,
-    /// one for numeric domains).
-    text_classifier: ValueClassifier,
-    numeric_classifier: ValueClassifier,
-    text_trained: bool,
-    numeric_trained: bool,
+    /// one for numeric domains), each present only when the target has a
+    /// value of that domain.
+    text: Option<ValueClassifier>,
+    numeric: Option<ValueClassifier>,
 }
 
 impl std::fmt::Debug for TgtLabeler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TgtLabeler")
-            .field("text_trained", &self.text_trained)
-            .field("numeric_trained", &self.numeric_trained)
+            .field("text_trained", &self.text.is_some())
+            .field("numeric_trained", &self.numeric.is_some())
             .finish()
     }
 }
@@ -130,73 +131,53 @@ impl TgtLabeler {
     /// teach each target value to the classifier of its domain under the tag
     /// `"Table.attr"`.
     pub fn from_target(target: &Database) -> Self {
-        let mut text_classifier = ValueClassifier::text();
-        let mut numeric_classifier = ValueClassifier::numeric();
-        let mut text_trained = false;
-        let mut numeric_trained = false;
+        let mut labeler = TgtLabeler { text: None, numeric: None };
         for table in target.tables() {
             for attr in table.schema().attributes() {
                 let tag = format!("{}.{}", table.name(), attr.name);
                 let numeric = attr.data_type.is_numeric();
+                let domain = if numeric { &mut labeler.numeric } else { &mut labeler.text };
                 let values = table
                     .column_non_null(&attr.name)
                     .expect("attribute comes from the table's own schema");
                 for v in values {
                     let text = v.as_text();
-                    if text.is_empty() {
-                        continue;
-                    }
-                    if numeric {
-                        numeric_classifier.teach(&text, &tag);
-                        numeric_trained = true;
-                    } else {
-                        text_classifier.teach(&text, &tag);
-                        text_trained = true;
+                    if !text.is_empty() {
+                        domain
+                            .get_or_insert_with(|| ValueClassifier::for_kind(numeric))
+                            .teach(&text, &tag);
                     }
                 }
             }
         }
-        TgtLabeler { text_classifier, numeric_classifier, text_trained, numeric_trained }
+        labeler
     }
 
     /// Tag a source value with the qualified name of the most similar target
-    /// column in the matching domain. Returns `"<untagged>"` when no target
-    /// classifier for the domain has any training data.
+    /// column: the classifier of the value's own domain answers when it was
+    /// trained, the other domain's otherwise. Returns `"<untagged>"` when no
+    /// target classifier has any training data.
     pub fn tag(&self, value: &str, numeric: bool) -> String {
-        let classifier = if numeric && self.numeric_trained {
-            &self.numeric_classifier
-        } else if self.text_trained {
-            &self.text_classifier
-        } else if self.numeric_trained {
-            &self.numeric_classifier
-        } else {
-            return "<untagged>".to_string();
-        };
-        classifier.classify(value).unwrap_or_else(|| "<untagged>".to_string())
+        let (own, other) =
+            if numeric { (&self.numeric, &self.text) } else { (&self.text, &self.numeric) };
+        own.as_ref()
+            .or(other.as_ref())
+            .and_then(|classifier| classifier.classify(value))
+            .unwrap_or_else(|| "<untagged>".to_string())
     }
 
     /// The number of distinct target-column tags known to the labeler.
     pub fn known_tags(&self) -> usize {
-        let mut tags = self.text_classifier.labels();
-        tags.extend(self.numeric_classifier.labels());
+        let mut tags: Vec<String> =
+            self.text.iter().chain(&self.numeric).flat_map(|c| c.labels()).collect();
         tags.sort();
         tags.dedup();
         tags.len()
     }
-
-    /// Classifier domains compatible with [`DataType`] used when training —
-    /// exposed for tests.
-    pub fn domain_of(data_type: DataType) -> &'static str {
-        if data_type.is_numeric() {
-            "numeric"
-        } else {
-            "text"
-        }
-    }
 }
 
 impl LabelPredictor for TgtLabeler {
-    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor {
+    fn fit(&self, train: &[(String, String)], numeric: bool) -> FittedPredictor<'_> {
         let (majority, majority_count, n_train) = label_stats(train);
         let fallback = majority.majority_label().unwrap_or("<none>").to_string();
 
@@ -241,28 +222,16 @@ impl LabelPredictor for TgtLabeler {
             }
         }
 
-        // Capture what the predictor needs. Unknown tags fall back to the
-        // majority label ("an arbitrary categorical value is selected"); we use
-        // the majority for determinism.
-        let tagger_text = self.clone_classifier(false);
-        let tagger_numeric = self.clone_classifier(true);
-        let text_trained = self.text_trained;
-        let numeric_trained = self.numeric_trained;
+        // Unknown tags fall back to the majority label ("an arbitrary
+        // categorical value is selected"); we use the majority for
+        // determinism. Without any target classifier every value does.
+        let untrained = self.text.is_none() && self.numeric.is_none();
         FittedPredictor {
             predict: Box::new(move |value: &str| {
-                let tag = {
-                    let classifier = if numeric && numeric_trained {
-                        &tagger_numeric
-                    } else if text_trained {
-                        &tagger_text
-                    } else if numeric_trained {
-                        &tagger_numeric
-                    } else {
-                        return fallback.clone();
-                    };
-                    classifier.classify(value).unwrap_or_else(|| "<untagged>".to_string())
-                };
-                best_cat.get(&tag).cloned().unwrap_or_else(|| fallback.clone())
+                if untrained {
+                    return fallback.clone();
+                }
+                best_cat.get(&self.tag(value, numeric)).cloned().unwrap_or_else(|| fallback.clone())
             }),
             majority_count,
             n_train,
@@ -274,20 +243,10 @@ impl LabelPredictor for TgtLabeler {
     }
 }
 
-impl TgtLabeler {
-    fn clone_classifier(&self, numeric: bool) -> ValueClassifier {
-        if numeric {
-            self.numeric_classifier.clone()
-        } else {
-            self.text_classifier.clone()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxm_relational::{tuple, Attribute, Table, TableSchema};
+    use cxm_relational::{tuple, Attribute, Table, TableSchema, Tuple, Value};
 
     fn train_pairs() -> Vec<(String, String)> {
         vec![
@@ -326,7 +285,8 @@ mod tests {
 
     #[test]
     fn src_labeler_learns_book_vs_cd() {
-        let fitted = SrcLabeler::new().fit(&train_pairs(), false);
+        let labeler = SrcLabeler::new();
+        let fitted = labeler.fit(&train_pairs(), false);
         assert_eq!(fitted.n_train, 8);
         assert_eq!(fitted.majority_count, 4);
         assert_eq!(fitted.predict("middlemarch hardcover"), "1");
@@ -344,14 +304,16 @@ mod tests {
                 }
             })
             .collect();
-        let fitted = SrcLabeler::new().fit(&train, true);
+        let labeler = SrcLabeler::new();
+        let fitted = labeler.fit(&train, true);
         assert_eq!(fitted.predict("11"), "low");
         assert_eq!(fitted.predict("215"), "high");
     }
 
     #[test]
     fn src_labeler_empty_training_falls_back() {
-        let fitted = SrcLabeler::new().fit(&[], false);
+        let labeler = SrcLabeler::new();
+        let fitted = labeler.fit(&[], false);
         assert_eq!(fitted.n_train, 0);
         assert_eq!(fitted.majority_count, 0);
         assert_eq!(fitted.predict("anything"), "<none>");
@@ -411,7 +373,19 @@ mod tests {
     fn labeler_names_and_domains() {
         assert_eq!(SrcLabeler::new().name(), "SrcClassInfer");
         assert_eq!(TgtLabeler::from_target(&Database::new("RT")).name(), "TgtClassInfer");
-        assert_eq!(TgtLabeler::domain_of(DataType::Int), "numeric");
-        assert_eq!(TgtLabeler::domain_of(DataType::Text), "text");
+        // A numeric value is tagged by the numeric domain's classifier, a
+        // text value by the text domain's.
+        let prices = Table::with_rows(
+            TableSchema::new("price", vec![Attribute::float("amount")]),
+            [12.5, 13.0, 14.25].map(|x| Tuple::new(vec![Value::Float(x)])).to_vec(),
+        )
+        .unwrap();
+        let labeler = TgtLabeler::from_target(&target_db().with_table(prices));
+        assert_eq!(labeler.tag("13", true), "price.amount");
+        let text_tag = labeler.tag("13", false);
+        assert!(text_tag.starts_with("book.") || text_tag.starts_with("music."), "{text_tag}");
+        // A domain the target lacks falls back to the other domain's.
+        let text_only = TgtLabeler::from_target(&target_db());
+        assert_eq!(text_only.tag("13", true), text_tag);
     }
 }

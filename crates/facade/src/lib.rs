@@ -5,7 +5,7 @@
 //!
 //! * [`relational`] — in-memory relational substrate, selection conditions,
 //!   views, table content fingerprints, and the zero-copy execution layer
-//!   (`RowSelection` — sparse or bitmap-backed — `TableSlice`,
+//!   (`RowSelection` — a sorted row-index vector — `TableSlice`,
 //!   `SelectionCache`).
 //! * [`matching`] — the standard (black-box) instance matcher ensemble.
 //! * [`core`] — the `ContextMatch` algorithm and its design space.

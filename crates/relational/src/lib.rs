@@ -29,10 +29,10 @@
 //! The [`selection`] module provides the execution layer that keeps this path
 //! free of tuple copies:
 //!
-//! * [`RowSelection`] — a selection of base-table row indices, stored as a
-//!   sorted vector (sparse) or a popcount-backed bitmap (dense, above ~50 %
-//!   selectivity); built in one scan per condition (or assembled from cached
-//!   atoms), and composable with `intersect`/`union` merges.
+//! * [`RowSelection`] — a selection of base-table row indices, stored as one
+//!   sorted, duplicate-free index vector; built in one scan per condition (or
+//!   assembled from cached atoms), and composable with `intersect`/`union`
+//!   merges.
 //! * [`TableSlice`] / [`ColumnSlice`] — borrowed views of a [`Table`]
 //!   restricted by a `RowSelection`; rows and values come out as references
 //!   into the base table in base-row order, never cloned.

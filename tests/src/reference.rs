@@ -19,6 +19,9 @@
 //!   and value-overlap Jaccard over string-keyed `BTreeMap` profiles and
 //!   `BTreeSet` value sets, rebuilt on every call; [`string_kernel_matcher`]
 //!   scores through them in place of the interned kernels;
+//! * [`qgrams`] / [`StringNaiveBayes`] — the 3-gram tokenizer rendering a
+//!   `String` per gram, and the Naive Bayes classifier counting those
+//!   strings in `BTreeMap`s;
 //! * [`json_parse`] / [`json_to_bytes`] — the wire codec one character at a
 //!   time: the parser validates and appends each character on its own step
 //!   and checks each object key against every earlier one, and the writer
@@ -40,7 +43,9 @@ use cxm_matching::{
 };
 use cxm_relational::{Database, Result, Table, ViewDef};
 
+mod classify;
 mod json;
+pub use classify::{qgrams, StringNaiveBayes};
 pub use json::{json_parse, json_to_bytes};
 
 /// `ContextMatch(source, target)` as the serial per-table loop: for each
@@ -248,7 +253,7 @@ pub fn qual_table(
 fn string_profile(column: &ColumnData) -> BTreeMap<String, f64> {
     let mut counts: BTreeMap<String, f64> = BTreeMap::new();
     for text in column.texts() {
-        for gram in cxm_classify::qgrams(&text, 3) {
+        for gram in qgrams(&text, 3) {
             *counts.entry(gram).or_insert(0.0) += 1.0;
         }
     }

@@ -69,7 +69,7 @@ fn qgram_classifier_separates_generated_descriptions() {
     let items = dataset.source.table("items").unwrap();
     let descr = items.column("Description").unwrap();
     let types = items.column("ItemType").unwrap();
-    let mut nb = NaiveBayesClassifier::with_qgrams(3);
+    let mut nb = NaiveBayesClassifier::new();
     let n = descr.len();
     for i in 0..n / 2 {
         let label = if types[i].as_text().starts_with("Book") { "book" } else { "cd" };

@@ -304,7 +304,7 @@ mod interned_kernels {
     use cxm_matching::instance::{QGramMatcher, ValueOverlapMatcher};
     use cxm_matching::{ColumnData, GramInterner, Matcher};
     use cxm_relational::{AttrRef, DataType};
-    use cxm_tests::reference::{StringOverlapMatcher, StringQGramMatcher};
+    use cxm_tests::reference::{self, StringOverlapMatcher, StringQGramMatcher};
 
     /// Alphabet the generated values draw from: small, with a space and a
     /// digit, so profiles overlap often (the interesting regime for the
@@ -518,11 +518,116 @@ mod interned_kernels {
         }
 
         fn qgram_profile(&mut self, texts: &[String]) -> Vec<(u32, f64)> {
-            self.build(texts.iter().flat_map(|t| cxm_classify::qgrams(t, 3)).collect())
+            self.build(texts.iter().flat_map(|t| reference::qgrams(t, 3)).collect())
         }
 
         fn value_set(&mut self, texts: &[String]) -> Vec<(u32, f64)> {
             self.build(texts.to_vec()).into_iter().map(|(id, _)| (id, 1.0)).collect()
+        }
+    }
+}
+
+mod classifier_oracles {
+    use proptest::prelude::*;
+
+    use cxm_classify::{for_each_qgram, Classifier, NaiveBayesClassifier};
+    use cxm_tests::reference::{qgrams, StringNaiveBayes};
+
+    /// Scalars the generated texts draw from: ASCII letters, an uppercase
+    /// letter and a digit, separators and punctuation, the `#` padding
+    /// marker, `İ` (lowercases to `i` + U+0307), a capital sigma, the
+    /// titlecase digraph `ǅ`, `ß`, a CJK ideograph, a lone combining mark,
+    /// an astral letter (U+1D518) and an astral symbol (U+1F600).
+    const RICH: &[char] = &[
+        'a',
+        'b',
+        'Z',
+        '7',
+        ' ',
+        '#',
+        '!',
+        '-',
+        '\'',
+        'İ',
+        'Σ',
+        'ǅ',
+        'ß',
+        '中',
+        '\u{307}',
+        '\u{1D518}',
+        '\u{1F600}',
+    ];
+
+    /// Render generated codes as text: three in four pick a [`RICH`] scalar,
+    /// the rest an arbitrary scalar value (U+FFFD where the code is a
+    /// surrogate).
+    fn text(codes: &[u32]) -> String {
+        codes
+            .iter()
+            .map(|&c| {
+                if c & 3 != 0 {
+                    RICH[(c >> 2) as usize % RICH.len()]
+                } else {
+                    char::from_u32((c >> 2) % 0x11_0000).unwrap_or('\u{FFFD}')
+                }
+            })
+            .collect()
+    }
+
+    fn visited(text: &str) -> Vec<String> {
+        let mut grams = Vec::new();
+        for_each_qgram(text, |g| grams.push(g.iter().collect::<String>()));
+        grams
+    }
+
+    const LABELS: &[&str] = &["a", "b", "b|c", "zz"];
+
+    proptest! {
+        /// `for_each_qgram` visits exactly `qgrams(text, 3)` of the
+        /// string-rendering reference, in order, on arbitrary text and on
+        /// its punctuation-only remainder (the empty string included).
+        #[test]
+        fn for_each_qgram_equals_the_string_reference(
+            codes in prop::collection::vec(any::<u32>(), 0..14),
+        ) {
+            let text = text(&codes);
+            prop_assert_eq!(visited(&text), qgrams(&text, 3), "text {:?}", text);
+            let separators: String = text.chars().filter(|c| !c.is_alphanumeric()).collect();
+            prop_assert!(visited(&separators).is_empty(), "text {:?}", separators);
+            prop_assert!(qgrams(&separators, 3).is_empty());
+        }
+
+        /// The library Naive Bayes over `[char; 3]` grams scores every
+        /// document exactly like the `String`-keyed reference: the same
+        /// labels in the same order, every log-probability bit for bit.
+        #[test]
+        fn naive_bayes_scores_equal_the_string_reference(
+            docs in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..10), 0..30),
+            labels in prop::collection::vec(0usize..4, 30..31),
+            queries in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..10), 1..8),
+        ) {
+            let docs: Vec<String> = docs.iter().map(|codes| text(codes)).collect();
+            let mut library = NaiveBayesClassifier::new();
+            let mut reference = StringNaiveBayes::default();
+            for (doc, &label) in docs.iter().zip(&labels) {
+                library.teach(doc, LABELS[label]);
+                reference.teach(doc, LABELS[label]);
+            }
+            for query in queries.iter().map(|codes| text(codes)).chain(docs.iter().cloned()) {
+                let (fast, slow) = (library.scores(&query), reference.scores(&query));
+                prop_assert_eq!(fast.len(), slow.len());
+                for ((fast_label, fast_score), (slow_label, slow_score)) in fast.iter().zip(&slow) {
+                    prop_assert_eq!(fast_label, slow_label, "query {:?}", query);
+                    prop_assert_eq!(
+                        fast_score.to_bits(),
+                        slow_score.to_bits(),
+                        "query {:?}: {} vs {}",
+                        query,
+                        fast_score,
+                        slow_score
+                    );
+                }
+            }
         }
     }
 }

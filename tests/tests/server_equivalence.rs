@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::thread;
 
-use cxm_core::{ContextMatchConfig, ViewInferenceStrategy};
+use cxm_core::{ContextMatchConfig, ContextualMatcher, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, RetailConfig};
 use cxm_relational::{Database, Table};
 use cxm_server::client::is_ok;
@@ -185,14 +185,35 @@ fn selected(payload: &[u8]) -> Json {
 
 #[test]
 fn raw_submit_frames_equal_a_serial_service_across_hits_policy_swaps_and_replaces() {
-    let context =
-        ContextMatchConfig::default().with_inference(ViewInferenceStrategy::SrcClass).with_tau(0.4);
+    raw_submit_frames_equal_a_serial_service(
+        ContextMatchConfig::default().with_inference(ViewInferenceStrategy::SrcClass).with_tau(0.4),
+    );
+}
+
+/// The serving default: `ServerConfig::default()`'s context, which infers
+/// candidate views with TgtClass (a target-trained classifier per source
+/// table).
+#[test]
+fn raw_submit_frames_equal_a_serial_service_under_the_default_context() {
+    let context = ServerConfig::default().context;
+    assert_eq!(context.inference, ViewInferenceStrategy::TgtClass);
+    raw_submit_frames_equal_a_serial_service(context);
+}
+
+/// Drive one tenant through a miss, memoized hits, a policy swap, a
+/// replace and a cache-less tenant under `context`, comparing every raw
+/// reply payload with the serial reference's.
+fn raw_submit_frames_equal_a_serial_service(context: ContextMatchConfig) {
     let retail = generate_retail(&RetailConfig {
         source_items: 40,
         target_rows: 20,
         ..RetailConfig::default()
     });
     let (target, source) = (&retail.target, &retail.source);
+    // The context's view inference admits families on this dataset, so the
+    // replies below carry contextual matches.
+    let cold = ContextualMatcher::new(context).run(source, target).expect("well-formed dataset");
+    assert!(!cold.families.is_empty(), "no candidate views under {context:?}");
     // Tenant names that need escaping in every reply they appear in.
     const TENANT: &str = "q\"uoted\\ ténant\t中 😀";
     const UNCACHED: &str = "zéro \"quota\"";
