@@ -193,4 +193,28 @@ mod tests {
         capped_cfg.max_candidate_views = 1;
         assert_eq!(flatten_views(&[fam], &capped_cfg).len(), 1);
     }
+
+    /// A value holding `', '` must not give `{a, b, c}` and `{"a', 'b", c}`
+    /// one rendered condition: every distinct condition NaiveInfer proposes
+    /// keeps its own view name and so its own flattened view.
+    #[test]
+    fn distinct_conditions_keep_distinct_view_names() {
+        let kinds = ["a", "b", "c", "a', 'b"];
+        let rows = (0..40).map(|i| Tuple::new(vec![Value::from(i), Value::str(kinds[i % 4])]));
+        let table = Table::with_rows(
+            TableSchema::new("inv", vec![Attribute::int("id"), Attribute::text("kind")]),
+            rows.collect(),
+        )
+        .unwrap();
+        let cfg = ContextMatchConfig::default().with_early_disjuncts(true);
+        let families = naive_infer(&table, &cfg);
+        let views: Vec<&ViewDef> = families.iter().flat_map(|f| &f.views).collect();
+        let conditions: std::collections::BTreeSet<String> =
+            views.iter().map(|v| format!("{:?}", v.condition)).collect();
+        let names: std::collections::BTreeSet<&str> =
+            views.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(conditions.len(), 14, "4 single values and 10 subsets of 2 or 3");
+        assert_eq!(names.len(), conditions.len());
+        assert_eq!(flatten_views(&families, &cfg).len(), conditions.len());
+    }
 }

@@ -32,7 +32,6 @@
 //! * The strawman configuration ([`strawman`]) = `NaiveInfer` + `MultiTable`,
 //!   used as a baseline in the experiments.
 
-pub mod bounded;
 pub mod candidate_views;
 pub mod clustered;
 pub mod config;
@@ -45,7 +44,6 @@ pub mod score;
 pub mod select;
 pub mod strawman;
 
-pub use bounded::BoundedCache;
 pub use candidate_views::infer_candidate_views;
 pub use clustered::{clustered_view_gen, FamilyQuality, ScoredFamily};
 pub use config::{ContextMatchConfig, SelectionStrategy, ViewInferenceStrategy};
@@ -53,6 +51,7 @@ pub use conjunctive::conjunctive_context_match;
 pub use context_match::{
     ContextMatchResult, ContextualMatcher, PreparedSourceColumns, PreparedTargets,
 };
+pub use cxm_relational::BoundedCache;
 pub use labeler::{LabelPredictor, SrcLabeler, TgtLabeler};
 pub use naive_infer::naive_infer;
 pub use result_cache::{MatchResultCache, MatchResultKey};

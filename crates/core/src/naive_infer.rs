@@ -73,16 +73,16 @@ fn value_subsets(values: &[Value], cap: usize) -> Vec<Vec<Value>> {
     if n < 3 || cap == 0 {
         return out;
     }
-    // Enumerate bitmasks; n is small (categorical attributes have ≤ tens of
-    // values by the categorical policy's max_distinct bound).
-    let max_mask: u64 = if n >= 63 { u64::MAX } else { (1u64 << n) - 1 };
-    for mask in 1..max_mask {
+    // Enumerate bitmasks over the first `min(n, 63)` values, so a mask never
+    // shifts past its 64 bits; the subsets' complements still reach the rest.
+    let bits = n.min(63);
+    for mask in 1..=(1u64 << bits) - 1 {
         let count = mask.count_ones() as usize;
         if count < 2 || count >= n {
             continue;
         }
         let subset: Vec<Value> =
-            (0..n).filter(|i| mask & (1 << i) != 0).map(|i| values[i].clone()).collect();
+            (0..bits).filter(|i| mask & (1 << i) != 0).map(|i| values[i].clone()).collect();
         out.push(subset);
         if out.len() >= cap {
             break;
@@ -185,5 +185,26 @@ mod tests {
         assert_eq!(subsets.len(), 10);
         // Two values → no extra subsets beyond the simple family.
         assert!(value_subsets(&values[..2], 1000).is_empty());
+    }
+
+    /// 64 or more categorical values: masks stay within 64 bits (no shift
+    /// overflow, no wrapped subsets) and the cap still bounds the families.
+    #[test]
+    fn seventy_values_enumerate_valid_subsets() {
+        let table = table_with_types(70, 210);
+        let mut cfg = ContextMatchConfig::default().with_early_disjuncts(true);
+        cfg.categorical.max_distinct = 100;
+        cfg.max_candidate_views = 200;
+        let fams = naive_infer(&table, &cfg);
+        // The 70-view simple family, then 65 subset/complement pairs reach
+        // the 200-view cap.
+        assert_eq!(fams.len(), 66);
+        assert_eq!(fams.iter().map(|f| f.len()).sum::<usize>(), 200);
+        for family in &fams[1..] {
+            let groups = family.value_groups();
+            assert_eq!(groups.len(), 2);
+            assert!((2..70).contains(&groups[0].len()), "subset of {}", groups[0].len());
+            assert_eq!(groups[0].len() + groups[1].len(), 70);
+        }
     }
 }

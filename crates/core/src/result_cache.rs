@@ -26,8 +26,8 @@
 
 use std::sync::Arc;
 
-use crate::bounded::BoundedCache;
 use crate::context_match::ContextMatchResult;
+use cxm_relational::BoundedCache;
 
 /// Identity of one memoized match run: *what* was matched (source content),
 /// *against what* (catalog snapshot version — itself a proxy for target

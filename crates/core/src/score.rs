@@ -177,7 +177,7 @@ pub fn condition_fingerprint(base: &Table, condition: &cxm_relational::Condition
 /// [`score_candidates_prepared`] via [`SharedSelections`].
 #[derive(Debug, Clone, Default)]
 pub struct RestrictedProfileCache {
-    entries: crate::bounded::BoundedCache<RestrictedKey, RestrictedEntry>,
+    entries: cxm_relational::BoundedCache<RestrictedKey, RestrictedEntry>,
 }
 
 /// One cached restricted column: its artifacts plus the catalog version that
@@ -192,7 +192,7 @@ impl RestrictedProfileCache {
     /// A cache retaining at most `capacity` restricted columns (oldest
     /// inserted evicted first); `0` disables caching entirely.
     pub fn with_capacity(capacity: usize) -> Self {
-        RestrictedProfileCache { entries: crate::bounded::BoundedCache::with_capacity(capacity) }
+        RestrictedProfileCache { entries: cxm_relational::BoundedCache::with_capacity(capacity) }
     }
 
     /// The configured entry bound.

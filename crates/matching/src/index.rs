@@ -373,21 +373,6 @@ impl GramIndex {
             && self.slots.iter().zip(columns).all(|(s, c)| s.attr == c.attr)
     }
 
-    /// Number of `columns` whose posting contributions an incremental
-    /// [`GramIndex::update_from`] would carry forward unchanged (same slot,
-    /// same per-column content fingerprint). Callers must have checked
-    /// [`GramIndex::same_shape`] first; this is the column-granular reuse
-    /// prediction a catalog update can surface *before* any request has
-    /// forced the next generation's (lazy) build.
-    pub fn columns_carried(&self, columns: &[ColumnData]) -> usize {
-        debug_assert!(self.same_shape(columns));
-        self.slots
-            .iter()
-            .zip(columns)
-            .filter(|(s, c)| s.fingerprint.is_some() && s.fingerprint == c.fingerprint())
-            .count()
-    }
-
     /// True when slot `i` of this index describes `columns[i]` for every `i`
     /// — same attribute, same content fingerprint, same interner. Callers
     /// must still pass the batch the index was actually built over (the

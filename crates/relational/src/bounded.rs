@@ -1,12 +1,14 @@
 //! The bounded insertion-order cache shared by every warm-artifact cache.
 //!
-//! [`crate::RestrictedProfileCache`], [`crate::MatchResultCache`] and the
-//! service's source column-batch cache all need the same shape: a
-//! capacity-bounded map evicting oldest-inserted first, with `0` meaning
-//! "disabled", and hit/miss/eviction counters for telemetry. This is that
-//! shape, once: the result and source caches are instances of
-//! [`BoundedCache`], and the restricted-profile cache wraps one.
+//! `cxm_core`'s `RestrictedProfileCache` and `MatchResultCache`, the match
+//! service's source column-batch cache and [`crate::SelectionCache`]'s table
+//! buckets all need the same shape: a capacity-bounded map evicting
+//! oldest-inserted first, with `0` meaning "disabled", and hit/miss/eviction
+//! counters for telemetry. This is that shape, once: the result and source
+//! caches are instances of [`BoundedCache`], and the restricted-profile and
+//! selection caches wrap one.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
@@ -117,6 +119,16 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
                 None
             }
         }
+    }
+
+    /// The value cached for `key`, mutably, **without** recording a hit or
+    /// miss — for a holder that counts its own lookups at a finer grain.
+    pub fn peek_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.entries.get_mut(key)
     }
 
     /// Cache `value` under `key`, evicting oldest entries beyond the

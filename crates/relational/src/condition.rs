@@ -10,8 +10,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::schema::TableSchema;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A boolean selection condition over the attributes of one table.
@@ -149,23 +147,6 @@ impl Condition {
         self.attributes().len()
     }
 
-    /// Evaluate the condition against one tuple of the given schema. Unknown
-    /// attributes evaluate to `false` (the tuple cannot satisfy a condition over
-    /// an attribute it does not have), which keeps view evaluation total.
-    pub fn eval(&self, schema: &TableSchema, tuple: &Tuple) -> bool {
-        match self {
-            Condition::True => true,
-            Condition::Eq(attr, value) => {
-                schema.index_of(attr).map(|i| tuple.at(i) == value).unwrap_or(false)
-            }
-            Condition::In(attr, values) => {
-                schema.index_of(attr).map(|i| values.contains(tuple.at(i))).unwrap_or(false)
-            }
-            Condition::And(cs) => cs.iter().all(|c| c.eval(schema, tuple)),
-            Condition::Or(cs) => cs.iter().any(|c| c.eval(schema, tuple)),
-        }
-    }
-
     /// If the condition constrains exactly one attribute with equality (either a
     /// plain `Eq` or a conjunction containing one), return that
     /// `(attribute, value)` pair. This is what the contextual foreign key
@@ -234,44 +215,6 @@ impl fmt::Display for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attribute::Attribute;
-    use crate::tuple;
-
-    fn inv_schema() -> TableSchema {
-        TableSchema::new(
-            "inv",
-            vec![Attribute::int("id"), Attribute::text("name"), Attribute::int("type")],
-        )
-    }
-
-    #[test]
-    fn eq_condition_eval() {
-        let schema = inv_schema();
-        let c = Condition::eq("type", 1);
-        assert!(c.eval(&schema, &tuple![0, "leaves of grass", 1]));
-        assert!(!c.eval(&schema, &tuple![1, "the white album", 2]));
-    }
-
-    #[test]
-    fn unknown_attribute_evaluates_false() {
-        let schema = inv_schema();
-        let c = Condition::eq("missing", 1);
-        assert!(!c.eval(&schema, &tuple![0, "x", 1]));
-    }
-
-    #[test]
-    fn in_condition_eval_and_collapse() {
-        let schema = inv_schema();
-        let c = Condition::is_in("type", [1, 2]);
-        assert!(c.eval(&schema, &tuple![0, "x", 1]));
-        assert!(c.eval(&schema, &tuple![0, "x", 2]));
-        assert!(!c.eval(&schema, &tuple![0, "x", 3]));
-        // Single value collapses to Eq.
-        assert!(Condition::is_in("type", [7]).is_simple());
-        // Empty set is unsatisfiable.
-        let empty = Condition::is_in("type", Vec::<i64>::new());
-        assert!(!empty.eval(&schema, &tuple![0, "x", 1]));
-    }
 
     #[test]
     fn and_or_flattening() {

@@ -398,7 +398,11 @@ mod tests {
         assert!(fk.holds_on(&proj, &stud).unwrap());
 
         // Remove bob from students → violated.
-        let stud_small = stud.filter_rows(|r| r.at(0) == &Value::str("ann"));
+        let stud_small = Table::with_rows(
+            TableSchema::new("student", vec![Attribute::text("name"), Attribute::text("email")]),
+            vec![tuple!["ann", "ann@u.edu"]],
+        )
+        .unwrap();
         assert!(!fk.holds_on(&proj, &stud_small).unwrap());
     }
 
@@ -423,11 +427,11 @@ mod tests {
     fn contextual_foreign_key_example_4_1() {
         // V0 = select name, grade from project where assignt = 0
         let proj = project_table();
-        let v0 = proj
-            .filter_rows(|r| r.at(1) == &Value::Int(0))
-            .project(&["name", "grade"])
-            .unwrap()
-            .renamed("V0");
+        let v0 = Table::with_rows(
+            TableSchema::new("V0", vec![Attribute::text("name"), Attribute::text("grade")]),
+            vec![tuple!["ann", "A"], tuple!["bob", "C"]],
+        )
+        .unwrap();
         // V0[name, assignt = 0] ⊆ project[name, assignt]
         let cfk = ContextualForeignKey::new(
             "V0",

@@ -30,23 +30,28 @@
 //! free of tuple copies:
 //!
 //! * [`RowSelection`] — a selection of base-table row indices, stored as one
-//!   sorted, duplicate-free index vector; built in one scan per condition (or
-//!   assembled from cached atoms), and composable with `intersect`/`union`
-//!   merges.
+//!   sorted, duplicate-free index vector; built by one evaluator that scans
+//!   once per condition atom (or takes cached atoms) and merges with
+//!   `intersect`/`union`.
 //! * [`TableSlice`] / [`ColumnSlice`] — borrowed views of a [`Table`]
 //!   restricted by a `RowSelection`; rows and values come out as references
 //!   into the base table in base-row order, never cloned.
 //! * [`SelectionCache`] — memoizes selection vectors per
 //!   `(base table, condition atom)` so conjunctive and disjunctive conditions
-//!   are evaluated by merging cached vectors instead of rescanning rows.
+//!   are evaluated by merging cached vectors instead of rescanning rows; its
+//!   table buckets are bounded by the [`BoundedCache`] every warm-artifact
+//!   cache in the workspace uses.
 //!
 //! [`ViewDef::select`] is the entry point: it returns the view's
-//! `RowSelection`, and [`ViewDef::evaluate`] is now a thin wrapper that
-//! materializes that selection for the few callers (the schema-mapping
-//! executor) that genuinely need an owned instance. Invariants are documented
-//! on the [`selection`] module.
+//! `RowSelection`. Rows are copied out in one place,
+//! [`TableSlice::materialize`], reached through
+//! [`ViewDef::materialize_selection`]; [`ViewDef::evaluate`] wraps the two
+//! for the one library caller that needs an owned instance (the
+//! schema-mapping executor). Invariants are documented on the [`selection`]
+//! module.
 
 pub mod attribute;
+pub mod bounded;
 pub mod categorical;
 pub mod condition;
 pub mod constraint;
@@ -64,6 +69,7 @@ pub mod view;
 pub mod view_family;
 
 pub use attribute::{AttrRef, Attribute};
+pub use bounded::BoundedCache;
 pub use categorical::{
     categorical_attributes, is_categorical, non_categorical_attributes, CategoricalPolicy,
 };
@@ -72,7 +78,7 @@ pub use constraint::{ConstraintSet, ContextualForeignKey, ForeignKey, Key};
 pub use database::Database;
 pub use error::{Error, Result};
 pub use fingerprint::{combine_column_fingerprints, Fnv64, TABLE_FINGERPRINT_SEED};
-pub use sample::{split_rows, split_selection, SplitRatio};
+pub use sample::{split_selection, SplitRatio};
 pub use schema::{Schema, TableSchema};
 pub use selection::{ColumnSlice, RowSelection, SelectionCache, TableSlice};
 pub use table::Table;

@@ -72,24 +72,13 @@ fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-/// Split a table's rows into mutually exclusive (training, testing) instances.
+/// Split a table's rows into mutually exclusive (training, testing)
+/// [`RowSelection`]s over the input table, both listing rows in base order.
 ///
 /// The split is a random partition under `seed`; the same seed always produces
 /// the same partition. Training receives `ratio` of the rows (at least one row
 /// when the table is non-empty and at most `len - 1` so that testing is never
 /// empty for tables with ≥ 2 rows).
-pub fn split_rows(table: &Table, ratio: SplitRatio, seed: u64) -> (Table, Table) {
-    let (train, test) = split_selection(table, ratio, seed);
-    (
-        crate::selection::TableSlice::new(table, &train).materialize(table.name()),
-        crate::selection::TableSlice::new(table, &test).materialize(table.name()),
-    )
-}
-
-/// Zero-copy variant of [`split_rows`]: the same deterministic partition, but
-/// returned as a pair of (training, testing) [`RowSelection`]s over the input
-/// table instead of materialized clones. Both selections list rows in base
-/// order, so slicing them yields exactly the instances `split_rows` builds.
 pub fn split_selection(
     table: &Table,
     ratio: SplitRatio,
@@ -116,6 +105,7 @@ mod tests {
     use super::*;
     use crate::attribute::Attribute;
     use crate::schema::TableSchema;
+    use crate::selection::TableSlice;
     use crate::tuple::Tuple;
     use crate::value::Value;
 
@@ -125,56 +115,34 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn split_selection_matches_split_rows() {
-        let t = numbered_table(57);
-        for seed in [0u64, 1, 42, 9999] {
-            let (train_t, test_t) = split_rows(&t, SplitRatio::two_thirds(), seed);
-            let (train_s, test_s) = split_selection(&t, SplitRatio::two_thirds(), seed);
-            assert_eq!(train_t.len(), train_s.len());
-            assert_eq!(test_t.len(), test_s.len());
-            let from_sel: Vec<i64> = crate::selection::TableSlice::new(&t, &train_s)
-                .rows()
-                .map(|r| r.at(0).as_i64().unwrap())
-                .collect();
-            let from_tab: Vec<i64> =
-                train_t.rows().iter().map(|r| r.at(0).as_i64().unwrap()).collect();
-            assert_eq!(from_sel, from_tab, "seed {seed}");
-        }
-        // Degenerate sizes.
-        let (tr, te) = split_selection(&numbered_table(0), SplitRatio::half(), 1);
-        assert!(tr.is_empty() && te.is_empty());
-        let (tr, te) = split_selection(&numbered_table(1), SplitRatio::half(), 1);
-        assert_eq!((tr.len(), te.len()), (1, 0));
+    /// The ids of the rows `selection` picks from `table`, in base order.
+    fn ids(table: &Table, selection: &RowSelection) -> Vec<i64> {
+        TableSlice::new(table, selection).rows().map(|r| r.at(0).as_i64().unwrap()).collect()
     }
 
     #[test]
     fn split_partitions_all_rows() {
         let t = numbered_table(100);
-        let (train, test) = split_rows(&t, SplitRatio::two_thirds(), 42);
+        let (train, test) = split_selection(&t, SplitRatio::two_thirds(), 42);
         assert_eq!(train.len() + test.len(), 100);
         assert!(!train.is_empty());
         assert!(!test.is_empty());
 
         // Partitions are disjoint: the union of ids is exactly 0..100.
-        let mut ids: Vec<i64> = train
-            .column("id")
-            .unwrap()
-            .iter()
-            .chain(test.column("id").unwrap().iter())
-            .map(|v| v.as_i64().unwrap())
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..100).collect::<Vec<i64>>());
+        let mut all = ids(&t, &train);
+        all.extend(ids(&t, &test));
+        all.sort_unstable();
+        assert_eq!(all, (0..100).collect::<Vec<i64>>());
+        assert_eq!(test, train.complement(100));
     }
 
     #[test]
     fn split_ratio_is_respected() {
         let t = numbered_table(300);
-        let (train, test) = split_rows(&t, SplitRatio::two_thirds(), 7);
+        let (train, test) = split_selection(&t, SplitRatio::two_thirds(), 7);
         assert_eq!(train.len(), 200);
         assert_eq!(test.len(), 100);
-        let (train, test) = split_rows(&t, SplitRatio::half(), 7);
+        let (train, test) = split_selection(&t, SplitRatio::half(), 7);
         assert_eq!(train.len(), 150);
         assert_eq!(test.len(), 150);
     }
@@ -182,26 +150,26 @@ mod tests {
     #[test]
     fn split_is_deterministic_per_seed() {
         let t = numbered_table(50);
-        let (a1, _) = split_rows(&t, SplitRatio::default(), 123);
-        let (a2, _) = split_rows(&t, SplitRatio::default(), 123);
+        let (a1, _) = split_selection(&t, SplitRatio::default(), 123);
+        let (a2, _) = split_selection(&t, SplitRatio::default(), 123);
         assert_eq!(a1, a2);
-        let (b1, _) = split_rows(&t, SplitRatio::default(), 124);
-        assert_ne!(a1.column("id").unwrap(), b1.column("id").unwrap());
+        let (b1, _) = split_selection(&t, SplitRatio::default(), 124);
+        assert_ne!(ids(&t, &a1), ids(&t, &b1));
     }
 
     #[test]
     fn degenerate_sizes() {
         let empty = numbered_table(0);
-        let (tr, te) = split_rows(&empty, SplitRatio::default(), 1);
+        let (tr, te) = split_selection(&empty, SplitRatio::default(), 1);
         assert!(tr.is_empty() && te.is_empty());
 
         let one = numbered_table(1);
-        let (tr, te) = split_rows(&one, SplitRatio::default(), 1);
+        let (tr, te) = split_selection(&one, SplitRatio::default(), 1);
         assert_eq!(tr.len(), 1);
         assert!(te.is_empty());
 
         let two = numbered_table(2);
-        let (tr, te) = split_rows(&two, SplitRatio::default(), 1);
+        let (tr, te) = split_selection(&two, SplitRatio::default(), 1);
         assert_eq!(tr.len(), 1);
         assert_eq!(te.len(), 1);
     }
@@ -209,10 +177,10 @@ mod tests {
     #[test]
     fn extreme_ratios_keep_both_sides_nonempty() {
         let t = numbered_table(10);
-        let (tr, te) = split_rows(&t, SplitRatio(0.0), 9);
+        let (tr, te) = split_selection(&t, SplitRatio(0.0), 9);
         assert_eq!(tr.len(), 1);
         assert_eq!(te.len(), 9);
-        let (tr, te) = split_rows(&t, SplitRatio(1.0), 9);
+        let (tr, te) = split_selection(&t, SplitRatio(1.0), 9);
         assert_eq!(tr.len(), 9);
         assert_eq!(te.len(), 1);
     }

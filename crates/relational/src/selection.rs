@@ -14,6 +14,11 @@
 //!   that evaluates conjunctive/disjunctive [`Condition`]s by intersecting /
 //!   uniting cached atom selections instead of rescanning rows.
 //!
+//! `RS where c` has one evaluator: [`RowSelection::of_condition`] and
+//! [`SelectionCache::select`] walk `c` the same way and differ only in how
+//! an atom's selection is obtained — a direct scan, or the cache's
+//! content-validated lookup of that scan.
+//!
 //! ## Invariants
 //!
 //! 1. A `RowSelection` enumerates its indices **sorted ascending and
@@ -21,9 +26,9 @@
 //!    built from. All constructors and set operations preserve this, which is
 //!    what makes intersection/union linear merges and keeps sliced iteration
 //!    in base-table row order.
-//! 2. A `TableSlice` yields rows in base-table order, so materializing a
-//!    slice produces byte-identical results to the legacy
-//!    `Table::filter_rows` path.
+//! 2. A `TableSlice` yields rows in base-table order, so
+//!    [`TableSlice::materialize`] — the one place rows are copied out —
+//!    keeps the base table's row order.
 //! 3. `SelectionCache` entries are keyed by *table name* + atom and
 //!    **content-validated on every lookup**: each bucket records the
 //!    [`Table::fingerprint`] of the instance its atoms were scanned from
@@ -33,13 +38,16 @@
 //!    [`SelectionCache::validate_fingerprint`] remains as an explicit
 //!    claim/invalidate hook for callers that reconcile buckets without
 //!    selecting.
-//! 4. Selection semantics mirror [`Condition::eval`] exactly: unknown
-//!    attributes select nothing, `True` selects everything, `And`/`Or`
-//!    intersect/unite member selections.
+//! 4. Selections hold exactly the rows the condition holds on, row by row
+//!    (the oracle is `cxm_tests::reference::eval`): unknown attributes
+//!    select nothing, `True` selects everything, `And`/`Or` intersect/unite
+//!    member selections, an empty `And` selects every row and an empty `Or`
+//!    none.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::bounded::BoundedCache;
 use crate::condition::Condition;
 use crate::schema::TableSchema;
 use crate::table::Table;
@@ -80,22 +88,10 @@ impl RowSelection {
         RowSelection { indices }
     }
 
-    /// Evaluate `condition` over `table` in a single scan, resolving attribute
-    /// positions once (not once per row).
+    /// Evaluate `condition` over `table`: one scan per atom, resolving each
+    /// atom's attribute position once (not once per row), then merging.
     pub fn of_condition(table: &Table, condition: &Condition) -> Self {
-        match compile(condition, table.schema()) {
-            Compiled::True => RowSelection::full(table.len()),
-            Compiled::False => RowSelection::empty(),
-            compiled => {
-                let indices = table
-                    .rows()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, row)| compiled.matches(row).then_some(i))
-                    .collect();
-                RowSelection { indices }
-            }
-        }
+        Arc::unwrap_or_clone(evaluate(condition, &mut |atom| Arc::new(scan(table, atom))))
     }
 
     /// Number of selected rows.
@@ -192,74 +188,62 @@ impl RowSelection {
     }
 }
 
-/// A selection condition with attribute names resolved to column positions,
-/// so a scan does one hash lookup per *atom*, not one per atom per row.
-enum Compiled {
-    True,
-    /// Unsatisfiable (e.g. the condition mentions an unknown attribute, or an
-    /// empty disjunction).
-    False,
-    Eq(usize, Value),
-    In(usize, BTreeSet<Value>),
-    And(Vec<Compiled>),
-    Or(Vec<Compiled>),
-}
-
-fn compile(condition: &Condition, schema: &TableSchema) -> Compiled {
+/// The one evaluator of `RS where c`: walks `condition`, taking each atom's
+/// (`True` / `Eq` / `In`) selection from `atom`. `And` intersects its
+/// members and stops at the first empty intersection; an empty `And`
+/// selects what the `True` atom does (every row). `Or` unites its members;
+/// an empty `Or` selects nothing.
+fn evaluate(
+    condition: &Condition,
+    atom: &mut impl FnMut(&Condition) -> Arc<RowSelection>,
+) -> Arc<RowSelection> {
     match condition {
-        Condition::True => Compiled::True,
-        Condition::Eq(attr, value) => match schema.index_of(attr) {
-            Some(i) => Compiled::Eq(i, value.clone()),
-            None => Compiled::False,
-        },
-        Condition::In(attr, values) => match schema.index_of(attr) {
-            Some(i) => Compiled::In(i, values.clone()),
-            None => Compiled::False,
-        },
-        Condition::And(cs) => {
-            let mut parts = Vec::with_capacity(cs.len());
-            for c in cs {
-                match compile(c, schema) {
-                    Compiled::True => {}
-                    Compiled::False => return Compiled::False,
-                    p => parts.push(p),
+        Condition::True | Condition::Eq(_, _) | Condition::In(_, _) => atom(condition),
+        Condition::And(members) => {
+            let mut members = members.iter();
+            let Some(first) = members.next() else { return atom(&Condition::True) };
+            let mut acc = evaluate(first, atom);
+            for member in members {
+                if acc.is_empty() {
+                    break;
                 }
+                acc = Arc::new(acc.intersect(&evaluate(member, atom)));
             }
-            if parts.is_empty() {
-                Compiled::True
-            } else {
-                Compiled::And(parts)
-            }
+            acc
         }
-        Condition::Or(cs) => {
-            let mut parts = Vec::with_capacity(cs.len());
-            for c in cs {
-                match compile(c, schema) {
-                    Compiled::True => return Compiled::True,
-                    Compiled::False => {}
-                    p => parts.push(p),
-                }
+        Condition::Or(members) => {
+            let mut members = members.iter();
+            let Some(first) = members.next() else { return Arc::new(RowSelection::empty()) };
+            let mut acc = evaluate(first, atom);
+            for member in members {
+                acc = Arc::new(acc.union(&evaluate(member, atom)));
             }
-            if parts.is_empty() {
-                Compiled::False
-            } else {
-                Compiled::Or(parts)
-            }
+            acc
         }
     }
 }
 
-impl Compiled {
-    fn matches(&self, row: &Tuple) -> bool {
-        match self {
-            Compiled::True => true,
-            Compiled::False => false,
-            Compiled::Eq(i, v) => row.at(*i) == v,
-            Compiled::In(i, vs) => vs.contains(row.at(*i)),
-            Compiled::And(ps) => ps.iter().all(|p| p.matches(row)),
-            Compiled::Or(ps) => ps.iter().any(|p| p.matches(row)),
-        }
+/// The one atom scan: `True` selects every row; `Eq` and `In` resolve the
+/// attribute's position once, then compare each row's cell. An unknown
+/// attribute selects nothing.
+fn scan(table: &Table, atom: &Condition) -> RowSelection {
+    match atom {
+        Condition::True => RowSelection::full(table.len()),
+        Condition::Eq(attr, value) => scan_column(table, attr, |cell| cell == value),
+        Condition::In(attr, values) => scan_column(table, attr, |cell| values.contains(cell)),
+        Condition::And(_) | Condition::Or(_) => unreachable!("`evaluate` passes atoms only"),
     }
+}
+
+fn scan_column(table: &Table, attr: &str, keep: impl Fn(&Value) -> bool) -> RowSelection {
+    let Some(col) = table.schema().index_of(attr) else { return RowSelection::empty() };
+    let indices = table
+        .rows()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, row)| keep(row.at(col)).then_some(i))
+        .collect();
+    RowSelection { indices }
 }
 
 /// A borrowed, zero-copy view of a [`Table`] restricted to the rows of a
@@ -389,19 +373,13 @@ impl<'a> ColumnSlice<'a> {
 ///
 /// Cloning a cache is cheap: the clone shares the selection vectors behind
 /// `Arc`s, and its later selects and validations never touch the original.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct SelectionCache {
-    /// Per-table buckets; ordered so telemetry walks (`cached_atoms`,
-    /// `cached_tables`) are deterministic.
-    // cxm-lint: allow(C001, reason = "bounded by `capacity` via evict_over_capacity; unbounded only when the holder opts out")
-    tables: BTreeMap<String, TableAtoms>,
-    /// Bucket creation order, for capacity eviction.
-    // cxm-lint: allow(C001, reason = "one entry per `tables` bucket, evicted in lock-step with it")
-    order: std::collections::VecDeque<String>,
-    /// Maximum number of table buckets retained (`None` = unbounded). A
-    /// long-lived holder serving many distinct table sets bounds the cache
-    /// so memory does not grow with the number of schemas ever seen.
-    capacity: Option<usize>,
+    /// Per-table buckets, oldest created first out. A long-lived holder
+    /// serving many distinct table sets bounds them so memory does not grow
+    /// with the number of schemas ever seen; the bucket being created is
+    /// never the victim (the bound is at least 1).
+    tables: BoundedCache<String, TableAtoms>,
     hits: usize,
     misses: usize,
 }
@@ -420,6 +398,14 @@ struct TableAtoms {
     by_atom: HashMap<Condition, Arc<RowSelection>>,
 }
 
+impl Default for SelectionCache {
+    /// An empty, unbounded cache. (`BoundedCache`'s own default is a
+    /// *disabled* cache, which would drop every bucket.)
+    fn default() -> Self {
+        SelectionCache::with_table_capacity(usize::MAX)
+    }
+}
+
 impl SelectionCache {
     /// An empty, unbounded cache.
     pub fn new() -> Self {
@@ -427,9 +413,10 @@ impl SelectionCache {
     }
 
     /// An empty cache retaining at most `capacity` table buckets (oldest
-    /// bucket evicted first; the bucket being inserted is never the victim).
+    /// bucket evicted first; the bucket being inserted is never the victim,
+    /// so a bound of 0 still keeps one).
     pub fn with_table_capacity(capacity: usize) -> Self {
-        SelectionCache { capacity: Some(capacity.max(1)), ..SelectionCache::default() }
+        SelectionCache { tables: BoundedCache::with_capacity(capacity.max(1)), hits: 0, misses: 0 }
     }
 
     /// Number of atom scans avoided so far.
@@ -449,7 +436,9 @@ impl SelectionCache {
 
     /// Names of the tables with a cache bucket, sorted.
     pub fn cached_tables(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
+        let mut names: Vec<String> = self.tables.iter_ordered().map(|(n, _)| n.clone()).collect();
+        names.sort_unstable();
+        names
     }
 
     /// Reconcile the bucket of `table` with the content fingerprint of the
@@ -464,36 +453,24 @@ impl SelectionCache {
     /// reconciling its source tables inside one critical section up front,
     /// so later per-atom validations are guaranteed hits.
     pub fn validate_fingerprint(&mut self, table: &str, fingerprint: u64) -> bool {
-        let bucket = self.bucket(table);
-        if bucket.fingerprint == Some(fingerprint) {
-            return true;
-        }
-        bucket.by_atom.clear();
-        bucket.fingerprint = Some(fingerprint);
-        false
+        self.bucket(table, fingerprint).1
     }
 
-    /// The bucket of `table`, created (and capacity-evicting the oldest
-    /// other bucket) when absent.
-    fn bucket(&mut self, table: &str) -> &mut TableAtoms {
-        if !self.tables.contains_key(table) {
+    /// The bucket of `table` for content `fingerprint`: created when absent
+    /// (capacity-evicting the oldest other bucket), and emptied and
+    /// re-claimed when it holds another content's selections. The flag is
+    /// true when the bucket was already valid for `fingerprint`.
+    fn bucket(&mut self, table: &str, fingerprint: u64) -> (&mut TableAtoms, bool) {
+        if self.tables.peek_mut(table).is_none() {
             self.tables.insert(table.to_string(), TableAtoms::default());
-            self.order.push_back(table.to_string());
-            self.evict_over_capacity(table);
         }
-        self.tables.get_mut(table).expect("bucket just ensured")
-    }
-
-    /// Evict oldest buckets until within capacity, never evicting `keep`.
-    fn evict_over_capacity(&mut self, keep: &str) {
-        let Some(capacity) = self.capacity else { return };
-        while self.tables.len() > capacity {
-            let Some(pos) = self.order.iter().position(|name| name != keep) else {
-                return;
-            };
-            let evicted = self.order.remove(pos).expect("position is in range");
-            self.tables.remove(&evicted);
+        let bucket = self.tables.peek_mut(table).expect("bucket just ensured");
+        let valid = bucket.fingerprint == Some(fingerprint);
+        if !valid {
+            bucket.by_atom.clear();
+            bucket.fingerprint = Some(fingerprint);
         }
+        (bucket, valid)
     }
 
     /// The selection of a single atom (`Eq` / `In` / `True`) over `table`,
@@ -507,26 +484,15 @@ impl SelectionCache {
     /// selecting, so a same-named table of different content (same-sized or
     /// not) can never be served another instance's row indices.
     fn atom(&mut self, table: &Table, atom: &Condition) -> Arc<RowSelection> {
-        let fingerprint = table.fingerprint();
-        let cached = {
-            let bucket = self.bucket(table.name());
-            if bucket.fingerprint != Some(fingerprint) {
-                bucket.by_atom.clear();
-                bucket.fingerprint = Some(fingerprint);
-            }
-            bucket.by_atom.get(atom).cloned()
-        };
-        if let Some(cached) = cached {
+        let (bucket, _) = self.bucket(table.name(), table.fingerprint());
+        if let Some(cached) = bucket.by_atom.get(atom) {
+            let cached = Arc::clone(cached);
             self.hits += 1;
             return cached;
         }
+        let selection = Arc::new(scan(table, atom));
+        bucket.by_atom.insert(atom.clone(), Arc::clone(&selection));
         self.misses += 1;
-        let selection = Arc::new(RowSelection::of_condition(table, atom));
-        self.tables
-            .get_mut(table.name())
-            .expect("bucket ensured above")
-            .by_atom
-            .insert(atom.clone(), Arc::clone(&selection));
         selection
     }
 
@@ -535,37 +501,7 @@ impl SelectionCache {
     /// fall through to (cached) single scans. The result is shared — repeated
     /// atom evaluations return clones of one `Arc`, never of the index vector.
     pub fn select(&mut self, table: &Table, condition: &Condition) -> Arc<RowSelection> {
-        match condition {
-            Condition::True | Condition::Eq(_, _) | Condition::In(_, _) => {
-                self.atom(table, condition)
-            }
-            Condition::And(cs) => {
-                let mut current: Option<Arc<RowSelection>> = None;
-                for c in cs {
-                    let next = match &current {
-                        // Short-circuit: an empty intersection stays empty.
-                        Some(acc) if acc.is_empty() => break,
-                        _ => self.select(table, c),
-                    };
-                    current = Some(match current {
-                        None => next,
-                        Some(acc) => Arc::new(acc.intersect(&next)),
-                    });
-                }
-                current.unwrap_or_else(|| self.atom(table, &Condition::True))
-            }
-            Condition::Or(cs) => {
-                let mut current: Option<Arc<RowSelection>> = None;
-                for c in cs {
-                    let next = self.select(table, c);
-                    current = Some(match current {
-                        None => next,
-                        Some(acc) => Arc::new(acc.union(&next)),
-                    });
-                }
-                current.unwrap_or_else(|| Arc::new(RowSelection::empty()))
-            }
-        }
+        evaluate(condition, &mut |atom| self.atom(table, atom))
     }
 }
 
@@ -600,29 +536,6 @@ mod tests {
         let schema = TableSchema::new("wide", vec![Attribute::int("id"), Attribute::int("type")]);
         let rows = (0..n).map(|i| tuple![i as i64, (i % 2) as i64]).collect();
         Table::with_rows(schema, rows).unwrap()
-    }
-
-    #[test]
-    fn of_condition_matches_eval_semantics() {
-        let t = inv_table();
-        for cond in [
-            Condition::True,
-            Condition::eq("type", 1),
-            Condition::is_in("type", [1, 3]),
-            Condition::eq("type", 1).and(Condition::eq("descr", "paperback")),
-            Condition::eq("type", 1).or(Condition::eq("type", 2)),
-            Condition::eq("missing", 1),
-            Condition::Or(vec![]),
-        ] {
-            let sel = RowSelection::of_condition(&t, &cond);
-            let expected: Vec<usize> = t
-                .rows()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, row)| cond.eval(t.schema(), row).then_some(i))
-                .collect();
-            assert_eq!(sel.indices(), expected.as_slice(), "condition {cond}");
-        }
     }
 
     #[test]
@@ -738,8 +651,8 @@ mod tests {
         assert_eq!(slice.len(), 48);
         assert_eq!(slice.value_at(3, "id").unwrap(), &Value::Int(6));
         let mat = slice.materialize("V");
-        let legacy = t.filter_rows(|r| r.at(1) == &Value::Int(0)).renamed("V");
-        assert_eq!(mat, legacy);
+        let evens = (0..96).step_by(2).map(|i| tuple![i as i64, 0]).collect();
+        assert_eq!(mat, Table::with_rows(t.schema().with_name("V"), evens).unwrap());
     }
 
     #[test]
@@ -757,16 +670,6 @@ mod tests {
         let v = col.values().next().unwrap();
         assert!(std::ptr::eq(v, t.rows()[1].at(2)));
         assert!(slice.column("nope").is_err());
-    }
-
-    #[test]
-    fn materialize_equals_filter_rows() {
-        let t = inv_table();
-        let cond = Condition::is_in("type", [1, 2]);
-        let sel = RowSelection::of_condition(&t, &cond);
-        let mat = TableSlice::new(&t, &sel).materialize("V");
-        let legacy = t.filter_rows(|r| cond.eval(t.schema(), r)).renamed("V");
-        assert_eq!(mat, legacy);
     }
 
     #[test]

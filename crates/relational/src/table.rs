@@ -156,18 +156,6 @@ impl Table {
         Ok(self.value_counts(name)?.into_keys().filter(|v| !v.is_null()).collect())
     }
 
-    /// Select the subset of rows satisfying `predicate`, preserving order.
-    /// The result keeps this table's schema (optionally renamed by the caller).
-    pub fn filter_rows<F>(&self, predicate: F) -> Table
-    where
-        F: Fn(&Tuple) -> bool,
-    {
-        Table::from_parts(
-            self.schema.clone(),
-            self.rows.iter().filter(|r| predicate(r)).cloned().collect(),
-        )
-    }
-
     /// Project the instance onto the named attributes (in the given order).
     pub fn project(&self, names: &[&str]) -> Result<Table> {
         let schema = self.schema.project(names)?;
@@ -334,15 +322,6 @@ mod tests {
         assert_eq!(counts.get(&Value::str("reg")), Some(&3));
         assert_eq!(counts.get(&Value::str("sale")), Some(&2));
         assert_eq!(t.distinct_values("prcode").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn filter_rows_preserves_schema() {
-        let t = price_table();
-        let idx = t.schema().index_of("prcode").unwrap();
-        let sale = t.filter_rows(|r| r.at(idx) == &Value::str("sale"));
-        assert_eq!(sale.len(), 2);
-        assert_eq!(sale.schema(), t.schema());
     }
 
     #[test]

@@ -253,7 +253,18 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => write!(f, "NULL"),
-            Value::Str(s) => write!(f, "'{s}'"),
+            // SQL's own escape: a quote inside the literal is written twice,
+            // so distinct strings always render distinctly.
+            Value::Str(s) => {
+                f.write_str("'")?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_str("'")
+            }
             other => write!(f, "{}", other.as_text()),
         }
     }
@@ -389,6 +400,8 @@ mod tests {
     #[test]
     fn display_quotes_strings_only() {
         assert_eq!(Value::str("cd").to_string(), "'cd'");
+        // A quote inside the literal is doubled, as SQL writes it.
+        assert_eq!(Value::str("a', 'b").to_string(), "'a'', ''b'");
         assert_eq!(Value::Int(7).to_string(), "7");
         assert_eq!(Value::Null.to_string(), "NULL");
     }

@@ -142,23 +142,16 @@ impl ViewDef {
         }
     }
 
-    /// Evaluate the view against a base table *instance*, producing a new
-    /// owned instance named after the view.
-    ///
-    /// This is a thin materializing wrapper over [`ViewDef::select`], kept for
-    /// the callers that genuinely need an owned [`Table`] (chiefly the
-    /// schema-mapping execution stage); scoring paths should stay on
-    /// selections and slices.
-    pub fn evaluate_on(&self, base: &Table) -> Result<Table> {
-        let selection = self.select(base)?;
-        self.materialize_selection(base, &selection)
-    }
-
     /// Evaluate the view against a whole database instance, resolving the base
-    /// table by name.
+    /// table by name and materializing the view's selection into a new owned
+    /// instance named after the view.
+    ///
+    /// Kept for the one library caller that needs an owned [`Table`] (the
+    /// schema-mapping executor); scoring paths stay on selections and slices.
     pub fn evaluate(&self, db: &Database) -> Result<Table> {
         let base = db.require_table(&self.base_table)?;
-        self.evaluate_on(base)
+        let selection = self.select(base)?;
+        self.materialize_selection(base, &selection)
     }
 
     /// The fraction of base-table rows this view selects (its selectivity),

@@ -10,7 +10,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::condition::Condition;
-use crate::database::Database;
 use crate::error::Result;
 use crate::table::Table;
 use crate::value::Value;
@@ -97,43 +96,6 @@ impl ViewFamily {
         }
         true
     }
-
-    /// Merge the member views selecting value `a` and value `b` of `l` into a
-    /// single view selecting the union of their value groups. This is the core
-    /// move of early-disjunct handling (§3.3): the most-confused value pair is
-    /// merged and the family re-evaluated. Returns the new family (the original
-    /// is unchanged); if either value is not covered, returns a clone.
-    pub fn merge_values(&self, a: &Value, b: &Value) -> ViewFamily {
-        let groups = self.value_groups();
-        let mut merged: Vec<BTreeSet<Value>> = Vec::new();
-        let mut union: BTreeSet<Value> = BTreeSet::new();
-        let mut found_a = false;
-        let mut found_b = false;
-        for g in groups {
-            if g.contains(a) || g.contains(b) {
-                found_a |= g.contains(a);
-                found_b |= g.contains(b);
-                union.extend(g);
-            } else {
-                merged.push(g);
-            }
-        }
-        if !found_a || !found_b {
-            return self.clone();
-        }
-        merged.push(union);
-        ViewFamily::from_value_groups(
-            self.base_table.clone(),
-            self.attribute.clone(),
-            merged.into_iter().map(|g| g.into_iter().collect()).collect(),
-        )
-    }
-
-    /// Evaluate every member view against the database, returning the member
-    /// instances in member order.
-    pub fn evaluate(&self, db: &Database) -> Result<Vec<Table>> {
-        self.views.iter().map(|v| v.evaluate(db)).collect()
-    }
 }
 
 impl fmt::Display for ViewFamily {
@@ -182,12 +144,10 @@ mod tests {
     #[test]
     fn evaluate_partitions_all_rows() {
         let t = inv_table();
-        let db = Database::new("RS").with_table(t.clone());
         let fam = ViewFamily::partition_by_values(&t, "type").unwrap();
-        let parts = fam.evaluate(&db).unwrap();
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, t.len());
-        assert_eq!(parts[0].len() + parts[1].len(), 5);
+        let parts: Vec<_> = fam.views.iter().map(|v| v.select(&t).unwrap()).collect();
+        assert_eq!(parts[0].len() + parts[1].len(), t.len());
+        assert_eq!(parts[0].union(&parts[1]), crate::selection::RowSelection::full(t.len()));
     }
 
     #[test]
@@ -201,18 +161,6 @@ mod tests {
         assert!(fam.views[0].condition.is_simple_disjunctive());
         assert!(fam.views[1].condition.is_simple());
         assert!(fam.is_mutually_exclusive());
-    }
-
-    #[test]
-    fn merge_values_unions_groups() {
-        let t = inv_table();
-        let fam = ViewFamily::partition_by_values(&t, "type").unwrap();
-        let merged = fam.merge_values(&Value::Int(1), &Value::Int(2));
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged.covered_values().len(), 2);
-        // Merging a missing value leaves the family unchanged.
-        let same = fam.merge_values(&Value::Int(1), &Value::Int(99));
-        assert_eq!(same.len(), fam.len());
     }
 
     #[test]

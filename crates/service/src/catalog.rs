@@ -107,18 +107,6 @@ pub struct CatalogUpdate {
     /// profiles rebuilt lazily on next use. Replacing one column of a
     /// 50-column table makes this exactly 1.
     pub columns_rebuilt: usize,
-    /// Columns whose **inverted gram index** posting contributions the next
-    /// (lazy, incremental) index build will carry forward unchanged:
-    /// indexed columns whose per-column fingerprint matches the latest
-    /// *built* index generation. Zero when no request has built an index yet
-    /// (nothing to carry) or when the batch shape changed (positional slots
-    /// force a full rebuild).
-    pub postings_reused: usize,
-    /// Columns whose posting contributions the next index build must redo —
-    /// the complement of [`CatalogUpdate::postings_reused`] whenever a prior
-    /// index generation exists; `0` when none does (a cold build rebuilds
-    /// nothing, it builds).
-    pub postings_rebuilt: usize,
 }
 
 impl CatalogSnapshot {
@@ -252,19 +240,10 @@ impl CatalogSnapshot {
             table_ranges.insert(table.name().to_string(), start..columns.len());
         }
 
-        // The gram index builds lazily (first request), so at update time we
-        // can only *predict* its reuse: against the latest built generation,
-        // count the columns whose fingerprints carry forward.
+        // The gram index builds lazily (first request), incrementally from
+        // the latest built generation.
         let prev_gram_index =
             prev.gram_index.get().cloned().or_else(|| prev.prev_gram_index.clone());
-        let (postings_reused, postings_rebuilt) = match &prev_gram_index {
-            Some(index) if index.same_shape(&columns) => {
-                let carried = index.columns_carried(&columns);
-                (carried, columns.len() - carried)
-            }
-            Some(_) => (0, columns.len()),
-            None => (0, 0),
-        };
 
         let update = CatalogUpdate {
             version,
@@ -276,8 +255,6 @@ impl CatalogSnapshot {
             copied,
             columns_reused,
             columns_rebuilt,
-            postings_reused,
-            postings_rebuilt,
         };
         let snapshot = CatalogSnapshot {
             version,
@@ -598,8 +575,6 @@ mod tests {
                 copied: 2,
                 columns_reused: 0,
                 columns_rebuilt: 4,
-                postings_reused: 0,
-                postings_rebuilt: 0,
             }
         );
         let snap = catalog.snapshot();
@@ -637,8 +612,6 @@ mod tests {
                 copied: 0,
                 columns_reused: 4,
                 columns_rebuilt: 0,
-                postings_reused: 0,
-                postings_rebuilt: 0,
             }
         );
         let second = catalog.snapshot();
@@ -662,8 +635,6 @@ mod tests {
                 copied: 1,
                 columns_reused: 2,
                 columns_rebuilt: 2,
-                postings_reused: 0,
-                postings_rebuilt: 0,
             }
         );
         let third = catalog.snapshot();
@@ -745,25 +716,19 @@ mod tests {
     #[test]
     fn gram_index_builds_lazily_and_carries_postings() {
         let catalog = TargetCatalog::new();
-        let update = catalog.register_database(&target());
-        assert_eq!(
-            (update.postings_reused, update.postings_rebuilt),
-            (0, 0),
-            "no index generation exists before the first request"
-        );
+        catalog.register_database(&target());
         let first = catalog.snapshot();
         assert!(first.gram_index_if_built().is_none(), "the index is lazy");
         let index = first.gram_index();
         assert_eq!(index.len(), 4);
         assert!(Arc::ptr_eq(&index, &first.gram_index()), "memoized per snapshot");
         assert_eq!(index.postings_reused(), 0, "cold build carries nothing");
+        assert_eq!(index.postings_rebuilt(), index.posting_lists());
 
-        // With a built generation behind it, the update predicts
-        // column-granular posting reuse: book's 2 columns carry, music's 2
-        // (the replaced table) must re-post.
+        // Replace music (slots 2 and 3); book's 2 columns carry forward.
         let update =
             catalog.replace_table(table("music", &[("blue train", "blue note cd")])).unwrap();
-        assert_eq!((update.postings_reused, update.postings_rebuilt), (2, 2));
+        assert_eq!((update.columns_reused, update.columns_rebuilt), (2, 2));
 
         // The next snapshot's build is incremental: posting lists no music
         // column (slots 2 and 3) appears in, before or after, are copied
@@ -796,10 +761,12 @@ mod tests {
         assert!(index.gram_posting(gram).is_some());
         assert_eq!(index.gram_posting(gram), next.gram_posting(gram));
 
-        // Dropping a table changes the batch shape: the prediction can only
-        // promise a full re-post.
-        let update = catalog.drop_table("music").unwrap();
-        assert_eq!((update.postings_reused, update.postings_rebuilt), (0, 2));
+        // Dropping a table changes the batch shape: the next build re-posts
+        // every list.
+        catalog.drop_table("music").unwrap();
+        let dropped = catalog.snapshot().gram_index();
+        assert_eq!(dropped.postings_reused(), 0);
+        assert_eq!(dropped.postings_rebuilt(), dropped.posting_lists());
     }
 
     #[test]

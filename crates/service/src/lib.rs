@@ -22,8 +22,8 @@
 //! * [`MatchService`] — request execution. [`MatchService::submit`] runs the
 //!   contextual matcher for one source database against the current
 //!   snapshot over the existing work-stealing pool (parallel source-table
-//!   shards, parallel view scoring); [`MatchService::submit_batch`] runs a
-//!   sequence of sources. Every response carries [`RequestTelemetry`]:
+//!   shards, parallel view scoring). Every response carries
+//!   [`RequestTelemetry`]:
 //!   q-gram profile builds, selection-cache hits/misses, restricted-profile
 //!   cache hits/misses, classifier work units, and which warm artifacts
 //!   were reused.

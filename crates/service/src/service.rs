@@ -62,9 +62,8 @@ impl Default for ServiceConfig {
 /// and the catalog's shared selection and restricted-profile caches.
 ///
 /// The counters are process-global, so the deltas attribute work to a request
-/// accurately only while requests do not overlap — which is how
-/// [`MatchService::submit_batch`] runs them (each request is internally
-/// parallel over the work-stealing pool; the batch itself is sequential).
+/// accurately only while requests do not overlap (each request is internally
+/// parallel over the work-stealing pool).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestTelemetry {
     /// Version of the catalog snapshot the request ran against.
@@ -421,27 +420,6 @@ impl MatchService {
     /// [`ContextualMatcher::run`] against the same instances.
     pub fn submit(&self, source: &Database) -> Result<MatchResponse> {
         let snapshot = self.catalog.snapshot();
-        self.submit_against(source, &snapshot)
-    }
-
-    /// Match several source databases sequentially against **one** catalog
-    /// snapshot (a consistent view across the whole batch, even if the
-    /// catalog is updated mid-batch). Requests run one after another — each
-    /// is internally parallel over the work-stealing pool, and keeping them
-    /// disjoint is what makes the per-request telemetry deltas attributable.
-    pub fn submit_batch<'s, I>(&self, sources: I) -> Result<Vec<MatchResponse>>
-    where
-        I: IntoIterator<Item = &'s Database>,
-    {
-        let snapshot = self.catalog.snapshot();
-        sources.into_iter().map(|source| self.submit_against(source, &snapshot)).collect()
-    }
-
-    fn submit_against(
-        &self,
-        source: &Database,
-        snapshot: &crate::CatalogSnapshot,
-    ) -> Result<MatchResponse> {
         // One scan of the source data: per-table fingerprints drive the
         // result-cache key, the source-column cache key and the shared
         // selection cache validation (the latter performed by the run
@@ -813,19 +791,6 @@ mod tests {
             assert_eq!(rb.result.selected, cold_b.selected, "round {round} source b");
             assert_eq!(rb.result.candidates, cold_b.candidates, "round {round} source b");
         }
-    }
-
-    #[test]
-    fn submit_batch_shares_one_snapshot() {
-        let (source, target) = retail();
-        let service = MatchService::new(ContextMatchConfig::default().with_tau(0.4));
-        service.register_target(&target);
-        let responses = service.submit_batch([&source, &source]).unwrap();
-        assert_eq!(responses.len(), 2);
-        assert_eq!(responses[0].result.selected, responses[1].result.selected);
-        assert_eq!(responses[0].telemetry.catalog_version, 1);
-        assert_eq!(responses[1].telemetry.catalog_version, 1);
-        assert!(responses[1].telemetry.result_cache_hit, "identical repeat in one batch");
     }
 
     #[test]

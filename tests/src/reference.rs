@@ -26,6 +26,9 @@
 //!   time: the parser validates and appends each character on its own step
 //!   and checks each object key against every earlier one, and the writer
 //!   pushes each character and renders each number through `to_string()`.
+//! * [`eval`] — a selection condition evaluated against one tuple at a time,
+//!   the oracle every `RowSelection` and `SelectionCache` result is pinned
+//!   against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,8 +47,10 @@ use cxm_matching::{
 use cxm_relational::{Database, Result, Table, ViewDef};
 
 mod classify;
+mod condition;
 mod json;
 pub use classify::{qgrams, StringNaiveBayes};
+pub use condition::eval;
 pub use json::{json_parse, json_to_bytes};
 
 /// `ContextMatch(source, target)` as the serial per-table loop: for each

@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 
 use cxm_relational::{
-    split_rows, Attribute, Condition, SplitRatio, Table, TableSchema, Tuple, Value, ViewDef,
-    ViewFamily,
+    split_selection, Attribute, Condition, RowSelection, SplitRatio, Table, TableSchema,
+    TableSlice, Tuple, Value, ViewDef, ViewFamily,
 };
 use cxm_stats::{f_measure, normal_cdf, Binomial, MatchSetQuality, Moments};
+use cxm_tests::reference::eval;
 
 /// Build a single-column table of integers.
 fn int_table(values: &[i64]) -> Table {
@@ -75,10 +76,12 @@ proptest! {
         let table = int_table(&values);
         let family = ViewFamily::partition_by_values(&table, "x").unwrap();
         prop_assert!(family.is_mutually_exclusive());
-        let db = cxm_relational::Database::new("d").with_table(table.clone());
-        let parts = family.evaluate(&db).unwrap();
+        let parts: Vec<RowSelection> =
+            family.views.iter().map(|v| v.select(&table).unwrap()).collect();
         let total: usize = parts.iter().map(|p| p.len()).sum();
         prop_assert_eq!(total, table.len());
+        let covered = parts.iter().fold(RowSelection::empty(), |acc, p| acc.union(p));
+        prop_assert_eq!(covered, RowSelection::full(table.len()));
     }
 
     /// Selection views never return rows that violate their condition, and the
@@ -86,9 +89,9 @@ proptest! {
     #[test]
     fn selection_views_are_sound(values in prop::collection::vec(0i64..10, 1..100), pivot in 0i64..10) {
         let table = int_table(&values);
-        let db = cxm_relational::Database::new("d").with_table(table.clone());
         let view = ViewDef::named_by_condition("t", Condition::eq("x", pivot));
-        let out = view.evaluate(&db).unwrap();
+        let selection = view.select(&table).unwrap();
+        let out = view.materialize_selection(&table, &selection).unwrap();
         for row in out.rows() {
             prop_assert_eq!(row.at(0), &Value::Int(pivot));
         }
@@ -107,7 +110,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let table = int_table(&values);
-        let (train, test) = split_rows(&table, SplitRatio(ratio), seed);
+        let (train, test) = split_selection(&table, SplitRatio(ratio), seed);
+        prop_assert!(train.intersect(&test).is_empty());
+        let (train, test) = (
+            TableSlice::new(&table, &train).materialize("train"),
+            TableSlice::new(&table, &test).materialize("test"),
+        );
         prop_assert_eq!(train.len() + test.len(), table.len());
         prop_assert!(!train.is_empty());
         prop_assert!(!test.is_empty());
@@ -176,11 +184,11 @@ proptest! {
         }
     }
 
-    /// The selection layer agrees with `Condition::eval` on arbitrary
-    /// composite conditions: a direct scan, a cold cache and the same cache
-    /// warm all select exactly the rows the condition holds on, and set
-    /// algebra over two conditions' selections is set algebra over those
-    /// rows. Bases of 1–300 rows put selections on both sides of any
+    /// The selection layer agrees with the row oracle `reference::eval` on
+    /// arbitrary composite conditions: a direct scan, a cold cache and the
+    /// same cache warm all select exactly the rows the condition holds on,
+    /// and set algebra over two conditions' selections is set algebra over
+    /// those rows. Bases of 1–300 rows put selections on both sides of any
     /// size- or selectivity-based choice.
     #[test]
     fn selections_match_eval_on_composite_conditions(
@@ -201,7 +209,7 @@ proptest! {
         let a_cond = decode_condition(&mut codes_a.into_iter(), 1);
         let b_cond = decode_condition(&mut codes_b.into_iter(), 1);
         let holds = |cond: &Condition| -> Vec<usize> {
-            (0..rows).filter(|&i| cond.eval(table.schema(), &table.rows()[i])).collect()
+            (0..rows).filter(|&i| eval(cond, table.schema(), &table.rows()[i])).collect()
         };
 
         for cond in [&a_cond, &b_cond] {
@@ -235,6 +243,69 @@ proptest! {
         );
     }
 
+    /// A bounded `SelectionCache` (0–3 table buckets) under random
+    /// interleavings of selects and `validate_fingerprint` claims over three
+    /// table names, each with two instances of different content ("t0"'s
+    /// with equal row counts, the others' in general not): every select
+    /// equals the row oracle, the bucket count never exceeds the bound (at
+    /// least 1) and stays sorted, and an immediate repeat of a select scans
+    /// nothing and hits every atom lookup the first one made.
+    #[test]
+    fn bounded_selection_cache_matches_eval_under_interleavings(
+        capacity in 0usize..4,
+        cells in prop::collection::vec(0u32..4, 240..241),
+        rows in prop::collection::vec(1usize..10, 6..7),
+        three_columns in any::<bool>(),
+        codes in prop::collection::vec(0u32..512, 1..32),
+        ops in prop::collection::vec(0usize..96, 1..48),
+    ) {
+        use cxm_relational::SelectionCache;
+
+        let tables: Vec<Table> = (0..6)
+            .map(|i| {
+                let n = if i == 1 { rows[0] } else { rows[i] };
+                small_domain_table(&cells[i * 40..], n, three_columns)
+                    .renamed(format!("t{}", i / 2))
+            })
+            .collect();
+        let mut codes = codes.into_iter();
+        let conditions: Vec<Condition> =
+            (0..4).map(|_| decode_condition(&mut codes, 1)).collect();
+        let bound = capacity.max(1);
+        let mut cache = SelectionCache::with_table_capacity(capacity);
+        for op in ops {
+            let (table, cond) = (&tables[op % 6], &conditions[(op / 6) % 4]);
+            match op / 24 {
+                // Claim the bucket for this instance's content, or for
+                // content no instance has.
+                0 => {
+                    cache.validate_fingerprint(table.name(), table.fingerprint());
+                }
+                1 => {
+                    cache.validate_fingerprint(table.name(), table.fingerprint() ^ 1);
+                }
+                _ => {
+                    let expected: Vec<usize> = (0..table.len())
+                        .filter(|&i| eval(cond, table.schema(), &table.rows()[i]))
+                        .collect();
+                    let before = cache.hits() + cache.misses();
+                    let got = cache.select(table, cond);
+                    let on = table.name();
+                    prop_assert_eq!(got.indices(), expected.as_slice(), "{} on {}", cond, on);
+                    let lookups = cache.hits() + cache.misses() - before;
+                    let (hits, misses) = (cache.hits(), cache.misses());
+                    let again = cache.select(table, cond);
+                    prop_assert_eq!(&again, &got);
+                    prop_assert_eq!(cache.misses(), misses, "a repeat scans nothing: {}", cond);
+                    prop_assert_eq!(cache.hits() - hits, lookups, "a repeat hits: {}", cond);
+                }
+            }
+            let cached = cache.cached_tables();
+            prop_assert!(cached.len() <= bound, "{:?} over a bound of {}", cached, bound);
+            prop_assert!(cached.windows(2).all(|w| w[0] < w[1]), "unsorted: {:?}", cached);
+        }
+    }
+
     /// Conditions: `and`/`or` composition never mentions attributes that the
     /// operands do not mention, and evaluation is consistent with the boolean
     /// semantics of the composition.
@@ -246,8 +317,9 @@ proptest! {
         let cb = Condition::eq("x", b);
         let and = ca.clone().and(cb.clone());
         let or = ca.clone().or(cb.clone());
-        prop_assert_eq!(and.eval(&schema, &row), ca.eval(&schema, &row) && cb.eval(&schema, &row));
-        prop_assert_eq!(or.eval(&schema, &row), ca.eval(&schema, &row) || cb.eval(&schema, &row));
+        let holds = |c: &Condition| eval(c, &schema, &row);
+        prop_assert_eq!(holds(&and), holds(&ca) && holds(&cb));
+        prop_assert_eq!(holds(&or), holds(&ca) || holds(&cb));
         prop_assert!(and.attributes().len() <= 1 + 1);
         prop_assert!(or.complexity() <= 1);
     }

@@ -13,6 +13,9 @@
 //! 2. **Determinism** — `ContextualMatcher::run` parallelizes the
 //!    view × match re-scoring loop; repeated runs on the same input must
 //!    produce byte-identical ordered match lists.
+//! 3. **The row oracle** — `RowSelection::of_condition` selects exactly the
+//!    rows `cxm_tests::reference::eval` holds on, and
+//!    `TableSlice::materialize` copies exactly those rows, in base order.
 
 use cxm_core::{
     candidate_views::{flatten_views, infer_candidate_views},
@@ -20,8 +23,10 @@ use cxm_core::{
 };
 use cxm_datagen::{generate_grades, generate_retail, GradesConfig, RetailConfig};
 use cxm_matching::{Match, MatchList, MatchingConfig, StandardMatcher};
-use cxm_relational::{tuple, Attribute, Condition, Database, Table, TableSchema, ViewDef};
-use cxm_tests::reference::score_candidates_materializing;
+use cxm_relational::{
+    tuple, Attribute, Condition, Database, RowSelection, Table, TableSchema, TableSlice, ViewDef,
+};
+use cxm_tests::reference::{eval, score_candidates_materializing};
 
 /// Render a match list in full so comparisons cover every field (scores and
 /// confidences included, via the float Debug representation).
@@ -277,4 +282,60 @@ fn zero_copy_path_equals_materializing_path() {
     for (a, b) in fast.iter().zip(reference.iter()) {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
+}
+
+fn inv_table() -> Table {
+    let schema = TableSchema::new(
+        "inv",
+        vec![Attribute::int("id"), Attribute::int("type"), Attribute::text("descr")],
+    );
+    Table::with_rows(
+        schema,
+        vec![
+            tuple![0, 1, "hardcover"],
+            tuple![1, 2, "audio cd"],
+            tuple![2, 1, "paperback"],
+            tuple![3, 1, "paperback"],
+            tuple![4, 2, "elektra cd"],
+            tuple![5, 3, "vinyl"],
+        ],
+    )
+    .unwrap()
+}
+
+#[test]
+fn of_condition_matches_eval_semantics() {
+    let t = inv_table();
+    for cond in [
+        Condition::True,
+        Condition::eq("type", 1),
+        Condition::is_in("type", [1, 3]),
+        Condition::eq("type", 1).and(Condition::eq("descr", "paperback")),
+        Condition::eq("type", 1).or(Condition::eq("type", 2)),
+        Condition::eq("missing", 1),
+        Condition::And(vec![]),
+        Condition::Or(vec![]),
+        Condition::And(vec![Condition::eq("missing", 1), Condition::True]),
+        Condition::Or(vec![Condition::eq("missing", 1), Condition::eq("type", 3)]),
+    ] {
+        let sel = RowSelection::of_condition(&t, &cond);
+        let expected: Vec<usize> = t
+            .rows()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| eval(&cond, t.schema(), row).then_some(i))
+            .collect();
+        assert_eq!(sel.indices(), expected.as_slice(), "condition {cond}");
+    }
+}
+
+#[test]
+fn materialize_equals_filter_rows() {
+    let t = inv_table();
+    let cond = Condition::is_in("type", [1, 2]);
+    let sel = RowSelection::of_condition(&t, &cond);
+    let mat = TableSlice::new(&t, &sel).materialize("V");
+    // The row-filter oracle: the rows the condition holds on, in base order.
+    let rows = t.rows().iter().filter(|r| eval(&cond, t.schema(), r)).cloned().collect();
+    assert_eq!(mat, Table::with_rows(t.schema().with_name("V"), rows).unwrap());
 }
