@@ -15,8 +15,9 @@
 //! reuse (cold register+match vs warm repeat — with and without the
 //! cross-request restricted-profile cache — vs partial rebuild after a
 //! single-table replace). `service_tgtclass` times the service's
-//! result-cache misses under the default TgtClass inference and under
-//! SrcClass, one never-seen retail source per iteration.
+//! result-cache misses under the default TgtClass inference, under SrcClass
+//! and under the repository benchmark's Naive inference at τ = 0.4, one
+//! never-seen retail source per iteration.
 //!
 //! The `wide_catalog` group compares brute-force `match_columns` against the
 //! inverted-gram-index-pruned `match_columns_indexed` (plus the index's own
@@ -221,21 +222,31 @@ fn kernel_bench_input(items: usize, legacy: bool) -> KernelBenchInput {
 }
 
 /// The **scoring kernel** alone: per iteration, every candidate view's
-/// restricted columns are rebuilt (and so re-profiled) from pre-resolved
-/// selections and every prototype match is rescored against its warm target
-/// column — profile builds + similarity inner loops, none of the
-/// selection-scan / match-assembly machinery around them.
+/// restricted columns are rebuilt (and so re-profiled, assembling from
+/// per-row runs of the base columns, built once per iteration as
+/// `ScoreMatch` builds them once per call) from pre-resolved selections and
+/// every prototype match is rescored against its warm target column —
+/// profile builds + similarity inner loops, none of the selection-scan /
+/// match-assembly machinery around them.
 fn run_rescore_kernel(input: &KernelBenchInput) -> f64 {
     let table = input.dataset.source.tables().next().expect("retail source has a table");
+    let mut base_runs: std::collections::BTreeMap<&str, cxm_matching::ColumnRuns> =
+        std::collections::BTreeMap::new();
+    for (m, target_col) in input.prototype.iter().zip(&input.target_cols) {
+        base_runs.entry(m.source.attribute.as_str()).or_insert_with(|| {
+            let interner = Arc::clone(target_col.interner());
+            cxm_matching::ColumnRuns::new(table, &m.source.attribute, interner)
+                .expect("attribute exists")
+        });
+    }
     let mut acc = 0.0;
     for (view, selection) in input.views.iter().zip(&input.resolved) {
-        let slice = cxm_relational::TableSlice::new(table, selection);
         let mut restricted: std::collections::BTreeMap<&str, cxm_matching::ColumnData> =
             std::collections::BTreeMap::new();
         for (m, target_col) in input.prototype.iter().zip(&input.target_cols) {
             let column = restricted.entry(m.source.attribute.as_str()).or_insert_with(|| {
-                let column = slice.column(&m.source.attribute).expect("attribute exists");
-                cxm_matching::ColumnData::from_slice(&column, view.name.clone())
+                let runs = &base_runs[m.source.attribute.as_str()];
+                cxm_matching::ColumnData::restricted(runs, selection, view.name.clone())
             });
             let (score, confidence) =
                 input.matcher.rescore(&input.outcome, column, &m.source, target_col);
@@ -408,8 +419,9 @@ fn bench_service_warm_vs_cold(c: &mut Criterion) {
 /// The library's default inference on the service's miss path: a warm
 /// 600-row retail target (loadbench's retail size) is sent never-seen
 /// 100-item retail sources under `ContextMatchConfig::default()` (TgtClass,
-/// as `MatchService::with_defaults()` and `ServerConfig::default()` run it)
-/// and under its SrcClass sibling. Every iteration submits a source the
+/// as `MatchService::with_defaults()` and `ServerConfig::default()` run it),
+/// under its SrcClass sibling, and under the repository benchmark's Naive
+/// inference at τ = 0.4 (`naive_miss`). Every iteration submits a source the
 /// service has not seen, so each is a result-cache miss that re-runs view
 /// inference. Before timing, a miss is asserted equal to a cold
 /// `ContextualMatcher::run`.
@@ -429,8 +441,14 @@ fn bench_service_tgtclass(c: &mut Criterion) {
     // The probe, then one source for the warm-up and each timed iteration.
     let sources: Vec<Database> =
         (0..SAMPLES as u64 + 2).map(|i| retail(1000 + i, 1).source).collect();
-    for strategy in [ViewInferenceStrategy::TgtClass, ViewInferenceStrategy::SrcClass] {
-        let config = ContextMatchConfig::default().with_inference(strategy);
+    let default = ContextMatchConfig::default();
+    for config in [
+        default,
+        default.with_inference(ViewInferenceStrategy::SrcClass),
+        // The repository benchmark's inference (loadbench's `context()`).
+        default.with_inference(ViewInferenceStrategy::Naive).with_tau(0.4),
+    ] {
+        let strategy = config.inference;
         let service = MatchService::new(config);
         service.register_target(&target);
         let (probe, fresh) = sources.split_first().expect("sources were generated");

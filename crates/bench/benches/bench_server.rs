@@ -12,7 +12,10 @@
 //! of `cxm_tests::reference`. It also times the two ways to encode a match
 //! result, on the retail reply and on the wide catalog's probe reply: the
 //! server's streaming `write_result` (`write_result_*`) against building
-//! and writing the `encode_result` tree (`encode_result_*`).
+//! and writing the `encode_result` tree (`encode_result_*`), and the two
+//! ways to write the wide `register` frame from its tables: the client's
+//! streaming `write_table` (`write_wide_register`) against building and
+//! writing the `encode_table` tree (`tree_wide_register`).
 //!
 //! The `register_refresh` group times a wide re-register over the wire, a
 //! loopback `Client::request` alternating the two states of the
@@ -33,7 +36,7 @@ use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_server::client::is_ok;
 use cxm_server::json::parse;
-use cxm_server::protocol::{encode_database, encode_table, ok_frame, write_result};
+use cxm_server::protocol::{encode_database, encode_table, ok_frame, write_result, write_table};
 use cxm_server::{
     encode_result, serve, Client, Json, ServerConfig, ServerHandle, TenantPolicy, TenantQuotas,
 };
@@ -205,7 +208,32 @@ fn bench_wire_codec(c: &mut Criterion) {
             b.iter(|| json_to_bytes(&frame))
         });
     }
+    // The client's register frame of the wide catalog, streamed from its
+    // tables, against building its value tree and writing that (the
+    // client's path before it streamed; the tree's drop is timed too).
     let wide = wide_dataset();
+    let write_register = || {
+        let mut out = br#"{"op":"register","tenant":"bench","tables":["#.to_vec();
+        for (i, table) in wide.target.tables().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_table(&mut out, table);
+        }
+        out.extend_from_slice(b"]}");
+        out
+    };
+    let tree_register = || {
+        Json::Object(vec![
+            ("op".into(), Json::str("register")),
+            ("tenant".into(), Json::str("bench")),
+            ("tables".into(), Json::Array(wide.target.tables().map(encode_table).collect())),
+        ])
+        .to_bytes()
+    };
+    assert_eq!(write_register(), tree_register(), "streamed register differs from the tree's");
+    group.bench_function("write_wide_register", |b| b.iter(write_register));
+    group.bench_function("tree_wide_register", |b| b.iter(tree_register));
     let wide = match_result(&wide.target, &wide.source);
     let policy = TenantPolicy::default();
     for (name, result) in [("retail_reply", &retail), ("wide_reply", &wide)] {

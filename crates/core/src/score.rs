@@ -17,10 +17,17 @@
 //!    [`SelectionCache`] (condition atoms recurring across a view family are
 //!    scanned once per base table);
 //! 2. per-match *target* columns are extracted once, outside the view loop;
-//! 3. the view × match scoring grid is computed in parallel with `rayon`,
-//!    one task per view, each building borrowed [`ColumnData`] values from
-//!    [`TableSlice`]s — zero `Tuple` clones anywhere on this path;
-//! 4. results are collected per view and appended in view order, so the
+//! 3. each (base table, matched source attribute, target interner) gets one
+//!    [`ColumnRuns`]: on first demand, one pass tokenizes every row of the
+//!    base column once and records its interned `(gram, count)` run and
+//!    value id, so each source value is tokenized once per call, not once
+//!    per candidate view; the runs are dropped when the call returns;
+//! 4. the view × match scoring grid is computed in parallel with `rayon`,
+//!    one task per view, each building borrowed, view-restricted
+//!    [`ColumnData`] values ([`ColumnData::restricted`]) whose interned
+//!    profile and value set assemble from the selected rows' runs — zero
+//!    `Tuple` clones and no re-tokenizing anywhere on this path;
+//! 5. results are collected per view and appended in view order, so the
 //!    output is byte-identical to the sequential, materializing evaluation
 //!    (the tests crate's reference oracle,
 //!    `cxm_tests::reference::score_candidates_materializing`).
@@ -29,9 +36,10 @@ use std::sync::{Arc, Mutex};
 
 use cxm_matching::index::{telemetry as index_telemetry, CandidateScan};
 use cxm_matching::{
-    ColumnArtifacts, ColumnData, GramIndex, Match, MatchList, MatchingOutcome, StandardMatcher,
+    ColumnArtifacts, ColumnData, ColumnRuns, GramIndex, Match, MatchList, MatchingOutcome,
+    StandardMatcher,
 };
-use cxm_relational::{Database, Result, RowSelection, SelectionCache, Table, TableSlice, ViewDef};
+use cxm_relational::{Database, Result, RowSelection, SelectionCache, Table, ViewDef};
 use rayon::prelude::*;
 
 /// Score the contextual versions of the prototype matches against each
@@ -169,12 +177,13 @@ pub fn condition_fingerprint(base: &Table, condition: &cxm_relational::Condition
 /// absorb: `ScoreMatch` re-derives each candidate view's restricted columns
 /// per request, and before this cache it re-profiled them per request too.
 ///
-/// Entries are keyed by [`RestrictedKey`] (base-table content fingerprint +
-/// condition signature + attribute), so no explicit invalidation is needed:
-/// content changes re-key, and stale entries age out through the
-/// oldest-first bound. A long-lived match service carries one instance
-/// across catalog snapshots and threads it into
-/// [`score_candidates_prepared`] via [`SharedSelections`].
+/// Entries are keyed by [`RestrictedKey`] (the restricted attribute's
+/// column fingerprint, the view's condition, the combined fingerprint of
+/// the columns that condition reads, and the interner's identity token), so
+/// no explicit invalidation is needed: content changes re-key, and stale
+/// entries age out through the oldest-first bound. A long-lived match
+/// service carries one instance across catalog snapshots and threads it
+/// into [`score_candidates_prepared`] via [`SharedSelections`].
 #[derive(Debug, Clone, Default)]
 pub struct RestrictedProfileCache {
     entries: cxm_relational::BoundedCache<RestrictedKey, RestrictedEntry>,
@@ -374,6 +383,25 @@ pub fn score_candidates_prepared<'a>(
         })
         .collect::<Result<_>>()?;
 
+    // Each restricted column assembles its interned artifacts from per-row
+    // runs of its base column rather than re-tokenizing its values. The
+    // runs are built on first demand, at most once per call for each (base
+    // table, attribute, interner) the grid needs, and shared by every view
+    // over that column; they are dropped when the call returns.
+    let mut base_runs: std::collections::BTreeMap<(&str, &str, u64), ColumnRuns> =
+        std::collections::BTreeMap::new();
+    for (_, base, _) in &work {
+        for (m, target_col) in from_this_table.iter().zip(&target_cols) {
+            let interner = target_col.interner();
+            base_runs
+                .entry((base.name(), m.source.attribute.as_str(), interner.token()))
+                .or_insert_with(|| {
+                    ColumnRuns::new(base, &m.source.attribute, Arc::clone(interner))
+                        .expect("prototype matches come from the view's base table")
+                });
+        }
+    }
+
     // Lines 6–11, parallel over views. Each task only reads shared borrowed
     // state; per-view results are collected independently and appended in
     // view order below, which keeps the output deterministic regardless of
@@ -383,7 +411,6 @@ pub fn score_candidates_prepared<'a>(
     let per_view: Vec<Vec<Match>> = work
         .par_iter()
         .map(|(view, base, selection)| {
-            let slice = TableSlice::new(base, selection);
             // Cross-request identity of this view's restricted columns: the
             // condition signature over the base table's *column* content
             // fingerprints (None outside the warm service path — then
@@ -412,14 +439,16 @@ pub fn score_candidates_prepared<'a>(
                     // the matched attribute is always present.
                     let (restricted, _, scan) =
                         restricted_cols.entry(m.source.attribute.as_str()).or_insert_with(|| {
-                            let column = slice
-                                .column(&m.source.attribute)
-                                .expect("prototype matches come from the view's base table");
                             // The restricted column adopts its target
-                            // counterpart's interner so the interned kernels
-                            // apply whatever interner the caller scoped.
-                            let column = ColumnData::from_slice(&column, view.name.clone())
-                                .with_interner(Arc::clone(target_col.interner()));
+                            // counterpart's interner (its runs are built
+                            // there) so the interned kernels apply whatever
+                            // interner the caller scoped.
+                            let runs = &base_runs[&(
+                                base.name(),
+                                m.source.attribute.as_str(),
+                                target_col.interner().token(),
+                            )];
+                            let column = ColumnData::restricted(runs, selection, view.name.clone());
                             let mut fresh_for_cache = false;
                             if let Some((cache, condition_fp)) = cache_ctx {
                                 let key = RestrictedKey::new(

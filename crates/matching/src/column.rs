@@ -3,9 +3,9 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
-use cxm_relational::{AttrRef, ColumnSlice, DataType, Database, Table, Value};
+use cxm_relational::{AttrRef, DataType, Database, RowSelection, Table, Value};
 
-use crate::intern::{GramInterner, InternedProfile, InternedValueSet};
+use crate::intern::{GramInterner, InternedProfile, InternedValueSet, RowRuns};
 
 /// Process-wide instrumentation counting the expensive, memoized profile
 /// builds. The sharded `StandardMatch` pipeline promises that a column shared
@@ -47,6 +47,13 @@ pub mod telemetry {
 /// hits the *same* target column once per candidate view, and `StandardMatch`
 /// hits the same source column once per target attribute; memoization turns
 /// those repeated O(values) profile builds into one build per column.
+///
+/// A **view-restricted** column ([`ColumnData::restricted`]) does not
+/// tokenize its values at all: its interned profile and value set assemble
+/// from the per-row runs ([`ColumnRuns`]) of its base column, which every
+/// view over that base column shares, by summing the selected rows' counts.
+/// The assembled artifacts equal the tokenized ones entry for entry, and are
+/// built — and counted — exactly when a tokenizing build would be.
 #[derive(Debug, Clone)]
 pub struct ColumnData<'a> {
     /// Qualified attribute reference (`table.attribute`).
@@ -67,6 +74,9 @@ pub struct ColumnData<'a> {
     /// the same-named column in the next instance is equal. `None` for
     /// ad-hoc columns (hand-built, view-restricted), which are never keyed.
     fingerprint: Option<u64>,
+    /// For a view-restricted column: its base column's runs and the
+    /// selected rows its interned artifacts assemble from.
+    restriction: Option<(&'a ColumnRuns<'a>, &'a RowSelection)>,
     /// Lazily memoized derived artifacts (cheap to clone: `Arc`s inside).
     caches: ColumnCaches,
 }
@@ -145,6 +155,57 @@ enum ColumnValues<'a> {
     Borrowed(Vec<&'a Value>),
 }
 
+/// The per-row interned runs of one base-table column in one interner —
+/// per row, its interned `(gram, count)` run and value id — built on first
+/// demand and shared by every view-restricted column over that base column
+/// ([`ColumnData::restricted`]).
+///
+/// A run pass renders each row exactly as a tokenizing build renders its
+/// values — `as_text` for the 3-grams, trimmed and ASCII-lowercased for the
+/// value set — so assembled artifacts equal tokenized ones. `ScoreMatch`
+/// keeps one per (base table, attribute, interner) for the length of one
+/// call: each source value is then tokenized once per call, not once per
+/// candidate view.
+pub struct ColumnRuns<'a> {
+    base: &'a Table,
+    column: usize,
+    interner: Arc<GramInterner>,
+    runs: OnceLock<RowRuns>,
+}
+
+impl<'a> ColumnRuns<'a> {
+    /// The (not yet built) runs of `base`'s column `attribute` in `interner`.
+    pub fn new(
+        base: &'a Table,
+        attribute: &str,
+        interner: Arc<GramInterner>,
+    ) -> cxm_relational::Result<ColumnRuns<'a>> {
+        let column = base.schema().require_index(attribute)?;
+        Ok(ColumnRuns { base, column, interner, runs: OnceLock::new() })
+    }
+
+    /// The runs, built on first use: one pass over the base column.
+    fn runs(&self) -> &RowRuns {
+        self.runs.get_or_init(|| {
+            self.interner.row_runs(self.base.rows().iter().map(|row| {
+                let value = row.at(self.column);
+                (!value.is_null()).then(|| (value.as_text_cow(), normalized_value_text(value)))
+            }))
+        })
+    }
+}
+
+impl std::fmt::Debug for ColumnRuns<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ColumnRuns")
+            .field("table", &self.base.name())
+            .field("attribute", &self.base.schema().attributes()[self.column].name)
+            .field("interner", &self.interner.token())
+            .field("built", &self.runs.get().is_some())
+            .finish()
+    }
+}
+
 impl<'a> ColumnData<'a> {
     /// Build a column from owned values (no NULL filtering is applied; the
     /// caller provides exactly the bag the matchers should see).
@@ -155,6 +216,7 @@ impl<'a> ColumnData<'a> {
             values: ColumnValues::Owned(values),
             interner: GramInterner::global(),
             fingerprint: None,
+            restriction: None,
             caches: ColumnCaches::default(),
         }
     }
@@ -215,6 +277,7 @@ impl<'a> ColumnData<'a> {
             values: ColumnValues::Shared(Arc::new(values)),
             interner: GramInterner::global(),
             fingerprint: None,
+            restriction: None,
             caches: ColumnCaches::default(),
         })
     }
@@ -245,21 +308,40 @@ impl<'a> ColumnData<'a> {
             values: ColumnValues::Borrowed(values),
             interner: GramInterner::global(),
             fingerprint: None,
+            restriction: None,
             caches: ColumnCaches::default(),
         })
     }
 
-    /// Build a column from a zero-copy [`ColumnSlice`] (a view-restricted
-    /// column), borrowing the selected non-NULL values in place. `table_name`
-    /// is the name the column should report (conventionally the view's name,
-    /// so that rescoring matches a materialized view instance byte for byte).
-    pub fn from_slice(slice: &ColumnSlice<'a>, table_name: impl Into<String>) -> ColumnData<'a> {
+    /// The column of `runs`' base column restricted to the rows of
+    /// `selection` (a candidate view's `RS where c`), borrowing the selected
+    /// non-NULL values in place and bound to the runs' interner.
+    /// `table_name` is the name the column should report (conventionally the
+    /// view's name, so that rescoring matches a materialized view instance
+    /// byte for byte). Its interned profile and value set assemble from the
+    /// selected rows' runs instead of re-tokenizing the values. `selection`
+    /// must index the runs' base table.
+    pub fn restricted(
+        runs: &'a ColumnRuns<'a>,
+        selection: &'a RowSelection,
+        table_name: impl Into<String>,
+    ) -> ColumnData<'a> {
+        debug_assert!(selection.indices().last().is_none_or(|&row| row < runs.base.len()));
+        let attribute = &runs.base.schema().attributes()[runs.column];
+        let rows = runs.base.rows();
         ColumnData {
-            attr: AttrRef::new(table_name, slice.name()),
-            data_type: slice.data_type(),
-            values: ColumnValues::Borrowed(slice.non_null_values().collect()),
-            interner: GramInterner::global(),
+            attr: AttrRef::new(table_name, &attribute.name),
+            data_type: attribute.data_type,
+            values: ColumnValues::Borrowed(
+                selection
+                    .iter()
+                    .map(|row| rows[row].at(runs.column))
+                    .filter(|v| !v.is_null())
+                    .collect(),
+            ),
+            interner: Arc::clone(&runs.interner),
             fingerprint: None,
+            restriction: Some((runs, selection)),
             caches: ColumnCaches::default(),
         }
     }
@@ -321,28 +403,45 @@ impl<'a> ColumnData<'a> {
         self.iter().map(|v| v.as_text()).collect()
     }
 
-    /// The numeric interpretations of the values (non-numeric values skipped).
+    /// The numeric interpretations of the values. A value counts as a
+    /// number only if it reads as a **finite** `f64`: text spelling `nan`,
+    /// `inf` or `infinity` is skipped like any other non-numeric value.
     pub fn numbers(&self) -> Vec<f64> {
-        self.iter().filter_map(|v| v.as_f64()).collect()
+        self.iter().filter_map(|v| v.as_f64()).filter(|x| x.is_finite()).collect()
     }
 
     /// The column's interned 3-gram count profile — the flat sparse vector
     /// the hot-path cosine kernel merge-joins — built on first use against
     /// [`ColumnData::interner`] and memoized for the column's lifetime.
+    /// A view-restricted column assembles it from its base column's runs.
     pub fn qgram3_ids(&self) -> Arc<InternedProfile> {
         Arc::clone(self.caches.qgram3_ids.get_or_init(|| {
             telemetry::record_qgram_profile_build();
-            Arc::new(self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow())))
+            Arc::new(match self.runs() {
+                Some((runs, rows)) => runs.qgram_profile(rows),
+                None => self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow())),
+            })
         }))
     }
 
     /// The column's interned distinct-value id set (values trimmed and
     /// ASCII-lowercased), built on first use and memoized for the column's
-    /// lifetime.
+    /// lifetime. A view-restricted column assembles it from its base
+    /// column's runs.
     pub fn value_ids(&self) -> Arc<InternedValueSet> {
         Arc::clone(self.caches.value_ids.get_or_init(|| {
-            Arc::new(self.interner.value_set(self.iter().map(normalized_value_text)))
+            Arc::new(match self.runs() {
+                Some((runs, rows)) => runs.value_set(rows),
+                None => self.interner.value_set(self.iter().map(normalized_value_text)),
+            })
         }))
+    }
+
+    /// A restricted column's base runs (built on first demand) and selected
+    /// rows, while the column is still bound to the runs' interner.
+    fn runs(&self) -> Option<(&RowRuns, &[usize])> {
+        let (runs, selection) = self.restriction?;
+        Arc::ptr_eq(&runs.interner, &self.interner).then(|| (runs.runs(), selection.indices()))
     }
 
     /// [`ColumnData::qgram3_ids`] in `interner`'s id space: the memoized
@@ -495,9 +594,7 @@ impl<'s, 'a: 's> Iterator for ColumnIter<'s, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxm_relational::{
-        tuple, Attribute, Condition, RowSelection, Table, TableSchema, TableSlice,
-    };
+    use cxm_relational::{tuple, Attribute, Condition, RowSelection, Table, TableSchema};
 
     fn table() -> Table {
         Table::with_rows(
@@ -534,20 +631,25 @@ mod tests {
     }
 
     #[test]
-    fn from_slice_restricts_and_renames() {
+    fn restricted_columns_restrict_and_rename() {
         let t = table();
         let sel = RowSelection::of_condition(&t, &Condition::is_in("id", [0i64, 2]));
-        let slice = TableSlice::new(&t, &sel);
-        let col = ColumnData::from_slice(&slice.column("code").unwrap(), "inv[id in (0, 2)]");
+        let runs = ColumnRuns::new(&t, "code", GramInterner::global()).unwrap();
+        let col = ColumnData::restricted(&runs, &sel, "inv[id in (0, 2)]");
         assert_eq!(col.attr, AttrRef::new("inv[id in (0, 2)]", "code"));
+        assert_eq!(col.data_type, DataType::Text);
         assert_eq!(col.len(), 2);
         assert_eq!(col.texts(), vec!["0195128", "0486611"]);
         let first = col.iter().next().unwrap();
-        assert!(std::ptr::eq(first, t.rows()[0].at(2)), "sliced values must alias the base table");
+        assert!(
+            std::ptr::eq(first, t.rows()[0].at(2)),
+            "restricted values must alias the base table"
+        );
+        assert!(ColumnRuns::new(&t, "missing", GramInterner::global()).is_err());
     }
 
     #[test]
-    fn from_slice_skips_nulls_like_from_table() {
+    fn restricted_columns_skip_nulls_like_from_table() {
         let schema = TableSchema::new("t", vec![Attribute::text("x")]);
         let t = Table::with_rows(
             schema,
@@ -555,11 +657,80 @@ mod tests {
         )
         .unwrap();
         let sel = RowSelection::full(t.len());
-        let slice = TableSlice::new(&t, &sel);
-        let col = ColumnData::from_slice(&slice.column("x").unwrap(), "t");
+        let runs = ColumnRuns::new(&t, "x", GramInterner::global()).unwrap();
+        let col = ColumnData::restricted(&runs, &sel, "t");
         assert_eq!(col.len(), 1);
         let direct = ColumnData::from_table(&t, "x").unwrap();
         assert_eq!(col.texts(), direct.texts());
+        assert_eq!(*col.qgram3_ids(), *direct.qgram3_ids());
+        assert_eq!(*col.value_ids(), *direct.value_ids());
+    }
+
+    #[test]
+    fn restricted_artifacts_assemble_from_runs_built_once() {
+        let t = Table::with_rows(
+            TableSchema::new("inv", vec![Attribute::int("type"), Attribute::text("descr")]),
+            vec![
+                tuple![1, "Hardcover"],
+                tuple![2, " audio CD "],
+                cxm_relational::Tuple::new(vec![Value::Int(1), Value::Null]),
+                tuple![1, "paperback"],
+                tuple![2, "audio cd"],
+            ],
+        )
+        .unwrap();
+        let interner = Arc::new(GramInterner::new());
+        let runs = ColumnRuns::new(&t, "descr", Arc::clone(&interner)).unwrap();
+        assert!(format!("{runs:?}").contains("built: false"), "runs wait for first demand");
+        let views: Vec<RowSelection> = (1..=2)
+            .map(|ty| RowSelection::of_condition(&t, &Condition::eq("type", ty)))
+            .chain([RowSelection::empty()])
+            .collect();
+        for sel in &views {
+            let col = ColumnData::restricted(&runs, sel, "v");
+            assert!(Arc::ptr_eq(col.interner(), &interner), "bound to the runs' interner");
+            let profile = col.qgram3_ids();
+            let values = col.value_ids();
+            assert!(Arc::ptr_eq(&profile, &col.qgram3_ids()), "memoized like any column");
+            // Equal to tokenizing the same selected values in the same
+            // interner, which the runs have already grown.
+            let len = interner.len();
+            assert_eq!(*profile, interner.qgram_profile(col.iter().map(|v| v.as_text_cow())));
+            assert_eq!(*values, interner.value_set(col.iter().map(normalized_value_text)));
+            assert_eq!(interner.len(), len, "the run pass issued every id");
+        }
+        assert!(format!("{runs:?}").contains("built: true"));
+        // Rebound to another interner, a restricted column tokenizes there.
+        let other = Arc::new(GramInterner::new());
+        let rebound =
+            ColumnData::restricted(&runs, &views[0], "v").with_interner(Arc::clone(&other));
+        assert_eq!(
+            *rebound.qgram3_ids(),
+            other.qgram_profile(rebound.iter().map(|v| v.as_text_cow()))
+        );
+    }
+
+    #[test]
+    fn text_spelling_a_non_finite_number_is_not_numeric() {
+        let column = |cells: &[&str]| {
+            ColumnData::owned(
+                AttrRef::new("t", "code"),
+                DataType::Text,
+                cells.iter().map(|&c| Value::str(c)).collect(),
+            )
+        };
+        let digits = ["1", "2", "3", "4", "5", "6", "7", "8"];
+        let spelled = column(&[&["inf"][..], &digits, &["infinity"]].concat());
+        let plain = column(&[&["n/a"][..], &digits, &["n/a"]].concat());
+        assert_eq!(spelled.numbers(), (1..=8).map(f64::from).collect::<Vec<_>>());
+        assert!(spelled.looks_numeric(), "8 of 10 values are numbers");
+        assert_eq!(spelled.numeric_summary(), plain.numeric_summary());
+        let (mean, std, min, max) = spelled.numeric_summary().unwrap();
+        assert!([mean, std, min, max].iter().all(|x| x.is_finite()));
+        let non_finite = column(&["nan", "NaN", "-inf", "+Infinity", "INF"]);
+        assert!(non_finite.numbers().is_empty());
+        assert!(!non_finite.looks_numeric());
+        assert_eq!(non_finite.numeric_summary(), None);
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //!   loop.
 //! * [`InternedValueSet`] — a distinct-value set as a sorted `Vec<u32>`;
 //!   [`InternedValueSet::jaccard`] is the same merge-join shape.
+//! * `RowRuns` — one column's rows, each tokenized and looked up once:
+//!   per row, its `(gram, count)` run and its value's id, indexed by
+//!   column-local ids that order like the interner's. The profile and value
+//!   set of any subset of rows then assemble by summing the selected rows'
+//!   counts, and equal, entry for entry and bit for bit, what
+//!   [`GramInterner::qgram_profile`] and [`GramInterner::value_set`] build
+//!   from those rows' texts. This is how `ScoreMatch` profiles a column
+//!   restricted to each candidate view without re-tokenizing a value per
+//!   view (through [`crate::ColumnRuns`]).
 //!
 //! ## Numerical contract
 //!
@@ -417,6 +426,197 @@ impl GramInterner {
             .collect();
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
         ids.shrink_to_fit();
+        InternedValueSet { ids }
+    }
+
+    /// Tokenize and look up every row of a column once: `rows` yields, per
+    /// row, `None` for a NULL and otherwise the text to 3-gram (as
+    /// [`GramInterner::qgram_profile`] takes it) and the already-normalized
+    /// value text (as [`GramInterner::value_set`] takes it).
+    ///
+    /// Every lookup happens under one read guard; the misses are then
+    /// issued in one sorted batch (grams, then values), as a profile or
+    /// value-set build issues its own. `rows` is consumed under the read
+    /// lock, so it must not call into this interner.
+    pub(crate) fn row_runs<T: AsRef<str>, V: AsRef<str>>(
+        &self,
+        rows: impl Iterator<Item = Option<(T, V)>>,
+    ) -> RowRuns {
+        // Read phase. Grams and values get column-local ids in first-seen
+        // order: an occurrence probes a small map of the column's own grams
+        // by packed code, and only a distinct gram probes the vocabulary.
+        // A miss's id is filled in once it is issued. Each row's run is
+        // run-length encoded as it is read (`last_row` and `run_at` remember
+        // where a gram last counted).
+        let mut gram_local: HashMap<u64, u32, CodeKey> = HashMap::default();
+        let mut gram_ids: Vec<u32> = Vec::new();
+        let mut gram_misses: Vec<([char; 3], u32)> = Vec::new();
+        let mut last_row: Vec<usize> = Vec::new();
+        let mut run_at: Vec<usize> = Vec::new();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut offsets: Vec<usize> = vec![0];
+        let mut value_local: HashMap<u32, u32> = HashMap::new();
+        let mut value_ids: Vec<u32> = Vec::new();
+        let mut value_misses: BTreeMap<String, u32> = BTreeMap::new();
+        let mut values: Vec<u32> = Vec::new();
+        {
+            let vocabulary = self.read();
+            for (row, text_and_value) in rows.enumerate() {
+                values.push(text_and_value.map_or(RowRuns::NULL, |(text, value)| {
+                    cxm_classify::for_each_qgram(text.as_ref(), |gram| {
+                        let code = pack(gram);
+                        let local = *gram_local.entry(code).or_insert_with(|| {
+                            let local = next_local(&gram_ids);
+                            let id = vocabulary.by_code.get(&code).copied();
+                            if id.is_none() {
+                                gram_misses.push((gram, local));
+                            }
+                            gram_ids.push(id.unwrap_or(0));
+                            last_row.push(usize::MAX);
+                            run_at.push(0);
+                            local
+                        });
+                        let at = local as usize;
+                        if last_row[at] == row {
+                            runs[run_at[at]].1 += 1;
+                        } else {
+                            (last_row[at], run_at[at]) = (row, runs.len());
+                            runs.push((local, 1));
+                        }
+                    });
+                    let value = value.as_ref();
+                    let next = next_local(&value_ids);
+                    let id = vocabulary.get(value);
+                    let local = match id {
+                        Some(id) => *value_local.entry(id).or_insert(next),
+                        None => match value_misses.get(value) {
+                            Some(&local) => local,
+                            None => *value_misses.entry(value.to_string()).or_insert(next),
+                        },
+                    };
+                    if local == next {
+                        value_ids.push(id.unwrap_or(0));
+                    }
+                    local
+                }));
+                offsets.push(runs.len());
+            }
+        }
+        // Write phase: issue the misses in one batch, grams then values,
+        // each in string order (scalar-array order is rendered-string
+        // order, see `pack`).
+        gram_misses.sort_unstable_by_key(|&(gram, _)| gram);
+        let texts = gram_misses.iter().map(|(gram, _)| gram.iter().collect());
+        let texts: Vec<String> = texts.chain(value_misses.keys().cloned()).collect();
+        let issued = if texts.is_empty() { Vec::new() } else { self.grow(texts) };
+        let (gram_issued, value_issued) = issued.split_at(gram_misses.len());
+        for (&(_, local), &id) in gram_misses.iter().zip(gram_issued) {
+            gram_ids[local as usize] = id;
+        }
+        for (&local, &id) in value_misses.values().zip(value_issued) {
+            value_ids[local as usize] = id;
+        }
+
+        // Renumber both kinds of local id in interner-id order, so an
+        // ascending sweep over local ids emits sorted entries.
+        let (gram_ids, gram_rank) = rank_by_id(gram_ids);
+        for run in &mut runs {
+            run.0 = gram_rank[run.0 as usize];
+        }
+        let (value_ids, value_rank) = rank_by_id(value_ids);
+        for value in values.iter_mut().filter(|value| **value != RowRuns::NULL) {
+            *value = value_rank[*value as usize];
+        }
+        RowRuns { offsets, runs, gram_ids, values, value_ids }
+    }
+}
+
+/// The column-local id the next distinct gram or value gets.
+fn next_local(ids: &[u32]) -> u32 {
+    u32::try_from(ids.len()).expect("a column's strings fit the interner's id space")
+}
+
+/// First-seen local ids renumbered in interner-id order: the interner ids
+/// ascending, and each first-seen local id's new id. Distinct strings have
+/// distinct interner ids, so the order is strict.
+fn rank_by_id(ids: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
+    let mut by_id: Vec<u32> = (0..=u32::MAX).take(ids.len()).collect();
+    by_id.sort_unstable_by_key(|&local| ids[local as usize]);
+    let mut rank = vec![0; ids.len()];
+    for (new, &local) in (0..).zip(&by_id) {
+        rank[local as usize] = new;
+    }
+    (by_id.iter().map(|&local| ids[local as usize]).collect(), rank)
+}
+
+/// Per-row interned runs of one column, built by `GramInterner::row_runs`:
+/// each row tokenized and looked up once, so the q-gram profile and
+/// distinct-value set of **any subset of rows** assemble without touching a
+/// string.
+///
+/// Rows keep their position (a NULL row has an empty run and no value), so
+/// a base table's row indices — a view's selection — address them
+/// directly. Grams and values are stored by **column-local** id, the rank
+/// of their interner id among the column's, so assembly is one dense add
+/// per run entry and one ascending sweep that emits interner-id-sorted
+/// entries at their exact length. Counts stay integers until the sweep, so
+/// an assembled profile equals the one [`GramInterner::qgram_profile`]
+/// builds from the same rows' texts, entry for entry and norm bit for norm
+/// bit; the same holds for value sets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RowRuns {
+    /// Row `r`'s run is `runs[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    /// `(local gram id, count)`, one entry per distinct gram of a row.
+    runs: Vec<(u32, u32)>,
+    /// Local gram id → interner id, ascending.
+    gram_ids: Vec<u32>,
+    /// Row `r`'s local value id, or `RowRuns::NULL`.
+    values: Vec<u32>,
+    /// Local value id → interner id, ascending.
+    value_ids: Vec<u32>,
+}
+
+impl RowRuns {
+    /// The local value id of a NULL row.
+    const NULL: u32 = u32::MAX;
+
+    /// The interned 3-gram profile of the given rows (indices of rows the
+    /// runs were built from; NULL rows contribute nothing).
+    pub(crate) fn qgram_profile(&self, rows: &[usize]) -> InternedProfile {
+        let mut counts = vec![0u64; self.gram_ids.len()];
+        let mut distinct = 0;
+        for &row in rows {
+            for &(local, count) in &self.runs[self.offsets[row]..self.offsets[row + 1]] {
+                let sum = &mut counts[local as usize];
+                distinct += usize::from(*sum == 0);
+                *sum += u64::from(count);
+            }
+        }
+        let mut entries = Vec::with_capacity(distinct);
+        for (&id, &count) in self.gram_ids.iter().zip(&counts) {
+            if count > 0 {
+                // Exact: a count is far below 2⁵³.
+                entries.push((id, count as f64));
+            }
+        }
+        InternedProfile::from_counts(entries)
+    }
+
+    /// The interned distinct-value set of the given rows (indices of rows
+    /// the runs were built from; NULL rows contribute nothing).
+    pub(crate) fn value_set(&self, rows: &[usize]) -> InternedValueSet {
+        let mut seen = vec![false; self.value_ids.len()];
+        let mut distinct = 0;
+        for &row in rows {
+            let local = self.values[row];
+            if local != RowRuns::NULL && !seen[local as usize] {
+                seen[local as usize] = true;
+                distinct += 1;
+            }
+        }
+        let mut ids = Vec::with_capacity(distinct);
+        ids.extend(self.value_ids.iter().zip(&seen).filter(|&(_, &seen)| seen).map(|(&id, _)| id));
         InternedValueSet { ids }
     }
 }
@@ -821,6 +1021,80 @@ mod tests {
             assert_eq!(&interner.qgram_profile(texts.iter()), profile);
             assert_eq!(&interner.value_set(texts.iter()), values);
             assert_eq!(shared_profile, &recorded[0].3);
+        }
+        assert_eq!(interner.len(), len, "warm rebuilds issue no id");
+    }
+
+    #[test]
+    fn row_runs_racing_growth_match_warm_rebuilds() {
+        // Run passes race profile and value-set builds (and each other)
+        // that issue the same strings between a pass's read phase and its
+        // write phase: every artifact assembled from the runs must still
+        // equal a tokenizing build of the same rows on the warm interner.
+        let interner = GramInterner::new();
+        let shared: Vec<String> = (0..30).map(|i| format!("Shared Value {i:02} ")).collect();
+        let start = std::sync::Barrier::new(4);
+        let normalized = |text: &str| text.trim().to_ascii_lowercase();
+        type Recorded =
+            (Vec<Option<String>>, Vec<Vec<usize>>, Vec<(InternedProfile, InternedValueSet)>);
+        let recorded: Vec<Recorded> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (interner, shared, start) = (&interner, &shared, &start);
+                    scope.spawn(move || {
+                        let mut recorded = Vec::new();
+                        for round in 0..20 {
+                            let mut texts = shared.clone();
+                            texts.extend((0..15).map(|i| format!("T{t} r{round} v{i}")));
+                            start.wait();
+                            if t % 2 == 1 {
+                                interner.qgram_profile(texts.iter());
+                                interner.value_set(texts.iter().map(|text| normalized(text)));
+                                continue;
+                            }
+                            let rows: Vec<Option<String>> = texts
+                                .into_iter()
+                                .enumerate()
+                                .map(|(i, text)| (i % 7 != 3).then_some(text))
+                                .collect();
+                            let runs = interner
+                                .row_runs(rows.iter().map(|row| {
+                                    row.as_deref().map(|text| (text, normalized(text)))
+                                }));
+                            assert_eq!(runs.values.len(), rows.len());
+                            let selections = vec![
+                                (0..rows.len()).collect(),
+                                (0..rows.len()).step_by(2).collect(),
+                                (rows.len() / 2..rows.len()).collect(),
+                                Vec::new(),
+                            ];
+                            let assembled = selections
+                                .iter()
+                                .map(|rows: &Vec<usize>| {
+                                    (runs.qgram_profile(rows), runs.value_set(rows))
+                                })
+                                .collect();
+                            recorded.push((rows, selections, assembled));
+                        }
+                        recorded
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        assert!(!recorded.is_empty());
+        let len = interner.len();
+        for (rows, selections, assembled) in &recorded {
+            for (selection, (profile, values)) in selections.iter().zip(assembled) {
+                let texts: Vec<&str> =
+                    selection.iter().filter_map(|&r| rows[r].as_deref()).collect();
+                assert_eq!(&interner.qgram_profile(texts.iter()), profile);
+                assert_eq!(
+                    profile.norm().to_bits(),
+                    interner.qgram_profile(texts.iter()).norm().to_bits()
+                );
+                assert_eq!(&interner.value_set(texts.iter().map(|text| normalized(text))), values);
+            }
         }
         assert_eq!(interner.len(), len, "warm rebuilds issue no id");
     }

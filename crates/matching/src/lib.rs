@@ -36,7 +36,7 @@ pub mod name;
 pub mod numeric;
 pub mod standard;
 
-pub use column::{ColumnArtifacts, ColumnData};
+pub use column::{ColumnArtifacts, ColumnData, ColumnRuns};
 pub use combine::MatcherEnsemble;
 pub use confidence::ScoreDistribution;
 pub use index::{CandidateScan, GramIndex};

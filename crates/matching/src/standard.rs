@@ -388,6 +388,44 @@ mod tests {
     use super::*;
     use cxm_relational::{tuple, Attribute, Condition, TableSchema, ViewDef};
 
+    #[test]
+    fn text_spelling_a_non_finite_number_keeps_the_numeric_match() {
+        // Text columns of digits whose ends spell non-finite numbers: the
+        // spellings must count like any other non-numeric text (`n/a`), not
+        // feed NaN or an infinity into the numeric summaries — which cost
+        // the `code → code` match.
+        let table = |name: &str, ends: [&str; 2], digits: usize| {
+            let cells = [ends[0]]
+                .into_iter()
+                .chain(["1", "2", "3", "4", "5", "6", "7", "8", "9"].into_iter().take(digits))
+                .chain([ends[1]]);
+            Table::with_rows(
+                TableSchema::new(name, vec![Attribute::text("code")]),
+                cells.map(|cell| tuple![cell]).collect(),
+            )
+            .unwrap()
+        };
+        let target = table("t", ["9", "inf"], 8);
+        let target_db = Database::new("RT").with_table(target.clone());
+        let target_col = ColumnData::from_table(&target, "code").unwrap();
+        let matcher = StandardMatcher::with_defaults();
+        let numeric = |source: &Table| {
+            let source_col = ColumnData::from_table(source, "code").unwrap();
+            let numeric = crate::numeric::NumericMatcher::new();
+            crate::matcher::Matcher::score(&numeric, &source_col, &target_col).to_bits()
+        };
+        let plain = table("s", ["n/a", "none"], 8);
+        for ends in [["inf", "infinity"], ["nan", "-NaN"], ["-Infinity", "+inf"]] {
+            let spelled = table("s", ends, 8);
+            let outcome = matcher.match_table(&spelled, &target_db);
+            assert!(
+                outcome.accepted.iter().any(|m| m.target.attribute == "code"),
+                "ends {ends:?} keep the code → code match"
+            );
+            assert_eq!(numeric(&spelled), numeric(&plain), "ends {ends:?}");
+        }
+    }
+
     /// A miniature version of the paper's Figure 1 scenario.
     fn source_db() -> Database {
         let inv = Table::with_rows(

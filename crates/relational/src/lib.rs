@@ -33,9 +33,9 @@
 //!   sorted, duplicate-free index vector; built by one evaluator that scans
 //!   once per condition atom (or takes cached atoms) and merges with
 //!   `intersect`/`union`.
-//! * [`TableSlice`] / [`ColumnSlice`] — borrowed views of a [`Table`]
-//!   restricted by a `RowSelection`; rows and values come out as references
-//!   into the base table in base-row order, never cloned.
+//! * [`TableSlice`] — a borrowed view of a [`Table`] restricted by a
+//!   `RowSelection`; rows and values come out as references into the base
+//!   table in base-row order, never cloned.
 //! * [`SelectionCache`] — memoizes selection vectors per
 //!   `(base table, condition atom)` so conjunctive and disjunctive conditions
 //!   are evaluated by merging cached vectors instead of rescanning rows; its
@@ -80,7 +80,7 @@ pub use error::{Error, Result};
 pub use fingerprint::{combine_column_fingerprints, Fnv64, TABLE_FINGERPRINT_SEED};
 pub use sample::{split_selection, SplitRatio};
 pub use schema::{Schema, TableSchema};
-pub use selection::{ColumnSlice, RowSelection, SelectionCache, TableSlice};
+pub use selection::{RowSelection, SelectionCache, TableSlice};
 pub use table::Table;
 pub use tuple::Tuple;
 pub use types::DataType;

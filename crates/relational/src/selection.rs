@@ -8,8 +8,8 @@
 //!
 //! * [`RowSelection`] — a set of row indices into a base table, the result of
 //!   evaluating a selection condition once;
-//! * [`TableSlice`] / [`ColumnSlice`] — borrowed views over a base [`Table`]
-//!   restricted by a `RowSelection`; no tuple or value is ever cloned;
+//! * [`TableSlice`] — a borrowed view over a base [`Table`] restricted by a
+//!   `RowSelection`; no tuple or value is ever cloned;
 //! * [`SelectionCache`] — a cache keyed by `(base table, condition atom)`
 //!   that evaluates conjunctive/disjunctive [`Condition`]s by intersecting /
 //!   uniting cached atom selections instead of rescanning rows.
@@ -52,7 +52,6 @@ use crate::condition::Condition;
 use crate::schema::TableSchema;
 use crate::table::Table;
 use crate::tuple::Tuple;
-use crate::types::DataType;
 use crate::value::Value;
 
 /// A sorted, duplicate-free set of row indices selecting a subset of a base
@@ -299,12 +298,6 @@ impl<'a> TableSlice<'a> {
         Ok(self.base.rows()[row].at(col))
     }
 
-    /// Borrow one column of the slice.
-    pub fn column(&self, name: &str) -> crate::error::Result<ColumnSlice<'a>> {
-        let col = self.base.schema().require_index(name)?;
-        Ok(ColumnSlice { base: self.base, selection: self.selection, col })
-    }
-
     /// Clone the selected rows into an owned [`Table`] named `name`. This is
     /// the *only* place the zero-copy path pays for tuple clones; callers that
     /// need an owned instance (e.g. the mapping executor) call this once.
@@ -312,52 +305,6 @@ impl<'a> TableSlice<'a> {
         let schema = self.base.schema().with_name(name);
         let rows = self.rows().cloned().collect();
         Table::from_parts(schema, rows)
-    }
-}
-
-/// A borrowed, zero-copy view of one column of a [`TableSlice`].
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnSlice<'a> {
-    base: &'a Table,
-    selection: &'a RowSelection,
-    col: usize,
-}
-
-impl<'a> ColumnSlice<'a> {
-    /// The attribute's name.
-    pub fn name(&self) -> &'a str {
-        &self.base.schema().attributes()[self.col].name
-    }
-
-    /// The attribute's declared data type.
-    pub fn data_type(&self) -> DataType {
-        self.base.schema().attributes()[self.col].data_type
-    }
-
-    /// The base table this column belongs to.
-    pub fn base(&self) -> &'a Table {
-        self.base
-    }
-
-    /// Number of selected rows (NULLs included).
-    pub fn len(&self) -> usize {
-        self.selection.len()
-    }
-
-    /// True when the column selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.selection.is_empty()
-    }
-
-    /// Iterate over the selected values in base order, without cloning.
-    pub fn values(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.selection.iter().map(|i| self.base.rows()[i].at(self.col))
-    }
-
-    /// Like [`ColumnSlice::values`] but skipping NULLs, which instance
-    /// matchers and classifiers generally ignore.
-    pub fn non_null_values(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.values().filter(|v| !v.is_null())
     }
 }
 
@@ -653,23 +600,6 @@ mod tests {
         let mat = slice.materialize("V");
         let evens = (0..96).step_by(2).map(|i| tuple![i as i64, 0]).collect();
         assert_eq!(mat, Table::with_rows(t.schema().with_name("V"), evens).unwrap());
-    }
-
-    #[test]
-    fn column_slice_borrows_values() {
-        let t = inv_table();
-        let sel = RowSelection::of_condition(&t, &Condition::eq("type", 2));
-        let slice = TableSlice::new(&t, &sel);
-        let col = slice.column("descr").unwrap();
-        assert_eq!(col.name(), "descr");
-        assert_eq!(col.data_type(), DataType::Text);
-        assert_eq!(col.len(), 2);
-        let texts: Vec<String> = col.values().map(|v| v.as_text()).collect();
-        assert_eq!(texts, vec!["audio cd", "elektra cd"]);
-        // The yielded references alias the base table's storage.
-        let v = col.values().next().unwrap();
-        assert!(std::ptr::eq(v, t.rows()[1].at(2)));
-        assert!(slice.column("nope").is_err());
     }
 
     #[test]

@@ -21,8 +21,8 @@ use std::time::Duration;
 use cxm_relational::{Database, Table};
 
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
-use crate::json::{parse, Json};
-use crate::protocol::{encode_database, encode_table, TenantPolicy, TenantQuotas};
+use crate::json::{parse, write_int, write_str, Json};
+use crate::protocol::{write_database, write_table, write_tables, TenantPolicy, TenantQuotas};
 
 /// A blocking protocol client over one TCP connection.
 #[derive(Debug)]
@@ -47,7 +47,12 @@ impl Client {
 
     /// Send one request frame and read its response frame.
     pub fn request(&mut self, frame: &Json) -> io::Result<Json> {
-        write_frame(&mut self.writer, &frame.to_bytes())?;
+        self.send(&frame.to_bytes())
+    }
+
+    /// Send one request payload and read its response frame.
+    fn send(&mut self, payload: &[u8]) -> io::Result<Json> {
+        write_frame(&mut self.writer, payload)?;
         self.writer.flush()?;
         let payload = read_frame(&mut self.reader, self.max_frame_bytes)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
@@ -65,16 +70,16 @@ impl Client {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        self.request(&register_request(tenant, target, policy, quotas))
+        self.send(&register_request(tenant, target, policy, quotas))
     }
 
     /// Replace one registered target table.
     pub fn replace_table(&mut self, tenant: &str, table: &Table) -> io::Result<Json> {
-        self.request(&Json::Object(vec![
-            ("op".into(), Json::str("replace")),
-            ("tenant".into(), Json::str(tenant)),
-            ("table".into(), encode_table(table)),
-        ]))
+        let mut frame = request_head("replace", tenant);
+        frame.extend_from_slice(b",\"table\":");
+        write_table(&mut frame, table);
+        frame.push(b'}');
+        self.send(&frame)
     }
 
     /// Drop one registered target table.
@@ -94,7 +99,7 @@ impl Client {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        self.request(&submit_request(tenant, source, deadline_ms))
+        self.send(&submit_request(tenant, source, deadline_ms))
     }
 
     /// Fetch the server stats snapshot, optionally restricted to one tenant.
@@ -116,36 +121,46 @@ impl Client {
 }
 
 // The request builders both clients send through, so a call sends the same
-// frame whichever client makes it.
+// frame whichever client makes it. The frames that carry tables are written
+// straight into their payload, with no `Json` tree of the tables.
+
+/// `{"op":<op>,"tenant":<tenant>` — an open request object.
+fn request_head(op: &str, tenant: &str) -> Vec<u8> {
+    let mut frame = b"{\"op\":".to_vec();
+    write_str(&mut frame, op);
+    frame.extend_from_slice(b",\"tenant\":");
+    write_str(&mut frame, tenant);
+    frame
+}
 
 fn register_request(
     tenant: &str,
     target: &Database,
     policy: &TenantPolicy,
     quotas: &TenantQuotas,
-) -> Json {
-    let mut members = vec![
-        ("op".into(), Json::str("register")),
-        ("tenant".into(), Json::str(tenant)),
-        ("tables".into(), Json::Array(target.tables().map(encode_table).collect())),
-    ];
+) -> Vec<u8> {
+    let mut frame = request_head("register", tenant);
+    frame.extend_from_slice(b",\"tables\":");
+    write_tables(&mut frame, target.tables());
     let policy_members = encode_policy(policy, quotas);
     if !policy_members.is_empty() {
-        members.push(("policy".into(), Json::Object(policy_members)));
+        frame.extend_from_slice(b",\"policy\":");
+        frame.extend_from_slice(&Json::Object(policy_members).to_bytes());
     }
-    Json::Object(members)
+    frame.push(b'}');
+    frame
 }
 
-fn submit_request(tenant: &str, source: &Database, deadline_ms: Option<u64>) -> Json {
-    let mut members = vec![
-        ("op".into(), Json::str("submit")),
-        ("tenant".into(), Json::str(tenant)),
-        ("source".into(), encode_database(source)),
-    ];
+fn submit_request(tenant: &str, source: &Database, deadline_ms: Option<u64>) -> Vec<u8> {
+    let mut frame = request_head("submit", tenant);
+    frame.extend_from_slice(b",\"source\":");
+    write_database(&mut frame, source);
     if let Some(ms) = deadline_ms {
-        members.push(("deadline_ms".into(), Json::Int(ms as i64)));
+        frame.extend_from_slice(b",\"deadline_ms\":");
+        write_int(&mut frame, ms as i64);
     }
-    Json::Object(members)
+    frame.push(b'}');
+    frame
 }
 
 fn stats_request(tenant: Option<&str>) -> Json {
@@ -340,7 +355,7 @@ impl<S: Sleeper> RetryingClient<S> {
 
     /// One attempt: connect if needed, send, read. A failed attempt drops
     /// the connection so the next one starts clean.
-    fn attempt(&mut self, frame: &Json) -> io::Result<Json> {
+    fn attempt(&mut self, payload: &[u8]) -> io::Result<Json> {
         if self.client.is_none() {
             let client = Client::connect(self.addr.as_str())?;
             if self.ever_connected {
@@ -350,7 +365,7 @@ impl<S: Sleeper> RetryingClient<S> {
             self.client = Some(client);
         }
         let client = self.client.as_mut().expect("connection established above");
-        let outcome = client.request(frame);
+        let outcome = client.send(payload);
         if outcome.is_err() {
             self.client = None;
         }
@@ -362,9 +377,14 @@ impl<S: Sleeper> RetryingClient<S> {
     /// if retries ran out or the error is not transient), or the final
     /// transport error once `max_retries` reconnect attempts are spent.
     pub fn request(&mut self, frame: &Json) -> io::Result<Json> {
+        self.send(&frame.to_bytes())
+    }
+
+    /// [`RetryingClient::request`] for an already written payload.
+    fn send(&mut self, payload: &[u8]) -> io::Result<Json> {
         let mut attempt = 0u32;
         loop {
-            match self.attempt(frame) {
+            match self.attempt(payload) {
                 Ok(response) => {
                     if is_ok(&response) {
                         return Ok(response);
@@ -412,7 +432,7 @@ impl<S: Sleeper> RetryingClient<S> {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        self.request(&register_request(tenant, target, policy, quotas))
+        self.send(&register_request(tenant, target, policy, quotas))
     }
 
     /// [`Client::submit`] with retries.
@@ -422,7 +442,7 @@ impl<S: Sleeper> RetryingClient<S> {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        self.request(&submit_request(tenant, source, deadline_ms))
+        self.send(&submit_request(tenant, source, deadline_ms))
     }
 
     /// [`Client::stats`] with retries.

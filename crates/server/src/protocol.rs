@@ -32,7 +32,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::json::{write_display_str, write_float, write_str, Json, Parser};
+use crate::json::{write_display_str, write_float, write_int, write_str, Json, Parser};
 use cxm_core::ContextMatchResult;
 use cxm_matching::Match;
 use cxm_relational::{Attribute, DataType, Database, Table, TableSchema, Tuple, Value};
@@ -505,6 +505,75 @@ fn encode_value(value: &Value) -> Json {
         Value::Int(i) => Json::Int(*i),
         Value::Float(f) => Json::Float(*f),
         Value::Str(s) => Json::str(s.clone()),
+    }
+}
+
+/// Append `encode_database(db).to_bytes()` to `out` without building the
+/// value tree: the client's request writer ([`write_table`] per table).
+pub fn write_database(out: &mut Vec<u8>, db: &Database) {
+    out.extend_from_slice(b"{\"name\":");
+    write_str(out, db.name());
+    out.extend_from_slice(b",\"tables\":");
+    write_tables(out, db.tables());
+    out.push(b'}');
+}
+
+/// Append `encode_table(table).to_bytes()` to `out` without building the
+/// value tree: the same members in the same order, every string escaped by
+/// the same routine and every number rendered by the same writer as
+/// [`Json::to_bytes`] (a non-finite float writes `null`).
+pub fn write_table(out: &mut Vec<u8>, table: &Table) {
+    out.extend_from_slice(b"{\"name\":");
+    write_str(out, table.name());
+    out.extend_from_slice(b",\"attributes\":[");
+    for (i, attribute) in table.schema().attributes().iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"name\":");
+        write_str(out, &attribute.name);
+        out.extend_from_slice(b",\"type\":");
+        write_str(out, attribute.data_type.name());
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"],\"rows\":[");
+    for (i, tuple) in table.rows().iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'[');
+        for (j, value) in tuple.values().iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            write_value(out, value);
+        }
+        out.push(b']');
+    }
+    out.extend_from_slice(b"]}");
+}
+
+/// Append a JSON array of tables, each by [`write_table`].
+pub(crate) fn write_tables<'t>(out: &mut Vec<u8>, tables: impl Iterator<Item = &'t Table>) {
+    out.push(b'[');
+    for (i, table) in tables.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_table(out, table);
+    }
+    out.push(b']');
+}
+
+/// The streamed form of `encode_value`.
+fn write_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(true) => out.extend_from_slice(b"true"),
+        Value::Bool(false) => out.extend_from_slice(b"false"),
+        Value::Int(i) => write_int(out, *i),
+        Value::Float(f) => write_float(out, *f),
+        Value::Str(s) => write_str(out, s),
     }
 }
 

@@ -538,6 +538,84 @@ mod interned_kernels {
         }
     }
 
+    /// Scalars the restricted-column cells draw from: letters of both
+    /// cases, padding whitespace, a digit, `é`, `İ` (lowercases to two
+    /// scalars), a CJK ideograph and an astral symbol.
+    const CELL_TEXT: &[char] = &['a', 'B', ' ', '\t', '7', 'é', 'İ', '中', '😀'];
+
+    /// One cell of every variant from generated codes: NULL, an integer, a
+    /// float, a boolean, or text over [`CELL_TEXT`] (a few codes wide, so
+    /// values repeat across rows).
+    fn cell(codes: &[usize]) -> cxm_relational::Value {
+        use cxm_relational::Value;
+        let (kind, rest) = codes.split_first().map_or((0, &[][..]), |(k, rest)| (*k, rest));
+        match kind % 6 {
+            0 => Value::Null,
+            1 => Value::Int(rest.iter().fold(0i64, |acc, &c| acc * 5 - c as i64)),
+            2 => Value::Float(rest.iter().fold(0.5, |acc, &c| acc * -2.0 + c as f64)),
+            3 => Value::Bool(rest.len() % 2 == 0),
+            _ => Value::Str(rest.iter().map(|&c| CELL_TEXT[c % CELL_TEXT.len()]).collect()),
+        }
+    }
+
+    proptest! {
+        /// A view-restricted column's profile and value set, assembled from
+        /// the per-row runs of its base column, equal what
+        /// `GramInterner::qgram_profile` / `value_set` build from the
+        /// selected non-NULL values — entry for entry and norm bit for norm
+        /// bit — on columns of every value variant, with empty, full and
+        /// random selections, in a runs interner other than the base
+        /// column's that knows some of the column's grams and values and
+        /// misses the rest.
+        #[test]
+        fn restricted_columns_assemble_their_tokenized_artifacts(
+            cells in prop::collection::vec(prop::collection::vec(0usize..12, 0..6), 0..40),
+            picks in prop::collection::vec(0usize..2, 40..41),
+            known in prop::collection::vec(prop::collection::vec(0usize..12, 0..6), 0..12),
+        ) {
+            use cxm_matching::ColumnRuns;
+            use cxm_relational::{Attribute, RowSelection, Table, TableSchema, Tuple};
+            let table = Table::with_rows(
+                TableSchema::new("t", vec![Attribute::text("x")]),
+                cells.iter().map(|codes| Tuple::new(vec![cell(codes)])).collect(),
+            )
+            .expect("one value per row");
+            // The base column is profiled in an interner of its own.
+            let base = ColumnData::from_table(&table, "x")
+                .expect("the column exists")
+                .with_interner(Arc::new(GramInterner::new()));
+            base.qgram3_ids();
+            base.value_ids();
+            let interner = Arc::new(GramInterner::new());
+            let known: Vec<cxm_relational::Value> = known.iter().map(|codes| cell(codes)).collect();
+            interner.qgram_profile(known.iter().map(|v| v.as_text()));
+            interner.value_set(known.iter().map(|v| v.as_text().trim().to_ascii_lowercase()));
+            let runs = ColumnRuns::new(&table, "x", Arc::clone(&interner)).expect("the column exists");
+            let random: Vec<usize> = (0..table.len()).filter(|&row| picks[row] == 1).collect();
+            let selections =
+                [RowSelection::empty(), RowSelection::full(table.len()), RowSelection::from_sorted(random)];
+            for selection in &selections {
+                let restricted = ColumnData::restricted(&runs, selection, "v");
+                prop_assert!(Arc::ptr_eq(restricted.interner(), &interner));
+                let (profile, values) = (restricted.qgram3_ids(), restricted.value_ids());
+                let selected: Vec<&cxm_relational::Value> = selection
+                    .iter()
+                    .map(|row| table.rows()[row].at(0))
+                    .filter(|v| !v.is_null())
+                    .collect();
+                prop_assert_eq!(restricted.len(), selected.len());
+                let issued = interner.len();
+                let tokenized = interner.qgram_profile(selected.iter().map(|v| v.as_text()));
+                let tokenized_values = interner
+                    .value_set(selected.iter().map(|v| v.as_text().trim().to_ascii_lowercase()));
+                prop_assert_eq!(interner.len(), issued, "the run pass issued every string");
+                prop_assert_eq!(profile.entries(), tokenized.entries());
+                prop_assert_eq!(profile.norm().to_bits(), tokenized.norm().to_bits());
+                prop_assert_eq!(&*values, &tokenized_values);
+            }
+        }
+    }
+
     /// Scalars for the packed-interner property: ASCII letters and a digit,
     /// an uppercase letter, `İ` (lowercases to `i` + U+0307), the `#`
     /// padding marker, a space, an astral letter (U+1D518) and an astral

@@ -34,11 +34,14 @@ use proptest::prelude::*;
 use cxm_core::{ContextMatchConfig, ContextMatchResult, ViewInferenceStrategy};
 use cxm_datagen::{generate_retail, generate_wide_catalog, RetailConfig, WideCatalogConfig};
 use cxm_matching::Match;
-use cxm_relational::{AttrRef, Condition, Database, Table, Value, ViewDef};
+use cxm_relational::{
+    AttrRef, Attribute, Condition, DataType, Database, Table, TableSchema, Tuple, Value, ViewDef,
+};
 use cxm_server::client::is_ok;
 use cxm_server::json::{parse, Json};
 use cxm_server::protocol::{
-    decode_database, encode_database, encode_result, ok_frame, write_result,
+    decode_database, encode_database, encode_result, encode_table, ok_frame, write_database,
+    write_result, write_table,
 };
 use cxm_server::{
     frame_bytes, read_frame, serve, write_frame, Client, FrameDecoder, Request, ServerConfig,
@@ -152,6 +155,40 @@ impl Lcg {
             2 => Value::Float(self.float()),
             _ => Value::Str(self.string()),
         }
+    }
+
+    /// A cell of any variant: NULL, both booleans, any integer, any float
+    /// (signed zero, tiny and huge, and now and then NaN or an infinity,
+    /// which the writers degrade to `null`) and escape-heavy strings.
+    fn any_cell(&mut self) -> Value {
+        match self.below(6) {
+            0 => Value::Null,
+            1 => Value::Bool(self.below(2) == 0),
+            2 => Value::Int(self.int()),
+            3 => Value::Float(self.score()),
+            _ => Value::Str(self.string()),
+        }
+    }
+
+    /// A table of up to four attributes of any declared type and up to six
+    /// rows of [`Lcg::any_cell`]s; its name and attribute names are drawn
+    /// from the escape-heavy alphabet.
+    fn table(&mut self) -> Table {
+        let attributes: Vec<Attribute> = (0..self.below(5))
+            .map(|i| {
+                let data_type = match self.below(6) {
+                    5 => DataType::Unknown,
+                    n => DataType::ALL[n as usize],
+                };
+                Attribute::new(format!("{}{i}", self.string()), data_type)
+            })
+            .collect();
+        let arity = attributes.len();
+        let rows = (0..self.below(7))
+            .map(|_| Tuple::new((0..arity).map(|_| self.any_cell()).collect()))
+            .collect();
+        Table::with_rows(TableSchema::new(self.string(), attributes), rows)
+            .expect("every row has the schema's arity")
     }
 
     /// A condition of every shape, its attributes and values drawn from
@@ -648,6 +685,37 @@ proptest! {
         for _ in 0..4 {
             assert_streams_like_the_tree(&result, &lcg.policy());
         }
+    }
+
+    /// The streaming table writers are the tree writers: `write_table` and
+    /// `write_database` append exactly `encode_table(..).to_bytes()` and
+    /// `encode_database(..).to_bytes()` — the reference writer's bytes — on
+    /// tables of every declared type whose names and cells mix escapes,
+    /// controls, DEL and 2- to 4-byte scalars, with every `Value` variant,
+    /// signed zero and non-finite floats (written `null`), and empty
+    /// schemas, rows and databases.
+    #[test]
+    fn write_table_streams_the_tree_writers_bytes(seed in any::<u64>()) {
+        let mut lcg = Lcg(seed);
+        let mut db = Database::new(lcg.string());
+        for i in 0..lcg.below(4) {
+            let table = lcg.table();
+            let tree = encode_table(&table);
+            let mut streamed = b"frame head".to_vec();
+            write_table(&mut streamed, &table);
+            prop_assert_eq!(&streamed[..10], b"frame head");
+            prop_assert_eq!(&streamed[10..], &tree.to_bytes()[..]);
+            prop_assert_eq!(&streamed[10..], &json_to_bytes(&tree)[..]);
+            let name = format!("{}{i}", table.name());
+            db.replace_table(Table::with_rows(table.schema().with_name(name), table.rows().to_vec())
+                .expect("same arity"));
+        }
+        let tree = encode_database(&db);
+        let mut streamed = b"frame head".to_vec();
+        write_database(&mut streamed, &db);
+        prop_assert_eq!(&streamed[..10], b"frame head");
+        prop_assert_eq!(&streamed[10..], &tree.to_bytes()[..]);
+        prop_assert_eq!(&streamed[10..], &json_to_bytes(&tree)[..]);
     }
 
     /// Replacing any one byte of a real frame never panics the parser,
