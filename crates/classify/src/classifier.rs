@@ -9,7 +9,7 @@
 //! (categorical attribute values, or qualified target column names).
 
 use crate::naive_bayes::NaiveBayesClassifier;
-use crate::numeric::GaussianClassifier;
+use crate::numeric::{finite_number, GaussianClassifier};
 
 /// A trainable single-label classifier over textual documents.
 pub trait Classifier {
@@ -76,7 +76,7 @@ impl ValueClassifier {
 impl Classifier for ValueClassifier {
     fn teach(&mut self, document: &str, label: &str) {
         if self.numeric_mode {
-            if let Ok(x) = document.trim().parse::<f64>() {
+            if let Some(x) = finite_number(document) {
                 self.numeric.teach_value(x, label);
                 return;
             }
@@ -86,7 +86,7 @@ impl Classifier for ValueClassifier {
 
     fn classify(&self, document: &str) -> Option<String> {
         if self.numeric_mode {
-            if let Ok(x) = document.trim().parse::<f64>() {
+            if let Some(x) = finite_number(document) {
                 if let Some(label) = self.numeric.classify_value(x) {
                     return Some(label);
                 }
@@ -137,6 +137,21 @@ mod tests {
         assert!(c.is_numeric());
         assert_eq!(c.classify("11.5").as_deref(), Some("low"));
         assert_eq!(c.classify("105").as_deref(), Some("high"));
+    }
+
+    #[test]
+    fn numeric_mode_sends_text_spelling_a_non_finite_number_to_the_text_model() {
+        let mut c = ValueClassifier::numeric();
+        c.teach("1", "low");
+        c.teach("2", "low");
+        c.teach("inf", "spelled");
+        c.teach("NaN", "spelled");
+        // The spellings trained the text model, not the Gaussian, so
+        // they are answered there, and numbers still go to the Gaussian.
+        assert_eq!(c.trained_examples(), 4);
+        assert_eq!(c.classify("INF").as_deref(), Some("spelled"));
+        assert_eq!(c.classify("nan").as_deref(), Some("spelled"));
+        assert_eq!(c.classify("1.5").as_deref(), Some("low"));
     }
 
     #[test]

@@ -22,6 +22,13 @@ pub struct GaussianClassifier {
 /// Variance floor to avoid division by zero for constant-valued classes.
 const MIN_VARIANCE: f64 = 1e-6;
 
+/// The number a document spells, if it reads as a **finite** `f64`: text
+/// spelling `nan`, `inf` or `infinity` (any case, either sign) is not a
+/// number here, as it is not to the matchers (`ColumnData::numbers`).
+pub(crate) fn finite_number(document: &str) -> Option<f64> {
+    document.trim().parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 impl GaussianClassifier {
     /// Create an untrained classifier.
     pub fn new() -> Self {
@@ -73,13 +80,13 @@ impl GaussianClassifier {
 
 impl Classifier for GaussianClassifier {
     fn teach(&mut self, document: &str, label: &str) {
-        if let Ok(x) = document.trim().parse::<f64>() {
+        if let Some(x) = finite_number(document) {
             self.teach_value(x, label);
         }
     }
 
     fn classify(&self, document: &str) -> Option<String> {
-        document.trim().parse::<f64>().ok().and_then(|x| self.classify_value(x))
+        finite_number(document).and_then(|x| self.classify_value(x))
     }
 
     fn trained_examples(&self) -> usize {
@@ -137,6 +144,22 @@ mod tests {
         g.teach("not a number", "junk");
         assert_eq!(g.trained_examples(), 4);
         assert_eq!(g.classify("not a number"), None);
+    }
+
+    #[test]
+    fn text_spelling_a_non_finite_number_is_not_a_number() {
+        let mut g = GaussianClassifier::new();
+        g.teach("1", "a");
+        for spelled in ["inf", "-Infinity", "NaN", " +INF "] {
+            g.teach(spelled, "a");
+        }
+        assert_eq!(g.trained_examples(), 1, "only `1` is taught");
+        assert_eq!(g.class_mean("a"), Some(1.0));
+        g.teach("3", "b");
+        for spelled in ["nan", "inf", "-inf", "infinity"] {
+            assert_eq!(g.classify(spelled), None, "{spelled} is not classified");
+        }
+        assert_eq!(g.classify("1.2").as_deref(), Some("a"));
     }
 
     #[test]

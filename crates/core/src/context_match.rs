@@ -39,9 +39,12 @@
 //! Every (source, target) pair — prototype or view-restricted — is scored in
 //! the interner id space of its **target** column: source columns are
 //! extracted against the target batch's interner, and restricted columns
-//! adopt their target's. The kernels are exact integer arithmetic, so a
-//! prepared batch bound to any interner yields the same bytes as
-//! [`ContextualMatcher::run`].
+//! adopt their target's. Only the target side adds strings to that
+//! interner, and it does so first: `StandardMatch` interns the target batch
+//! before any source column resolves, and sources (restricted columns
+//! included) resolve against the vocabulary without inserting. The kernels
+//! are exact integer arithmetic, so a prepared batch bound to any interner
+//! yields the same bytes as [`ContextualMatcher::run`].
 
 use std::collections::BTreeMap;
 

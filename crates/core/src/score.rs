@@ -19,12 +19,13 @@
 //! 2. per-match *target* columns are extracted once, outside the view loop;
 //! 3. each (base table, matched source attribute, target interner) gets one
 //!    [`ColumnRuns`]: on first demand, one pass tokenizes every row of the
-//!    base column once and records its interned `(gram, count)` run and
-//!    value id, so each source value is tokenized once per call, not once
-//!    per candidate view; the runs are dropped when the call returns;
+//!    base column once and records its `(gram, count)` run and value,
+//!    resolved against the target's vocabulary without inserting, so each
+//!    source value is tokenized once per call, not once per candidate view;
+//!    the runs are dropped when the call returns;
 //! 4. the view × match scoring grid is computed in parallel with `rayon`,
 //!    one task per view, each building borrowed, view-restricted
-//!    [`ColumnData`] values ([`ColumnData::restricted`]) whose interned
+//!    [`ColumnData`] values ([`ColumnData::restricted`]) whose resolved
 //!    profile and value set assemble from the selected rows' runs — zero
 //!    `Tuple` clones and no re-tokenizing anywhere on this path;
 //! 5. results are collected per view and appended in view order, so the
@@ -181,7 +182,11 @@ pub fn condition_fingerprint(base: &Table, condition: &cxm_relational::Condition
 /// column fingerprint, the view's condition, the combined fingerprint of
 /// the columns that condition reads, and the interner's identity token), so
 /// no explicit invalidation is needed: content changes re-key, and stale
-/// entries age out through the oldest-first bound. A long-lived match
+/// entries age out through the oldest-first bound. The artifacts are
+/// source-side, resolved without inserting, so they are exact only against
+/// targets they cover ([`ColumnArtifacts::covers`]): a lookup whose target
+/// index has outgrown an entry resolves that entry again and publishes the
+/// refreshed artifacts in its place. A long-lived match
 /// service carries one instance across catalog snapshots and threads it
 /// into [`score_candidates_prepared`] via [`SharedSelections`].
 #[derive(Debug, Clone, Default)]
@@ -254,10 +259,15 @@ impl RestrictedProfileCache {
 
     /// Cache `artifacts` under `key`, tagged with the catalog `version` that
     /// published them, evicting oldest entries beyond the capacity.
-    /// Re-inserting an existing key replaces its artifacts in place (its age
-    /// is unchanged).
+    /// Re-inserting an existing key — a racing publisher, or artifacts
+    /// resolved again against a grown vocabulary — replaces its artifacts in
+    /// place: its age and the version that first published it are
+    /// unchanged.
     pub fn insert(&mut self, key: RestrictedKey, artifacts: ColumnArtifacts, version: u64) {
-        self.entries.insert(key, RestrictedEntry { artifacts, version });
+        match self.entries.peek_mut(&key) {
+            Some(entry) => entry.artifacts = artifacts,
+            None => self.entries.insert(key, RestrictedEntry { artifacts, version }),
+        }
     }
 
     /// Export every live entry as `(key, artifacts, version)` in insertion
@@ -383,7 +393,7 @@ pub fn score_candidates_prepared<'a>(
         })
         .collect::<Result<_>>()?;
 
-    // Each restricted column assembles its interned artifacts from per-row
+    // Each restricted column assembles its resolved artifacts from per-row
     // runs of its base column rather than re-tokenizing its values. The
     // runs are built on first demand, at most once per call for each (base
     // table, attribute, interner) the grid needs, and shared by every view
@@ -422,8 +432,8 @@ pub fn score_candidates_prepared<'a>(
             // Prototype matches frequently share a source attribute (one match
             // per target attribute); build each view-restricted column — and
             // thereby its memoized matcher profiles — once per attribute. The
-            // bool tracks columns the cache has not seen, so their freshly
-            // built artifacts are published after the scoring pass; the
+            // bool tracks columns whose artifacts are published after the
+            // scoring pass (the cache had none, or had them stale); the
             // `Option<CandidateScan>` holds the column's lazily-computed TAAT
             // scan over the inverted index (computed at the first pair whose
             // exact path would profile the column anyway — see `hintable`).
@@ -449,7 +459,7 @@ pub fn score_candidates_prepared<'a>(
                                 target_col.interner().token(),
                             )];
                             let column = ColumnData::restricted(runs, selection, view.name.clone());
-                            let mut fresh_for_cache = false;
+                            let mut publish = false;
                             if let Some((cache, condition_fp)) = cache_ctx {
                                 let key = RestrictedKey::new(
                                     base.column_fingerprint(&m.source.attribute).expect(
@@ -464,18 +474,34 @@ pub fn score_candidates_prepared<'a>(
                                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                                     .get(&key);
                                 match cached {
-                                    Some(artifacts) => column.seed_artifacts(&artifacts),
-                                    None => fresh_for_cache = true,
+                                    Some(artifacts) => match index.map(GramIndex::id_bound) {
+                                        // Resolved below the index's ids:
+                                        // bring the entry up to the
+                                        // vocabulary and republish it.
+                                        Some(bound) if !artifacts.covers(bound) => {
+                                            let interner = column.interner();
+                                            let refreshed =
+                                                artifacts.resolved_again(interner, bound);
+                                            column.seed_artifacts(&refreshed);
+                                            publish = true;
+                                        }
+                                        _ => column.seed_artifacts(&artifacts),
+                                    },
+                                    None => publish = true,
                                 }
                             }
-                            (column, fresh_for_cache, None)
+                            (column, publish, None)
                         });
                     let hint = index.and_then(|idx| {
                         if !hintable(restricted, target_col, idx) {
                             return None;
                         }
                         if scan.is_none() {
-                            let fresh = idx.scan(&restricted.qgram3_ids(), &restricted.value_ids());
+                            let (interner, bound) = (target_col.interner(), idx.id_bound());
+                            let fresh = idx.scan(
+                                &restricted.qgram3_ids_in(interner, bound),
+                                &restricted.value_ids_in(interner, bound),
+                            );
                             index_telemetry::record_scan(fresh.len(), fresh.surviving());
                             *scan = Some(fresh);
                         }
@@ -709,6 +735,9 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
         cache.insert(key(3), cxm_matching::ColumnArtifacts::default(), 5);
         assert_eq!(cache.len(), 2);
+        // A re-insert keeps the version that first published the entry.
+        cache.insert(key(2), cxm_matching::ColumnArtifacts::default(), 9);
+        assert_eq!(cache.version_span(), Some((5, 5)));
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&key(1)).is_none());
         assert!(cache.get(&key(3)).is_some());

@@ -48,12 +48,20 @@ pub mod telemetry {
 /// hits the same source column once per target attribute; memoization turns
 /// those repeated O(values) profile builds into one build per column.
 ///
+/// A column plays one of two roles in a scored pair. As the **target** it is
+/// interned ([`ColumnData::qgram3_ids`], [`ColumnData::value_ids`]): every
+/// string gets an id. As the **source** it is resolved
+/// ([`ColumnData::qgram3_ids_in`], [`ColumnData::value_ids_in`]): strings the
+/// vocabulary lacks are counted, never inserted, and the artifact is used
+/// only against targets it covers (see [`crate::intern`]).
+///
 /// A **view-restricted** column ([`ColumnData::restricted`]) does not
-/// tokenize its values at all: its interned profile and value set assemble
-/// from the per-row runs ([`ColumnRuns`]) of its base column, which every
-/// view over that base column shares, by summing the selected rows' counts.
-/// The assembled artifacts equal the tokenized ones entry for entry, and are
-/// built — and counted — exactly when a tokenizing build would be.
+/// tokenize its values on the source side at all: its profile and value set
+/// assemble from the per-row runs ([`ColumnRuns`]) of its base column, which
+/// every view over that base column shares, by summing the selected rows'
+/// counts. The assembled artifacts equal the resolving builds entry for
+/// entry, and are built — and counted — exactly when a tokenizing build
+/// would be.
 #[derive(Debug, Clone)]
 pub struct ColumnData<'a> {
     /// Qualified attribute reference (`table.attribute`).
@@ -64,8 +72,8 @@ pub struct ColumnData<'a> {
     values: ColumnValues<'a>,
     /// The interner the column's memoized flat artifacts are built against.
     /// Defaults to [`GramInterner::global`]. A pair is scored in the
-    /// target's id space, so a source column bound elsewhere is re-interned
-    /// per call ([`ColumnData::qgram3_ids_in`]).
+    /// target's id space, so a source column bound elsewhere is resolved in
+    /// the target's interner per call ([`ColumnData::qgram3_ids_in`]).
     interner: Arc<GramInterner>,
     /// Content fingerprint of the base column this instance was extracted
     /// from ([`cxm_relational::Table::column_fingerprint`]), when the caller
@@ -144,6 +152,28 @@ impl ColumnArtifacts {
             && self.numeric_count.is_none()
             && self.name_key.is_none()
     }
+
+    /// True when every captured interned artifact is exact against targets
+    /// whose ids all lie below `bound` ([`InternedProfile::covers`]).
+    pub fn covers(&self, bound: usize) -> bool {
+        self.qgram3_ids.as_ref().is_none_or(|p| p.covers(bound))
+            && self.value_ids.as_ref().is_none_or(|v| v.covers(bound))
+    }
+
+    /// These artifacts brought up to `interner`'s current vocabulary for
+    /// targets below `bound`: a profile that no longer covers it is resolved
+    /// again from its unknown grams' codes (no re-tokenizing), and a value
+    /// set that no longer covers it is dropped, to be rebuilt from the
+    /// column's values on first use.
+    pub fn resolved_again(mut self, interner: &GramInterner, bound: usize) -> ColumnArtifacts {
+        if let Some(profile) = self.qgram3_ids.as_mut().filter(|p| !p.covers(bound)) {
+            *profile = Arc::new(profile.resolved_again(interner));
+        }
+        if self.value_ids.as_ref().is_some_and(|v| !v.covers(bound)) {
+            self.value_ids = None;
+        }
+        self
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -155,10 +185,10 @@ enum ColumnValues<'a> {
     Borrowed(Vec<&'a Value>),
 }
 
-/// The per-row interned runs of one base-table column in one interner —
-/// per row, its interned `(gram, count)` run and value id — built on first
-/// demand and shared by every view-restricted column over that base column
-/// ([`ColumnData::restricted`]).
+/// The per-row resolved runs of one base-table column in one interner —
+/// per row, its `(gram, count)` run and value, resolved against the
+/// vocabulary without inserting — built on first demand and shared by every
+/// view-restricted column over that base column ([`ColumnData::restricted`]).
 ///
 /// A run pass renders each row exactly as a tokenizing build renders its
 /// values — `as_text` for the 3-grams, trimmed and ASCII-lowercased for the
@@ -318,9 +348,9 @@ impl<'a> ColumnData<'a> {
     /// non-NULL values in place and bound to the runs' interner.
     /// `table_name` is the name the column should report (conventionally the
     /// view's name, so that rescoring matches a materialized view instance
-    /// byte for byte). Its interned profile and value set assemble from the
-    /// selected rows' runs instead of re-tokenizing the values. `selection`
-    /// must index the runs' base table.
+    /// byte for byte). On the source side its profile and value set
+    /// assemble from the selected rows' runs instead of re-tokenizing the
+    /// values. `selection` must index the runs' base table.
     pub fn restricted(
         runs: &'a ColumnRuns<'a>,
         selection: &'a RowSelection,
@@ -410,31 +440,117 @@ impl<'a> ColumnData<'a> {
         self.iter().filter_map(|v| v.as_f64()).filter(|x| x.is_finite()).collect()
     }
 
-    /// The column's interned 3-gram count profile — the flat sparse vector
-    /// the hot-path cosine kernel merge-joins — built on first use against
-    /// [`ColumnData::interner`] and memoized for the column's lifetime.
-    /// A view-restricted column assembles it from its base column's runs.
+    /// The column's 3-gram count profile with every gram interned — the
+    /// **target** side of a pair and what a [`crate::GramIndex`] posts —
+    /// built on first use against [`ColumnData::interner`], issuing ids to
+    /// grams the vocabulary lacks, and memoized for the column's lifetime.
+    /// A column whose memo was resolved on the source side gets the memo
+    /// with its unknown grams interned, without re-tokenizing.
     pub fn qgram3_ids(&self) -> Arc<InternedProfile> {
-        Arc::clone(self.caches.qgram3_ids.get_or_init(|| {
+        let memo = self.caches.qgram3_ids.get_or_init(|| {
             telemetry::record_qgram_profile_build();
-            Arc::new(match self.runs() {
-                Some((runs, rows)) => runs.qgram_profile(rows),
-                None => self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow())),
-            })
-        }))
+            Arc::new(self.interner.qgram_profile(self.iter().map(|v| v.as_text_cow())))
+        });
+        if memo.is_complete() {
+            Arc::clone(memo)
+        } else {
+            Arc::new(memo.as_ref().clone().interned(&self.interner))
+        }
     }
 
-    /// The column's interned distinct-value id set (values trimmed and
-    /// ASCII-lowercased), built on first use and memoized for the column's
-    /// lifetime. A view-restricted column assembles it from its base
-    /// column's runs.
+    /// The column's distinct-value id set (values trimmed and
+    /// ASCII-lowercased) with every value interned — the target side, on
+    /// the terms of [`ColumnData::qgram3_ids`]. A resolved memo is rebuilt
+    /// for the call: a value set keeps no unknown texts.
     pub fn value_ids(&self) -> Arc<InternedValueSet> {
-        Arc::clone(self.caches.value_ids.get_or_init(|| {
+        let build = || self.interner.value_set(self.iter().map(normalized_value_text));
+        let memo = self.caches.value_ids.get_or_init(|| Arc::new(build()));
+        if memo.is_complete() {
+            Arc::clone(memo)
+        } else {
+            Arc::new(build())
+        }
+    }
+
+    /// Build the target-side artifacts — [`ColumnData::qgram3_ids`] when
+    /// `profile`, and [`ColumnData::value_ids`] — that are not memoized
+    /// complete yet. A complete memo is only read, so a batch warm from
+    /// earlier requests costs no reference-count traffic.
+    pub(crate) fn intern_as_target(&self, profile: bool) {
+        if profile && !self.caches.qgram3_ids.get().is_some_and(|p| p.is_complete()) {
+            self.qgram3_ids();
+        }
+        if !self.caches.value_ids.get().is_some_and(|v| v.is_complete()) {
+            self.value_ids();
+        }
+    }
+
+    /// The column's 3-gram profile on the **source** side of a pair scored
+    /// in `interner`'s id space, exact against every target artifact whose
+    /// ids all lie below `bound` ([`InternedProfile::id_bound`], or
+    /// [`crate::GramIndex::id_bound`] for a whole indexed batch). Grams are
+    /// resolved without inserting: one the vocabulary lacks counts toward
+    /// the norm only.
+    ///
+    /// When the column is bound to `interner`, the profile is memoized (a
+    /// restricted column assembles it from its base column's runs) and
+    /// served while it covers `bound`; a memo that no longer covers it is
+    /// resolved again for this call from its unknown grams' codes. A column
+    /// bound elsewhere is resolved in `interner` for this one call (counted,
+    /// not memoized — the column keeps its own id space). The kernels'
+    /// results do not depend on the id space, so a pair is always scored in
+    /// the target's.
+    pub fn qgram3_ids_in(
+        &self,
+        interner: &Arc<GramInterner>,
+        bound: usize,
+    ) -> Arc<InternedProfile> {
+        let resolve = || {
+            telemetry::record_qgram_profile_build();
+            interner.resolve_qgram_profile(self.iter().map(|v| v.as_text_cow()))
+        };
+        if !Arc::ptr_eq(&self.interner, interner) {
+            return Arc::new(resolve());
+        }
+        let memo = self.caches.qgram3_ids.get_or_init(|| {
+            Arc::new(match self.runs() {
+                Some((runs, rows)) => {
+                    telemetry::record_qgram_profile_build();
+                    runs.qgram_profile(rows)
+                }
+                None => resolve(),
+            })
+        });
+        if memo.covers(bound) {
+            Arc::clone(memo)
+        } else {
+            Arc::new(memo.resolved_again(interner))
+        }
+    }
+
+    /// The column's distinct-value set on the source side, on the terms of
+    /// [`ColumnData::qgram3_ids_in`]. A memo that no longer covers `bound`
+    /// is rebuilt from the column's values for this call.
+    pub fn value_ids_in(
+        &self,
+        interner: &Arc<GramInterner>,
+        bound: usize,
+    ) -> Arc<InternedValueSet> {
+        let resolve = || interner.resolve_value_set(self.iter().map(normalized_value_text));
+        if !Arc::ptr_eq(&self.interner, interner) {
+            return Arc::new(resolve());
+        }
+        let memo = self.caches.value_ids.get_or_init(|| {
             Arc::new(match self.runs() {
                 Some((runs, rows)) => runs.value_set(rows),
-                None => self.interner.value_set(self.iter().map(normalized_value_text)),
+                None => resolve(),
             })
-        }))
+        });
+        if memo.covers(bound) {
+            Arc::clone(memo)
+        } else {
+            Arc::new(resolve())
+        }
     }
 
     /// A restricted column's base runs (built on first demand) and selected
@@ -442,28 +558,6 @@ impl<'a> ColumnData<'a> {
     fn runs(&self) -> Option<(&RowRuns, &[usize])> {
         let (runs, selection) = self.restriction?;
         Arc::ptr_eq(&runs.interner, &self.interner).then(|| (runs.runs(), selection.indices()))
-    }
-
-    /// [`ColumnData::qgram3_ids`] in `interner`'s id space: the memoized
-    /// profile when the column is bound to `interner`, otherwise a fresh
-    /// build in `interner` for this one call (counted, not memoized — the
-    /// column keeps its own id space). The kernels' results do not depend
-    /// on the id space, so a pair is always scored in the target's.
-    pub(crate) fn qgram3_ids_in(&self, interner: &Arc<GramInterner>) -> Arc<InternedProfile> {
-        if Arc::ptr_eq(&self.interner, interner) {
-            return self.qgram3_ids();
-        }
-        telemetry::record_qgram_profile_build();
-        Arc::new(interner.qgram_profile(self.iter().map(|v| v.as_text_cow())))
-    }
-
-    /// [`ColumnData::value_ids`] in `interner`'s id space, on the terms of
-    /// [`ColumnData::qgram3_ids_in`].
-    pub(crate) fn value_ids_in(&self, interner: &Arc<GramInterner>) -> Arc<InternedValueSet> {
-        if Arc::ptr_eq(&self.interner, interner) {
-            return self.value_ids();
-        }
-        Arc::new(interner.value_set(self.iter().map(normalized_value_text)))
     }
 
     /// The attribute name's lowered form and identifier token set (the
@@ -492,7 +586,8 @@ impl<'a> ColumnData<'a> {
     }
 
     /// Pre-fill this column's memoized artifacts from a previously harvested
-    /// set. Artifacts already built (or absent from `artifacts`) are left
+    /// set, complete or resolved (each role re-checks what it needs).
+    /// Artifacts already built (or absent from `artifacts`) are left
     /// untouched; the caller is responsible for only seeding artifacts
     /// derived from an **identical value bag** (and, for the interned ones,
     /// the same interner), otherwise scores would silently diverge.
@@ -679,7 +774,11 @@ mod tests {
             ],
         )
         .unwrap();
+        // The vocabulary holds some of the column's grams and values.
         let interner = Arc::new(GramInterner::new());
+        interner.qgram_profile(["hardcover", "audio"].into_iter());
+        interner.value_set(["audio cd"].into_iter());
+        let len = interner.len();
         let runs = ColumnRuns::new(&t, "descr", Arc::clone(&interner)).unwrap();
         assert!(format!("{runs:?}").contains("built: false"), "runs wait for first demand");
         let views: Vec<RowSelection> = (1..=2)
@@ -689,25 +788,37 @@ mod tests {
         for sel in &views {
             let col = ColumnData::restricted(&runs, sel, "v");
             assert!(Arc::ptr_eq(col.interner(), &interner), "bound to the runs' interner");
-            let profile = col.qgram3_ids();
-            let values = col.value_ids();
-            assert!(Arc::ptr_eq(&profile, &col.qgram3_ids()), "memoized like any column");
-            // Equal to tokenizing the same selected values in the same
-            // interner, which the runs have already grown.
-            let len = interner.len();
-            assert_eq!(*profile, interner.qgram_profile(col.iter().map(|v| v.as_text_cow())));
-            assert_eq!(*values, interner.value_set(col.iter().map(normalized_value_text)));
-            assert_eq!(interner.len(), len, "the run pass issued every id");
+            let profile = col.qgram3_ids_in(&interner, len);
+            let values = col.value_ids_in(&interner, len);
+            assert!(Arc::ptr_eq(&profile, &col.qgram3_ids_in(&interner, len)), "memoized");
+            // Equal to resolving the same selected values in the same
+            // interner, which neither build grows.
+            let resolved = interner.resolve_qgram_profile(col.iter().map(|v| v.as_text_cow()));
+            assert_eq!(*profile, resolved);
+            assert_eq!(*values, interner.resolve_value_set(col.iter().map(normalized_value_text)));
+            assert_eq!(interner.len(), len, "the run pass issues no id");
         }
         assert!(format!("{runs:?}").contains("built: true"));
-        // Rebound to another interner, a restricted column tokenizes there.
+        // The target side interns a resolved memo's unknown grams instead.
+        let col = ColumnData::restricted(&runs, &views[0], "v");
+        let resolved = col.qgram3_ids_in(&interner, len);
+        assert!(!resolved.is_complete(), "'paperback' was unknown");
+        let interned = col.qgram3_ids();
+        assert!(interned.is_complete() && interner.len() > len);
+        assert_eq!(interned, Arc::new(interner.qgram_profile(col.iter().map(|v| v.as_text_cow()))));
+        assert_eq!(interned.norm().to_bits(), resolved.norm().to_bits());
+        // Resolved again past the growth, the memo equals a fresh resolve.
+        let again = col.qgram3_ids_in(&interner, interner.len());
+        assert_eq!(*again, interner.resolve_qgram_profile(col.iter().map(|v| v.as_text_cow())));
+        // Rebound to another interner, a restricted column resolves there.
         let other = Arc::new(GramInterner::new());
         let rebound =
             ColumnData::restricted(&runs, &views[0], "v").with_interner(Arc::clone(&other));
         assert_eq!(
-            *rebound.qgram3_ids(),
-            other.qgram_profile(rebound.iter().map(|v| v.as_text_cow()))
+            *rebound.qgram3_ids_in(&other, 0),
+            other.resolve_qgram_profile(rebound.iter().map(|v| v.as_text_cow()))
         );
+        assert!(other.is_empty());
     }
 
     #[test]

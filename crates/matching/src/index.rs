@@ -100,9 +100,10 @@
 //! re-merged. Their sum is [`GramIndex::posting_lists`].
 //!
 //! *Range.* `offsets` spans the largest indexed id, at 4 bytes per id.
-//! Ids grow with the interner, and the interner still issues ids to
-//! never-seen source strings, so a catalog edit that arrives after many
-//! such sources can widen `offsets` past the catalog's own vocabulary.
+//! Only target builds issue ids, so that range is the catalog's own
+//! vocabulary plus whatever other catalogs sharing the interner added
+//! before it. [`GramIndex::id_bound`] is that span: a source artifact that
+//! covers it is exact against every indexed column.
 //!
 //! A batch whose attribute sequence changed (table added, dropped or
 //! reordered) falls back to a full build: slot ids are positional, and
@@ -319,6 +320,13 @@ impl GramIndex {
     /// Identity token of the interner the indexed artifacts live in.
     pub fn interner_token(&self) -> u64 {
         self.interner_token
+    }
+
+    /// One past the largest id any indexed artifact holds: a source
+    /// artifact that [covers](crate::InternedProfile::covers) it is exact
+    /// against every indexed column, so one check serves a whole scan.
+    pub fn id_bound(&self) -> usize {
+        self.grams.ids().max(self.values.ids())
     }
 
     /// Number of indexed columns (slots).

@@ -14,13 +14,17 @@
 //! Both matchers score through the **interned flat kernels** of
 //! [`crate::intern`]: sorted `u32` id vectors, merge-join inner loops, no
 //! string comparison on the hot path. A pair is always scored in the
-//! **target's** id space: a source column bound to another
-//! [`GramInterner`](crate::intern::GramInterner) has its profile or value set
-//! built in the target's interner for that one score (not memoized). The
-//! kernels' arithmetic is exact integers, so the score does not depend on
-//! which interner assigned the ids — interner independence is the contract,
-//! pinned bit for bit by the kernel property tests against the string-keyed
-//! reference kernels of the tests crate (`cxm_tests::reference`).
+//! **target's** id space: the target artifact is interned first, and the
+//! source side is resolved against it without inserting
+//! ([`ColumnData::qgram3_ids_in`]) — exact for that target, since it covers
+//! the target's ids. A source column bound to another
+//! [`GramInterner`](crate::intern::GramInterner) is resolved in the target's
+//! for that one score (not memoized). The kernels' arithmetic is exact
+//! integers, so the score does not depend on which interner assigned the
+//! ids, or on which source strings it lacks — interner independence is the
+//! contract, pinned bit for bit by the kernel property tests against the
+//! string-keyed reference kernels of the tests crate
+//! (`cxm_tests::reference`).
 
 use crate::column::ColumnData;
 use crate::intern::telemetry as kernel_telemetry;
@@ -43,7 +47,9 @@ impl Matcher for QGramMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        source.qgram3_ids_in(target.interner()).cosine(&target.qgram3_ids())
+        let target_profile = target.qgram3_ids();
+        let source_profile = source.qgram3_ids_in(target.interner(), target_profile.id_bound());
+        source_profile.cosine(&target_profile)
     }
 
     fn score_with_hint(&self, source: &ColumnData, target: &ColumnData, hint: PairHint) -> f64 {
@@ -60,8 +66,9 @@ impl Matcher for QGramMatcher {
         if dot == 0.0 {
             return 0.0;
         }
-        let (a, b) = (source.qgram3_ids_in(target.interner()), target.qgram3_ids());
-        (dot / (a.norm() * b.norm())).clamp(0.0, 1.0)
+        let target_profile = target.qgram3_ids();
+        let source_profile = source.qgram3_ids_in(target.interner(), target_profile.id_bound());
+        (dot / (source_profile.norm() * target_profile.norm())).clamp(0.0, 1.0)
     }
 
     fn applicable(&self, source: &ColumnData, target: &ColumnData) -> bool {
@@ -90,7 +97,8 @@ impl Matcher for ValueOverlapMatcher {
     }
 
     fn score(&self, source: &ColumnData, target: &ColumnData) -> f64 {
-        source.value_ids_in(target.interner()).jaccard(&target.value_ids())
+        let target_values = target.value_ids();
+        source.value_ids_in(target.interner(), target_values.id_bound()).jaccard(&target_values)
     }
 
     fn score_with_hint(&self, source: &ColumnData, target: &ColumnData, hint: PairHint) -> f64 {
@@ -215,13 +223,17 @@ mod tests {
             assert_eq!(m.score(&a, &foreign).to_bits(), m.score(&a, &shared).to_bits());
             assert_eq!(m.score(&foreign, &a).to_bits(), m.score(&shared, &a).to_bits());
         }
-        // The source side is built in the target's interner for the call
-        // and never memoized into a column bound to another id space.
+        // The source side is resolved in the target's interner for the call,
+        // inserting nothing there, and never memoized into a column bound
+        // to another id space.
         let fresh = col("z", vec!["hardcover first edition"]);
+        let private_len = private.len();
         assert!(QGramMatcher.score(&fresh, &foreign) > 0.0);
         assert_eq!(ValueOverlapMatcher.score(&fresh, &foreign), 0.0);
         assert!(fresh.harvest_artifacts().is_empty(), "cross-interner builds are not memoized");
-        assert!(private.lookup("hardcover first edition").is_some());
+        assert!(private.lookup("hardcover first edition").is_none());
+        assert!(private.lookup("edi").is_none(), "a gram only the source holds");
+        assert_eq!(private.len(), private_len, "a source resolves without inserting");
     }
 
     #[test]

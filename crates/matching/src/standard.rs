@@ -29,8 +29,12 @@
 //! Every pair is scored in the **target's** interner id space:
 //! [`StandardMatcher::match_table_with_targets`] extracts the source columns
 //! against the target batch's interner, and any column still bound elsewhere
-//! is re-interned per call by the instance matchers. The kernels are exact
-//! integer arithmetic, so the interner never changes a score.
+//! is resolved in the target's per call by the instance matchers. Only the
+//! targets are interned, and they are interned first: every match over a
+//! target batch builds the batch's artifacts before it resolves any source
+//! column, so each source column resolves once, against a vocabulary that
+//! already holds every target string. The kernels are exact integer
+//! arithmetic, so the interner never changes a score.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -255,10 +259,28 @@ impl StandardMatcher {
         if target_cols.is_empty() {
             return outcome;
         }
+        // Intern the targets before any source resolves, so no source
+        // artifact predates a target string. An index over the batch has
+        // interned every non-empty target already. Otherwise each target
+        // artifact is built exactly when some pair below would build it: a
+        // value set for any non-empty pair, a profile for a
+        // q-gram-applicable one (mirroring `QGramMatcher::applicable`).
+        if index.is_none() {
+            let mut sources = source_cols.iter().filter(|s| !s.is_empty()).peekable();
+            let any_source = sources.peek().is_some();
+            let any_text_source = sources.any(|s| !s.looks_numeric());
+            if any_source {
+                for t in target_cols.iter().filter(|t| !t.is_empty()) {
+                    t.intern_as_target(any_text_source || !t.looks_numeric());
+                }
+            }
+        }
         for s in source_cols {
             let scan = index.and_then(|idx| {
                 Self::scannable(s, target_cols, idx).then(|| {
-                    let scan = idx.scan(&s.qgram3_ids(), &s.value_ids());
+                    let (interner, bound) = (target_cols[0].interner(), idx.id_bound());
+                    let scan = idx
+                        .scan(&s.qgram3_ids_in(interner, bound), &s.value_ids_in(interner, bound));
                     index_telemetry::record_scan(scan.len(), scan.surviving());
                     scan
                 })

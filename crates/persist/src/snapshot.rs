@@ -139,12 +139,25 @@ pub struct RestrictedRecord {
 /// value sets (meaningful under the snapshot's own interner dump), and the
 /// numeric summaries. The name key is a cheap lazy rebuild and stays
 /// behind.
+///
+/// Catalog columns are complete: every string has an id. A restricted
+/// (source-side) column's artifacts may be resolved, and then carry what
+/// the vocabulary lacked in `qgram3_unknown` / `value_unknown`; a record in
+/// the parent layout has neither, and decodes as complete.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArtifactsRecord {
     /// Interned 3-gram profile entries (id-sorted `(id, count)`).
     pub qgram3_ids: Option<Vec<(u32, f64)>>,
+    /// For a resolved profile: the vocabulary length it was resolved at and
+    /// the code-sorted `(packed code, count)` of the grams the vocabulary
+    /// lacked. `None` for a complete profile.
+    pub qgram3_unknown: Option<(u64, Vec<(u64, f64)>)>,
     /// Interned distinct-value ids (sorted, unique).
     pub value_ids: Option<Vec<u32>>,
+    /// For a resolved value set: the vocabulary length it was resolved at
+    /// and how many distinct values the vocabulary lacked. `None` for a
+    /// complete set.
+    pub value_unknown: Option<(u64, u64)>,
     /// Numeric summary (outer `None` = never built; inner `None` = built,
     /// not numeric).
     pub numeric_summary: Option<Option<(f64, f64, f64, f64)>>,
@@ -155,9 +168,17 @@ pub struct ArtifactsRecord {
 impl ArtifactsRecord {
     /// Capture the portable artifacts of one live column.
     pub fn harvest(artifacts: &ColumnArtifacts) -> Self {
+        let profile = artifacts.qgram3_ids.as_deref();
+        let values = artifacts.value_ids.as_deref();
         ArtifactsRecord {
-            qgram3_ids: artifacts.qgram3_ids.as_ref().map(|p| p.entries().to_vec()),
-            value_ids: artifacts.value_ids.as_ref().map(|v| v.ids().to_vec()),
+            qgram3_ids: profile.map(|p| p.entries().to_vec()),
+            qgram3_unknown: profile
+                .filter(|p| !p.is_complete())
+                .map(|p| (p.resolved_len() as u64, p.unknown().to_vec())),
+            value_ids: values.map(|v| v.ids().to_vec()),
+            value_unknown: values
+                .filter(|v| !v.is_complete())
+                .map(|v| (v.resolved_len() as u64, v.unknown() as u64)),
             numeric_summary: artifacts.numeric_summary,
             numeric_count: artifacts.numeric_count.map(|c| c as u64),
         }
@@ -174,19 +195,34 @@ impl ArtifactsRecord {
     /// Rebuild live [`ColumnArtifacts`], validating every structural
     /// invariant the kernels rely on: ids strictly increasing and inside the
     /// restored interner's id space (`interned` ids exist), counts finite
-    /// and positive. Returns `None` — degrade, rebuild cold — on any
-    /// violation.
+    /// and positive, and for a resolved artifact a resolved length within
+    /// that id space, ids below it and unknown grams that are three-scalar
+    /// codes in strictly increasing order. Returns `None` — degrade,
+    /// rebuild cold — on any violation.
     pub fn seed(&self, interned: usize) -> Option<ColumnArtifacts> {
+        let positive = |c: f64| c.is_finite() && c > 0.0;
+        let resolved_len = |len: u64| usize::try_from(len).ok().filter(|&len| len <= interned);
         let qgram3_ids = match &self.qgram3_ids {
             None => None,
             Some(entries) => {
                 let sorted = entries.windows(2).all(|w| w[0].0 < w[1].0);
                 let in_space = entries.iter().all(|&(id, _)| (id as usize) < interned);
-                let positive = entries.iter().all(|&(_, c)| c.is_finite() && c > 0.0);
-                if !(sorted && in_space && positive) {
+                if !(sorted && in_space && entries.iter().all(|&(_, c)| positive(c))) {
                     return None;
                 }
-                Some(Arc::new(InternedProfile::from_counts(entries.clone())))
+                Some(Arc::new(match &self.qgram3_unknown {
+                    None => InternedProfile::from_counts(entries.clone()),
+                    Some((len, unknown)) => {
+                        if !unknown.iter().all(|&(_, c)| positive(c)) {
+                            return None;
+                        }
+                        InternedProfile::resolved(
+                            entries.clone(),
+                            unknown.clone(),
+                            resolved_len(*len)?,
+                        )?
+                    }
+                }))
             }
         };
         let value_ids = match &self.value_ids {
@@ -195,7 +231,14 @@ impl ArtifactsRecord {
                 if !ids.iter().all(|&id| (id as usize) < interned) {
                     return None;
                 }
-                Some(Arc::new(InternedValueSet::from_sorted_ids(ids.clone())?))
+                Some(Arc::new(match self.value_unknown {
+                    None => InternedValueSet::from_sorted_ids(ids.clone())?,
+                    Some((len, unknown)) => InternedValueSet::resolved(
+                        ids.clone(),
+                        usize::try_from(unknown).ok()?,
+                        resolved_len(len)?,
+                    )?,
+                }))
             }
         };
         Some(ColumnArtifacts {
@@ -393,27 +436,43 @@ fn encode_restricted(records: &[RestrictedRecord]) -> Vec<u8> {
     buf
 }
 
+/// An artifact's presence flag: `0` absent, `1` complete (the parent
+/// layout), `2` resolved, followed by what the vocabulary lacked.
+fn artifact_flag<T, U>(artifact: &Option<T>, unknown: &Option<U>) -> u8 {
+    match (artifact, unknown) {
+        (None, _) => 0,
+        (Some(_), None) => 1,
+        (Some(_), Some(_)) => 2,
+    }
+}
+
 fn encode_artifacts(buf: &mut Vec<u8>, a: &ArtifactsRecord) {
-    match &a.qgram3_ids {
-        Some(entries) => {
-            put_u8(buf, 1);
-            put_u64(buf, entries.len() as u64);
-            for &(id, count) in entries {
-                put_u32(buf, id);
+    put_u8(buf, artifact_flag(&a.qgram3_ids, &a.qgram3_unknown));
+    if let Some(entries) = &a.qgram3_ids {
+        put_u64(buf, entries.len() as u64);
+        for &(id, count) in entries {
+            put_u32(buf, id);
+            put_f64(buf, count);
+        }
+        if let Some((len, unknown)) = &a.qgram3_unknown {
+            put_u64(buf, *len);
+            put_u64(buf, unknown.len() as u64);
+            for &(code, count) in unknown {
+                put_u64(buf, code);
                 put_f64(buf, count);
             }
         }
-        None => put_u8(buf, 0),
     }
-    match &a.value_ids {
-        Some(ids) => {
-            put_u8(buf, 1);
-            put_u64(buf, ids.len() as u64);
-            for &id in ids {
-                put_u32(buf, id);
-            }
+    put_u8(buf, artifact_flag(&a.value_ids, &a.value_unknown));
+    if let Some(ids) = &a.value_ids {
+        put_u64(buf, ids.len() as u64);
+        for &id in ids {
+            put_u32(buf, id);
         }
-        None => put_u8(buf, 0),
+        if let Some((len, unknown)) = a.value_unknown {
+            put_u64(buf, len);
+            put_u64(buf, unknown);
+        }
     }
     match a.numeric_summary {
         Some(inner) => {
@@ -677,9 +736,10 @@ fn decode_restricted(cur: &mut Cursor<'_>) -> Result<Vec<RestrictedRecord>, Deco
 }
 
 fn decode_artifacts(cur: &mut Cursor<'_>) -> Result<ArtifactsRecord, DecodeError> {
-    let qgram3_ids = match cur.u8()? {
-        0 => None,
-        1 => {
+    let flag = cur.u8()?;
+    let (qgram3_ids, qgram3_unknown) = match flag {
+        0 => (None, None),
+        1 | 2 => {
             let count = cur.count(12)?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
@@ -687,19 +747,34 @@ fn decode_artifacts(cur: &mut Cursor<'_>) -> Result<ArtifactsRecord, DecodeError
                 let value = cur.f64()?;
                 entries.push((id, value));
             }
-            Some(entries)
+            let unknown = if flag == 2 {
+                let len = cur.u64()?;
+                let count = cur.count(16)?;
+                let mut unknown = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let code = cur.u64()?;
+                    let value = cur.f64()?;
+                    unknown.push((code, value));
+                }
+                Some((len, unknown))
+            } else {
+                None
+            };
+            (Some(entries), unknown)
         }
         _ => return Err(DecodeError("bad option flag")),
     };
-    let value_ids = match cur.u8()? {
-        0 => None,
-        1 => {
+    let flag = cur.u8()?;
+    let (value_ids, value_unknown) = match flag {
+        0 => (None, None),
+        1 | 2 => {
             let count = cur.count(4)?;
             let mut ids = Vec::with_capacity(count);
             for _ in 0..count {
                 ids.push(cur.u32()?);
             }
-            Some(ids)
+            let unknown = if flag == 2 { Some((cur.u64()?, cur.u64()?)) } else { None };
+            (Some(ids), unknown)
         }
         _ => return Err(DecodeError("bad option flag")),
     };
@@ -713,7 +788,14 @@ fn decode_artifacts(cur: &mut Cursor<'_>) -> Result<ArtifactsRecord, DecodeError
         _ => return Err(DecodeError("bad option flag")),
     };
     let numeric_count = decode_opt_u64(cur)?;
-    Ok(ArtifactsRecord { qgram3_ids, value_ids, numeric_summary, numeric_count })
+    Ok(ArtifactsRecord {
+        qgram3_ids,
+        qgram3_unknown,
+        value_ids,
+        value_unknown,
+        numeric_summary,
+        numeric_count,
+    })
 }
 
 fn decode_condition(cur: &mut Cursor<'_>, depth: usize) -> Result<Condition, DecodeError> {
@@ -760,6 +842,11 @@ mod tests {
     use super::*;
     use cxm_relational::tuple;
 
+    /// The packed code of a three-scalar gram, as the interner keys it.
+    fn code(gram: &str) -> u64 {
+        gram.chars().fold(0, |code, c| (code << 21) | u64::from(c))
+    }
+
     fn sample_snapshot() -> Snapshot {
         let db = Database::new("RT").with_table(
             Table::with_rows(
@@ -785,9 +872,17 @@ mod tests {
         }];
         let artifacts = ArtifactsRecord {
             qgram3_ids: Some(vec![(0, 2.0), (3, 1.0)]),
+            qgram3_unknown: None,
             value_ids: Some(vec![1, 4]),
+            value_unknown: None,
             numeric_summary: Some(Some((1.0, 2.0, 1.5, 0.5))),
             numeric_count: Some(2),
+        };
+        // A restricted column's artifacts resolved without inserting.
+        let resolved = ArtifactsRecord {
+            qgram3_unknown: Some((4, vec![(code("xyz"), 2.0), (code("zz#"), 1.0)])),
+            value_unknown: Some((5, 3)),
+            ..artifacts.clone()
         };
         Snapshot {
             interner: Some(vec![
@@ -819,7 +914,7 @@ mod tests {
                             .and(Condition::is_in("title", ["a", "b"])),
                         condition_fingerprint: 88,
                         version: 2,
-                        artifacts,
+                        artifacts: resolved,
                     }]),
                 },
             }],
@@ -865,13 +960,48 @@ mod tests {
     fn seed_validates_structure_against_the_id_space() {
         let good = ArtifactsRecord {
             qgram3_ids: Some(vec![(0, 1.0), (2, 3.0)]),
+            qgram3_unknown: None,
             value_ids: Some(vec![1, 2]),
+            value_unknown: None,
             numeric_summary: Some(None),
             numeric_count: Some(0),
         };
         let seeded = good.seed(3).unwrap();
         assert_eq!(seeded.qgram3_ids.as_ref().unwrap().entries(), &[(0, 1.0), (2, 3.0)]);
         assert_eq!(seeded.value_ids.as_ref().unwrap().ids(), &[1, 2]);
+        assert!(seeded.qgram3_ids.as_ref().unwrap().is_complete(), "the parent layout");
+        assert_eq!(seeded.value_ids.as_ref().unwrap().resolved_len(), usize::MAX);
+
+        // Resolved artifacts keep what the vocabulary lacked, and their norm
+        // and distinct count cover it.
+        let resolved = ArtifactsRecord {
+            qgram3_unknown: Some((3, vec![(code("abc"), 2.0)])),
+            value_unknown: Some((3, 4)),
+            ..good.clone()
+        };
+        let seeded = resolved.seed(3).unwrap();
+        let profile = seeded.qgram3_ids.as_ref().unwrap();
+        assert_eq!((profile.resolved_len(), profile.unknown()), (3, &[(code("abc"), 2.0)][..]));
+        assert_eq!(profile.norm().to_bits(), 14f64.sqrt().to_bits());
+        let values = seeded.value_ids.as_ref().unwrap();
+        assert_eq!((values.resolved_len(), values.len()), (3, 6));
+        // Resolved past the restored id space, an id at or past the
+        // resolved length, a code that is not three scalars, unsorted codes:
+        // each degrades.
+        assert!(resolved.seed(2).is_none());
+        let past =
+            ArtifactsRecord { qgram3_unknown: Some((2, vec![(code("abc"), 1.0)])), ..good.clone() };
+        assert!(past.seed(3).is_none());
+        let garbage =
+            ArtifactsRecord { qgram3_unknown: Some((3, vec![(u64::MAX, 1.0)])), ..good.clone() };
+        assert!(garbage.seed(3).is_none());
+        let unsorted_codes = ArtifactsRecord {
+            qgram3_unknown: Some((3, vec![(code("abd"), 1.0), (code("abc"), 1.0)])),
+            ..good.clone()
+        };
+        assert!(unsorted_codes.seed(3).is_none());
+        let values_past = ArtifactsRecord { value_unknown: Some((2, 1)), ..good.clone() };
+        assert!(values_past.seed(3).is_none());
         assert!(good.seed(2).is_none(), "id 2 outside a 2-id space");
         let unsorted = ArtifactsRecord {
             qgram3_ids: Some(vec![(2, 1.0), (0, 3.0)]),

@@ -14,21 +14,25 @@
 //! an injected [`Sleeper`], and jitter comes from a seeded LCG, so tests
 //! drive the whole retry schedule deterministically with no wall-clock.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use cxm_relational::{Database, Table};
 
-use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+use crate::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
 use crate::json::{parse, write_int, write_str, Json};
 use crate::protocol::{write_database, write_table, write_tables, TenantPolicy, TenantQuotas};
 
 /// A blocking protocol client over one TCP connection.
+///
+/// Every request is built as a whole frame, length prefix first, and goes
+/// out in one write: under `TCP_NODELAY` a prefix written on its own would
+/// be a segment of its own.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     max_frame_bytes: usize,
 }
 
@@ -38,22 +42,17 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            reader,
-            writer: BufWriter::new(stream),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-        })
+        Ok(Client { reader, writer: stream, max_frame_bytes: DEFAULT_MAX_FRAME_BYTES })
     }
 
     /// Send one request frame and read its response frame.
     pub fn request(&mut self, frame: &Json) -> io::Result<Json> {
-        self.send(&frame.to_bytes())
+        self.send(&json_request(frame)?)
     }
 
-    /// Send one request payload and read its response frame.
-    fn send(&mut self, payload: &[u8]) -> io::Result<Json> {
-        write_frame(&mut self.writer, payload)?;
-        self.writer.flush()?;
+    /// Send one sealed request frame and read its response frame.
+    fn send(&mut self, frame: &[u8]) -> io::Result<Json> {
+        send_frame(&mut self.writer, frame)?;
         let payload = read_frame(&mut self.reader, self.max_frame_bytes)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
@@ -70,16 +69,12 @@ impl Client {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        self.send(&register_request(tenant, target, policy, quotas))
+        self.send(&register_request(tenant, target, policy, quotas)?)
     }
 
     /// Replace one registered target table.
     pub fn replace_table(&mut self, tenant: &str, table: &Table) -> io::Result<Json> {
-        let mut frame = request_head("replace", tenant);
-        frame.extend_from_slice(b",\"table\":");
-        write_table(&mut frame, table);
-        frame.push(b'}');
-        self.send(&frame)
+        self.send(&replace_request(tenant, table)?)
     }
 
     /// Drop one registered target table.
@@ -99,7 +94,7 @@ impl Client {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        self.send(&submit_request(tenant, source, deadline_ms))
+        self.send(&submit_request(tenant, source, deadline_ms)?)
     }
 
     /// Fetch the server stats snapshot, optionally restricted to one tenant.
@@ -121,16 +116,49 @@ impl Client {
 }
 
 // The request builders both clients send through, so a call sends the same
-// frame whichever client makes it. The frames that carry tables are written
+// frame whichever client makes it. Each builds the whole frame: a length
+// placeholder, the payload, then the length patched in (`sealed`), as the
+// server's reply writer does. The frames that carry tables are written
 // straight into their payload, with no `Json` tree of the tables.
 
-/// `{"op":<op>,"tenant":<tenant>` — an open request object.
+/// Write one sealed frame with a single write.
+fn send_frame(writer: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    writer.write_all(frame)?;
+    writer.flush()
+}
+
+/// A frame's length placeholder, then `{"op":<op>,"tenant":<tenant>` — an
+/// open request object.
 fn request_head(op: &str, tenant: &str) -> Vec<u8> {
-    let mut frame = b"{\"op\":".to_vec();
+    let mut frame = vec![0; 4];
+    frame.extend_from_slice(b"{\"op\":");
     write_str(&mut frame, op);
     frame.extend_from_slice(b",\"tenant\":");
     write_str(&mut frame, tenant);
     frame
+}
+
+/// The frame with its payload's length written over the placeholder.
+fn sealed(mut frame: Vec<u8>) -> io::Result<Vec<u8>> {
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    Ok(frame)
+}
+
+/// The frame of a request given as a `Json` tree.
+fn json_request(request: &Json) -> io::Result<Vec<u8>> {
+    let mut frame = vec![0; 4];
+    frame.extend_from_slice(&request.to_bytes());
+    sealed(frame)
+}
+
+fn replace_request(tenant: &str, table: &Table) -> io::Result<Vec<u8>> {
+    let mut frame = request_head("replace", tenant);
+    frame.extend_from_slice(b",\"table\":");
+    write_table(&mut frame, table);
+    frame.push(b'}');
+    sealed(frame)
 }
 
 fn register_request(
@@ -138,7 +166,7 @@ fn register_request(
     target: &Database,
     policy: &TenantPolicy,
     quotas: &TenantQuotas,
-) -> Vec<u8> {
+) -> io::Result<Vec<u8>> {
     let mut frame = request_head("register", tenant);
     frame.extend_from_slice(b",\"tables\":");
     write_tables(&mut frame, target.tables());
@@ -148,10 +176,14 @@ fn register_request(
         frame.extend_from_slice(&Json::Object(policy_members).to_bytes());
     }
     frame.push(b'}');
-    frame
+    sealed(frame)
 }
 
-fn submit_request(tenant: &str, source: &Database, deadline_ms: Option<u64>) -> Vec<u8> {
+fn submit_request(
+    tenant: &str,
+    source: &Database,
+    deadline_ms: Option<u64>,
+) -> io::Result<Vec<u8>> {
     let mut frame = request_head("submit", tenant);
     frame.extend_from_slice(b",\"source\":");
     write_database(&mut frame, source);
@@ -160,7 +192,7 @@ fn submit_request(tenant: &str, source: &Database, deadline_ms: Option<u64>) -> 
         write_int(&mut frame, ms as i64);
     }
     frame.push(b'}');
-    frame
+    sealed(frame)
 }
 
 fn stats_request(tenant: Option<&str>) -> Json {
@@ -355,7 +387,7 @@ impl<S: Sleeper> RetryingClient<S> {
 
     /// One attempt: connect if needed, send, read. A failed attempt drops
     /// the connection so the next one starts clean.
-    fn attempt(&mut self, payload: &[u8]) -> io::Result<Json> {
+    fn attempt(&mut self, frame: &[u8]) -> io::Result<Json> {
         if self.client.is_none() {
             let client = Client::connect(self.addr.as_str())?;
             if self.ever_connected {
@@ -365,7 +397,7 @@ impl<S: Sleeper> RetryingClient<S> {
             self.client = Some(client);
         }
         let client = self.client.as_mut().expect("connection established above");
-        let outcome = client.send(payload);
+        let outcome = client.send(frame);
         if outcome.is_err() {
             self.client = None;
         }
@@ -377,14 +409,14 @@ impl<S: Sleeper> RetryingClient<S> {
     /// if retries ran out or the error is not transient), or the final
     /// transport error once `max_retries` reconnect attempts are spent.
     pub fn request(&mut self, frame: &Json) -> io::Result<Json> {
-        self.send(&frame.to_bytes())
+        self.send(&json_request(frame)?)
     }
 
-    /// [`RetryingClient::request`] for an already written payload.
-    fn send(&mut self, payload: &[u8]) -> io::Result<Json> {
+    /// [`RetryingClient::request`] for an already sealed frame.
+    fn send(&mut self, frame: &[u8]) -> io::Result<Json> {
         let mut attempt = 0u32;
         loop {
-            match self.attempt(payload) {
+            match self.attempt(frame) {
                 Ok(response) => {
                     if is_ok(&response) {
                         return Ok(response);
@@ -432,7 +464,7 @@ impl<S: Sleeper> RetryingClient<S> {
         policy: &TenantPolicy,
         quotas: &TenantQuotas,
     ) -> io::Result<Json> {
-        self.send(&register_request(tenant, target, policy, quotas))
+        self.send(&register_request(tenant, target, policy, quotas)?)
     }
 
     /// [`Client::submit`] with retries.
@@ -442,7 +474,7 @@ impl<S: Sleeper> RetryingClient<S> {
         source: &Database,
         deadline_ms: Option<u64>,
     ) -> io::Result<Json> {
-        self.send(&submit_request(tenant, source, deadline_ms))
+        self.send(&submit_request(tenant, source, deadline_ms)?)
     }
 
     /// [`Client::stats`] with retries.
@@ -459,6 +491,7 @@ impl<S: Sleeper> RetryingClient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use std::net::TcpListener;
     use std::thread::JoinHandle;
 
@@ -540,5 +573,52 @@ mod tests {
         let plain: Vec<String> =
             plain.iter().map(|f| String::from_utf8(f.clone()).expect("UTF-8")).collect();
         assert_eq!(plain, expected);
+    }
+
+    /// Records the length of every `write` call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_frame_goes_out_in_one_write() {
+        // Frames larger than a default 8 KiB write buffer, where a prefix
+        // written separately would have been a write of its own.
+        let rows = (0..400).map(|i| tuple![format!("title number {i}")]).collect();
+        let table =
+            Table::with_rows(TableSchema::new("book", vec![Attribute::text("title")]), rows)
+                .expect("one-column table");
+        let db = Database::new("db").with_table(table.clone());
+        let stats = Json::Object(vec![("op".into(), Json::str("stats"))]);
+        let frames = [
+            submit_request("t", &db, Some(250)).expect("submit"),
+            register_request("t", &db, &TenantPolicy::default(), &TenantQuotas::default())
+                .expect("register"),
+            replace_request("t", &table).expect("replace"),
+            json_request(&stats).expect("stats"),
+        ];
+        assert!(frames[0].len() > 8 * 1024);
+        for frame in &frames {
+            let mut recorder = Recorder::default();
+            send_frame(&mut recorder, frame).expect("recorded");
+            assert_eq!(recorder.writes, vec![frame.len()], "one write per frame");
+            let payload = read_frame(&mut &recorder.bytes[..], usize::MAX).expect("framed");
+            assert_eq!(payload.as_deref(), Some(&frame[4..]), "the prefix frames the payload");
+        }
+        assert_eq!(&frames[3][4..], stats.to_bytes().as_slice());
     }
 }

@@ -459,7 +459,7 @@ impl<H: Handler> Reactor<H> {
             };
             match handler.handle(id, &payload) {
                 Action::Reply(frame) => {
-                    if !self.queue_write(slot, &frame) {
+                    if !self.queue_write(slot, frame) {
                         return false;
                     }
                 }
@@ -473,24 +473,32 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Append response bytes and flush what the socket will take now.
+    /// Queue a response frame and flush what the socket will take now. An
+    /// idle connection takes the frame itself as its write buffer, with no
+    /// copy; only a frame queued behind unflushed bytes is appended.
     /// Returns false when the connection closed.
-    fn queue_write(&mut self, slot: usize, frame: &[u8]) -> bool {
+    fn queue_write(&mut self, slot: usize, frame: Vec<u8>) -> bool {
         if let Some(conn) = self.conns[slot].as_mut() {
-            conn.write_buf.extend_from_slice(frame);
+            if conn.write_buf.is_empty() {
+                conn.write_buf = frame;
+            } else {
+                conn.write_buf.extend_from_slice(&frame);
+            }
         }
         self.flush(slot)
     }
 
     /// Write until the buffer empties or the socket blocks. A fully
-    /// flushed response counts as progress. Returns false when closed.
+    /// flushed response counts as progress, and frees the buffer: an idle
+    /// connection keeps no reply-sized allocation. Returns false when
+    /// closed.
     fn flush(&mut self, slot: usize) -> bool {
         loop {
             let outcome = {
                 let Some(conn) = self.conns[slot].as_mut() else { return false };
                 if conn.written == conn.write_buf.len() {
                     if !conn.write_buf.is_empty() {
-                        conn.write_buf.clear();
+                        conn.write_buf = Vec::new();
                         conn.written = 0;
                         conn.last_progress_ms = monotonic_ms();
                     }
@@ -545,7 +553,7 @@ impl<H: Handler> Reactor<H> {
                 // the response has nowhere to go.
                 _ => continue,
             }
-            if self.queue_write(slot, &frame) {
+            if self.queue_write(slot, frame) {
                 self.drain_frames(slot);
                 self.update_interest(slot);
             }
@@ -701,6 +709,43 @@ mod tests {
         rig.shared.signal_exit();
         rig.thread.join().expect("reactor thread");
         assert_eq!(rig.counters.open_connections.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_flushed_reply_leaves_no_reply_sized_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shared = Arc::new(ReactorShared::new().expect("shared"));
+        let handler =
+            Arc::new(Echo { shared: Arc::clone(&shared), accepting: AtomicBool::new(true) });
+        let counters = Arc::new(ServerCounters::default());
+        let mut reactor =
+            Reactor::new(listener, handler, shared, counters, default_config()).expect("reactor");
+        let mut client = TcpStream::connect(addr).expect("connect");
+        while reactor.open == 0 {
+            reactor.accept_ready();
+            std::thread::yield_now();
+        }
+        let slot = reactor.conns.iter().position(Option::is_some).expect("installed");
+        // Past any socket send buffer, so the frame is flushed in pieces.
+        let payload = vec![b'r'; 8 << 20];
+        let reply = frame_bytes(&payload);
+        let (address, len) = (reply.as_ptr(), reply.len());
+        let reader = std::thread::spawn(move || read_frame(&mut client, 16 << 20));
+        assert!(reactor.queue_write(slot, reply));
+        {
+            let conn = reactor.conns[slot].as_ref().expect("open");
+            assert!(conn.written < len, "the socket took part of the frame");
+            assert_eq!(conn.write_buf.as_ptr(), address, "the frame moved in, uncopied");
+        }
+        while !reactor.conns[slot].as_ref().expect("open").write_buf.is_empty() {
+            assert!(reactor.flush(slot));
+            std::thread::yield_now();
+        }
+        let conn = reactor.conns[slot].as_ref().expect("open");
+        assert_eq!((conn.write_buf.capacity(), conn.written), (0, 0), "the buffer was freed");
+        let echoed = reader.join().expect("reader").expect("read").expect("frame");
+        assert!(echoed == payload, "the reply arrives whole");
     }
 
     #[test]

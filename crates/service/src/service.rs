@@ -460,9 +460,6 @@ impl MatchService {
         }
 
         let source_evictions_before = self.sources.lock_or_recover().evictions();
-        let (source_columns, source_cache_hit) =
-            self.source_columns(source, source_key, snapshot.interner());
-
         let (hits_before, misses_before) = {
             let cache = snapshot.selections().lock_or_recover();
             (cache.hits(), cache.misses())
@@ -493,6 +490,10 @@ impl MatchService {
         // later request gets the memoized Arc back.
         let index_prebuilt = snapshot.gram_index_if_built().is_some();
         let gram_index = snapshot.gram_index();
+        // The index interned every target string, so source columns resolve
+        // after it, against the index's id bound.
+        let (source_columns, source_cache_hit) =
+            self.source_columns(source, source_key, snapshot.interner(), gram_index.id_bound());
 
         let result = self.matcher.run_prepared(
             source,
@@ -592,14 +593,34 @@ impl MatchService {
 
     /// The source database's prepared column batch, served from the warm
     /// cache when its content fingerprint is known.
+    ///
+    /// A cached batch's artifacts were resolved against the vocabulary of
+    /// some earlier request. When the catalog has since added strings that
+    /// reach past them (`bound`, the index's id bound), the batch is
+    /// resolved again — profiles from their unknown grams' codes, value sets
+    /// rebuilt on first use — and replaces the cached one, so later requests
+    /// are warm again. Growth that stays below them, such as another
+    /// catalog's in a shared interner, invalidates nothing.
     fn source_columns(
         &self,
         source: &Database,
         key: u64,
         interner: &Arc<GramInterner>,
+        bound: usize,
     ) -> (Arc<PreparedSourceColumns<'static>>, bool) {
-        if let Some(columns) = self.sources.lock_or_recover().get(&key).cloned() {
-            return (columns, true);
+        let cached = self.sources.lock_or_recover().get(&key).cloned();
+        if let Some(columns) = cached {
+            let covered = columns.values().flatten().all(|c| c.harvest_artifacts().covers(bound));
+            if covered {
+                return (columns, true);
+            }
+            let refreshed = build_source_columns(source, interner);
+            for (old, new) in columns.values().flatten().zip(refreshed.values().flatten()) {
+                new.seed_artifacts(&old.harvest_artifacts().resolved_again(interner, bound));
+            }
+            let refreshed = Arc::new(refreshed);
+            self.sources.lock_or_recover().insert(key, Arc::clone(&refreshed));
+            return (refreshed, true);
         }
         // Build outside the lock: extraction clones every source value, and
         // holding the lock for that would serialize admission of concurrent
@@ -617,8 +638,9 @@ impl MatchService {
 
 /// Pre-extract every table's columns in [`ColumnData::all_from_table`]
 /// layout, in `Arc`-shared storage so cache hits share values and profiles.
-/// Columns intern against the catalog's interner so the flat kernels apply
-/// to every (source, target) pair.
+/// Columns are bound to the catalog's interner so the flat kernels apply to
+/// every (source, target) pair; they resolve against its vocabulary and add
+/// nothing to it.
 fn build_source_columns(
     source: &Database,
     interner: &Arc<GramInterner>,

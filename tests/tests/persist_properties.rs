@@ -63,14 +63,23 @@ impl Lcg {
     }
 
     fn artifacts(&mut self) -> ArtifactsRecord {
+        let qgram3_ids: Option<Vec<(u32, f64)>> = (self.below(2) == 0).then(|| {
+            self.sorted_ids(12).into_iter().map(|id| (id, self.below(99) as f64 + 1.0)).collect()
+        });
+        let value_ids = (self.below(2) == 0).then(|| self.sorted_ids(12));
+        // Resolved (source-side) artifacts carry what the vocabulary lacked:
+        // a resolved length and unknown gram codes or a distinct count.
+        let qgram3_unknown = (qgram3_ids.is_some() && self.below(2) == 0).then(|| {
+            let codes = self.sorted_ids(6).into_iter().map(|c| u64::from(c) << 21 | 0x23);
+            (self.below(200), codes.map(|code| (code, self.below(9) as f64 + 1.0)).collect())
+        });
+        let value_unknown =
+            (value_ids.is_some() && self.below(2) == 0).then(|| (self.below(200), self.below(9)));
         ArtifactsRecord {
-            qgram3_ids: (self.below(2) == 0).then(|| {
-                self.sorted_ids(12)
-                    .into_iter()
-                    .map(|id| (id, self.below(99) as f64 + 1.0))
-                    .collect()
-            }),
-            value_ids: (self.below(2) == 0).then(|| self.sorted_ids(12)),
+            qgram3_ids,
+            qgram3_unknown,
+            value_ids,
+            value_unknown,
             numeric_summary: match self.below(3) {
                 0 => None,
                 1 => Some(None),

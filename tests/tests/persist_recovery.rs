@@ -272,6 +272,94 @@ fn clean_restart_re_profiles_zero_unchanged_columns() {
     assert_eq!(got, ref_answer);
 }
 
+/// A snapshot in the layout written before source-side artifacts could be
+/// resolved without inserting (commit e94745d): every source string was
+/// interned, so every persisted artifact — restricted profiles included —
+/// is complete, and no record carries a resolved length. Written by
+/// `MatchService::save_warm_state` for [`parent_layout_fixture`]'s tables,
+/// Naive inference at τ 0.4, a private interner and a 12-entry
+/// restricted-profile cache.
+const COMPLETE_ARTIFACTS_SNAPSHOT: &[u8] = include_bytes!("../fixtures/complete_artifacts.snap");
+
+/// The source and target [`COMPLETE_ARTIFACTS_SNAPSHOT`] was warmed on.
+fn parent_layout_fixture() -> (Database, Database) {
+    use cxm_relational::{tuple, Attribute, TableSchema};
+    let source = Database::new("RS").with_table(
+        Table::with_rows(
+            TableSchema::new(
+                "inv",
+                vec![
+                    Attribute::int("id"),
+                    Attribute::text("name"),
+                    Attribute::int("type"),
+                    Attribute::text("descr"),
+                ],
+            ),
+            vec![
+                tuple![0, "leaves of grass", 1, "hardcover"],
+                tuple![1, "the white album", 2, "audio cd"],
+                tuple![2, "heart of darkness", 1, "paperback"],
+                tuple![3, "wasteland", 1, "paperback"],
+                tuple![4, "hotel california", 2, "elektra cd"],
+                tuple![5, "kind of blue", 2, "columbia cd"],
+                tuple![6, "moby dick", 1, "hardcover"],
+                tuple![7, "abbey road", 2, "apple cd"],
+            ],
+        )
+        .expect("source rows"),
+    );
+    let target = Database::new("RT")
+        .with_table(
+            Table::with_rows(
+                TableSchema::new("book", vec![Attribute::text("title"), Attribute::text("format")]),
+                vec![
+                    tuple!["the historian", "hardcover"],
+                    tuple!["war and peace", "paperback"],
+                    tuple!["middlemarch", "paperback"],
+                ],
+            )
+            .expect("book rows"),
+        )
+        .with_table(
+            Table::with_rows(
+                TableSchema::new("music", vec![Attribute::text("title"), Attribute::text("label")]),
+                vec![tuple!["x&y", "capitol cd"], tuple!["abbey road", "apple cd"]],
+            )
+            .expect("music rows"),
+        );
+    (source, target)
+}
+
+#[test]
+fn a_snapshot_of_complete_artifacts_restores_clean_and_answers_byte_identically() {
+    let _serial = serial();
+    let (source, target) = parent_layout_fixture();
+    let context = ContextMatchConfig::default()
+        .with_inference(cxm_core::ViewInferenceStrategy::Naive)
+        .with_tau(0.4);
+    let config = ServiceConfig { context, ..ServiceConfig::default() };
+    let restored = MatchService::from_snapshot_bytes(config, COMPLETE_ARTIFACTS_SNAPSHOT);
+    let summary = restored.restore_summary();
+    assert_eq!(summary.degraded_sections, 0, "{summary}");
+    assert_eq!((summary.rebuilt_columns, summary.dropped_restricted), (0, 0), "{summary}");
+    assert_eq!(summary.restored_columns, 4, "{summary}");
+    assert_eq!(summary.restored_restricted, 12, "{summary}");
+
+    // The restored entries are complete, so they serve as they are.
+    let interned = restored.catalog().interner().len();
+    let outcome = restored.submit(&source).expect("submit");
+    assert!(outcome.telemetry.restricted_profile_hits > 0, "the restored entries are served");
+    assert_eq!(restored.catalog().interner().len(), interned, "the source adds no string");
+    let cold = cxm_core::ContextualMatcher::new(context).run(&source, &target).expect("cold");
+    assert_eq!(
+        format!(
+            "{:?}|{:?}|{:?}",
+            outcome.result.selected, outcome.result.standard, outcome.result.candidates
+        ),
+        format!("{:?}|{:?}|{:?}", cold.selected, cold.standard, cold.candidates),
+    );
+}
+
 mod server_restart {
     use cxm_core::ContextMatchConfig;
     use cxm_datagen::{generate_retail, RetailConfig};

@@ -410,6 +410,43 @@ mod interned_kernels {
         .with_interner(Arc::clone(interner))
     }
 
+    /// `texts` with every other value carrying scalars outside
+    /// [`ALPHABET`], so a catalog of alphabet text lacks its grams and
+    /// values while still sharing the rest.
+    fn never_seen(texts: &[String]) -> Vec<String> {
+        let suffix = |(i, text): (usize, &String)| {
+            if i % 2 == 0 {
+                format!("{text}q\u{e9}")
+            } else {
+                text.clone()
+            }
+        };
+        texts.iter().enumerate().map(suffix).collect()
+    }
+
+    /// A fresh catalog interner holding `values` alone, and its column
+    /// with every target artifact built.
+    fn catalog_of(values: &[String]) -> (Arc<GramInterner>, ColumnData<'static>) {
+        let catalog = Arc::new(GramInterner::new());
+        let target = column("b", values.to_vec(), &catalog);
+        target.qgram3_ids();
+        target.value_ids();
+        (catalog, target)
+    }
+
+    /// The target column of `values` and a source column of `source`, both
+    /// interned (as target builds) in one fresh interner, the source first.
+    fn interned_pair(
+        source: &[String],
+        values: &[String],
+    ) -> (ColumnData<'static>, ColumnData<'static>) {
+        let interner = Arc::new(GramInterner::new());
+        let interned = column("s", source.to_vec(), &interner);
+        interned.qgram3_ids();
+        interned.value_ids();
+        (column("b", values.to_vec(), &interner), interned)
+    }
+
     proptest! {
         /// The interned merge-join cosine agrees with the string-keyed
         /// `BTreeMap<String, f64>` reference kernel to within 1e-12 on
@@ -435,11 +472,25 @@ mod interned_kernels {
             );
             // Either side in a private id space: scored in the target's.
             let private = Arc::new(GramInterner::new());
-            let foreign_a = column("a", a, &private);
-            let foreign_b = column("b", b, &private);
+            let foreign_a = column("a", a.clone(), &private);
+            let foreign_b = column("b", b.clone(), &private);
             let qgram = QGramMatcher::new();
             prop_assert_eq!(qgram.score(&foreign_a, &cb).to_bits(), fast.to_bits());
             prop_assert_eq!(qgram.score(&ca, &foreign_b).to_bits(), fast.to_bits());
+
+            // A never-seen source against a catalog holding `b` alone: the
+            // grams the catalog lacks count toward the source's norm only,
+            // nothing is inserted, and the score is bit-equal to one where
+            // the source was interned too.
+            let source = never_seen(&a);
+            let (catalog, target) = catalog_of(&b);
+            let len = catalog.len();
+            let resolved = qgram.score(&column("s", source.clone(), &catalog), &target);
+            prop_assert_eq!(catalog.len(), len, "a source inserts nothing");
+            let slow = StringQGramMatcher.score(&column("s", source.clone(), &catalog), &target);
+            prop_assert!((resolved - slow).abs() <= 1e-12, "resolved {resolved} vs reference {slow}");
+            let (both, interned) = interned_pair(&source, &b);
+            prop_assert_eq!(qgram.score(&interned, &both).to_bits(), resolved.to_bits());
         }
 
         /// The interned merge-join Jaccard is **bit-identical** to the
@@ -460,11 +511,23 @@ mod interned_kernels {
             );
             // Either side in a private id space: scored in the target's.
             let private = Arc::new(GramInterner::new());
-            let foreign_a = column("a", a, &private);
-            let foreign_b = column("b", b, &private);
+            let foreign_a = column("a", a.clone(), &private);
+            let foreign_b = column("b", b.clone(), &private);
             let overlap = ValueOverlapMatcher::new();
             prop_assert_eq!(overlap.score(&foreign_a, &cb).to_bits(), fast.to_bits());
             prop_assert_eq!(overlap.score(&ca, &foreign_b).to_bits(), fast.to_bits());
+
+            // A never-seen source: the values the catalog lacks count in the
+            // union only, bit-identical to the string kernel.
+            let source = never_seen(&a);
+            let (catalog, target) = catalog_of(&b);
+            let len = catalog.len();
+            let resolved = overlap.score(&column("s", source.clone(), &catalog), &target);
+            prop_assert_eq!(catalog.len(), len, "a source inserts nothing");
+            let slow = StringOverlapMatcher.score(&column("s", source.clone(), &catalog), &target);
+            prop_assert_eq!(resolved.to_bits(), slow.to_bits());
+            let (both, interned) = interned_pair(&source, &b);
+            prop_assert_eq!(overlap.score(&interned, &both).to_bits(), resolved.to_bits());
         }
 
         /// Interner ids round-trip (`resolve(intern(s)) == s`), are stable
@@ -561,12 +624,14 @@ mod interned_kernels {
     proptest! {
         /// A view-restricted column's profile and value set, assembled from
         /// the per-row runs of its base column, equal what
-        /// `GramInterner::qgram_profile` / `value_set` build from the
-        /// selected non-NULL values — entry for entry and norm bit for norm
-        /// bit — on columns of every value variant, with empty, full and
-        /// random selections, in a runs interner other than the base
-        /// column's that knows some of the column's grams and values and
-        /// misses the rest.
+        /// `GramInterner::resolve_qgram_profile` / `resolve_value_set` build
+        /// from the selected non-NULL values — entry for entry, unknown gram
+        /// for unknown gram, and norm bit for norm bit — on columns of every
+        /// value variant, with empty, full and random selections, in a runs
+        /// interner other than the base column's that knows some of the
+        /// column's grams and values and lacks the rest. Neither build
+        /// inserts a string, and interning the assembled profile's unknown
+        /// grams gives the target build of the same values.
         #[test]
         fn restricted_columns_assemble_their_tokenized_artifacts(
             cells in prop::collection::vec(prop::collection::vec(0usize..12, 0..6), 0..40),
@@ -594,24 +659,39 @@ mod interned_kernels {
             let random: Vec<usize> = (0..table.len()).filter(|&row| picks[row] == 1).collect();
             let selections =
                 [RowSelection::empty(), RowSelection::full(table.len()), RowSelection::from_sorted(random)];
+            let issued = interner.len();
             for selection in &selections {
                 let restricted = ColumnData::restricted(&runs, selection, "v");
                 prop_assert!(Arc::ptr_eq(restricted.interner(), &interner));
-                let (profile, values) = (restricted.qgram3_ids(), restricted.value_ids());
+                let profile = restricted.qgram3_ids_in(&interner, issued);
+                let values = restricted.value_ids_in(&interner, issued);
                 let selected: Vec<&cxm_relational::Value> = selection
                     .iter()
                     .map(|row| table.rows()[row].at(0))
                     .filter(|v| !v.is_null())
                     .collect();
                 prop_assert_eq!(restricted.len(), selected.len());
-                let issued = interner.len();
-                let tokenized = interner.qgram_profile(selected.iter().map(|v| v.as_text()));
-                let tokenized_values = interner
-                    .value_set(selected.iter().map(|v| v.as_text().trim().to_ascii_lowercase()));
-                prop_assert_eq!(interner.len(), issued, "the run pass issued every string");
+                let tokenized = interner.resolve_qgram_profile(selected.iter().map(|v| v.as_text()));
+                let tokenized_values = interner.resolve_value_set(
+                    selected.iter().map(|v| v.as_text().trim().to_ascii_lowercase()),
+                );
+                prop_assert_eq!(interner.len(), issued, "the run pass issued no string");
                 prop_assert_eq!(profile.entries(), tokenized.entries());
+                prop_assert_eq!(profile.unknown(), tokenized.unknown());
                 prop_assert_eq!(profile.norm().to_bits(), tokenized.norm().to_bits());
+                prop_assert_eq!(profile.resolved_len(), tokenized.resolved_len());
                 prop_assert_eq!(&*values, &tokenized_values);
+                // The target side: the same values interned in a copy of
+                // the vocabulary.
+                let target = GramInterner::new();
+                target.preload(interner.dump());
+                let interned = target.qgram_profile(selected.iter().map(|v| v.as_text()));
+                prop_assert_eq!(interned.norm().to_bits(), profile.norm().to_bits());
+                prop_assert_eq!(interned.len(), profile.len());
+                prop_assert_eq!(
+                    target.value_set(selected.iter().map(|v| v.as_text().trim().to_ascii_lowercase())).len(),
+                    values.len()
+                );
             }
         }
     }
